@@ -106,79 +106,46 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
                                  double deadline_ms, std::uint64_t trace_id) {
   if (tile == nullptr) return;
 
-  // Encode before the lock: splitting the tile is the CPU-heavy part.
-  // The usable chunk's rank divides by the ALL-OR-NOTHING payload size in
-  // both modes, so the progressive schedule visits tiles in exactly the
-  // order the all-or-nothing one would (see header notes).
-  const std::string full = codec_.Encode(*tile);
+  // Plan before the lock: one pass over the cells prices the chunks and
+  // computes their payloads, with no bytes produced. The usable chunk's
+  // rank divides by the ALL-OR-NOTHING payload size in both modes, so the
+  // progressive schedule visits tiles in exactly the order the
+  // all-or-nothing one would (see header notes).
+  storage::ProgressivePlan plan =
+      codec_.PlanProgressive(tile, options_.progressive);
   const double usable_rank = options_.base_utility_weight *
                              std::max(confidence, 0.0) /
-                             static_cast<double>(full.size());
-
-  tiles::TilePtr usable_payload;
-  tiles::TilePtr exact_payload;
-  std::size_t usable_bytes = 0;
-  std::size_t refine_bytes = 0;
-  bool usable_is_exact = true;
-  if (options_.progressive) {
-    storage::ProgressiveEncoding prog = codec_.EncodeProgressive(*tile);
-    auto reassembled = storage::TileCodec::Reassemble(prog.base,
-                                                      prog.refinement);
-    auto base_only = storage::TileCodec::Decode(prog.base);
-    if (reassembled.ok() && base_only.ok()) {
-      usable_bytes = prog.base.size();
-      refine_bytes = prog.refinement.size();
-      usable_is_exact = prog.refinement.empty();
-      usable_payload = std::make_shared<const tiles::Tile>(
-          usable_is_exact ? std::move(reassembled).value()
-                          : std::move(base_only).value());
-      if (!usable_is_exact) {
-        exact_payload = std::make_shared<const tiles::Tile>(
-            std::move(reassembled).value());
-      }
-    }
-  }
-  if (usable_payload == nullptr) {
-    // All-or-nothing mode — or a defensive fallback if the progressive
-    // pair failed to validate: one exact chunk carrying what a client
-    // decodes from the full blob.
-    auto decoded = storage::TileCodec::Decode(full);
-    usable_payload =
-        decoded.ok()
-            ? std::make_shared<const tiles::Tile>(std::move(decoded).value())
-            : tile;
-    usable_bytes = full.size();
-    refine_bytes = 0;
-    usable_is_exact = true;
-  }
+                             static_cast<double>(plan.full_bytes);
+  const std::uint64_t chunks = plan.one_chunk() ? 1 : 2;
 
   std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.tiles_submitted;
+  stats_.chunks_enqueued += chunks;
   auto it = sessions_.find(session_id);
   if (shutdown_ || it == sessions_.end() || it->second->unregistering) {
-    stats_.stale_chunks_dropped += usable_is_exact ? 1 : 2;
+    // Retired on arrival; counted so the books still balance.
+    stats_.stale_chunks_dropped += chunks;
     return;
   }
   const double now = options_.clock != nullptr ? options_.clock->NowMillis()
                                                : kNoEnqueueStamp;
-  ++stats_.tiles_submitted;
 
   ChunkJob base;
   base.session_id = session_id;
   base.key = key;
   base.generation = generation;
-  base.exact = usable_is_exact;
+  base.exact = plan.one_chunk();
   base.usable = true;
-  base.bytes = usable_bytes;
+  base.bytes = plan.base_bytes;
   base.utility_per_byte = usable_rank;
   base.enqueue_ms = now;
   base.deadline_ms = deadline_ms;
   base.seq = ++seq_counter_;
   base.trace_id = trace_id;
-  base.payload = usable_payload;
+  base.payload = std::move(plan.coarse);
   jobs_.push_back(std::move(base));
-  ++stats_.chunks_enqueued;
 
-  if (!usable_is_exact) {
+  if (!plan.one_chunk()) {
     ChunkJob refine;
     refine.session_id = session_id;
     refine.key = key;
@@ -186,17 +153,16 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
     refine.exact = true;
     refine.usable = false;
     refine.awaiting_base = true;
-    refine.bytes = refine_bytes;
+    refine.bytes = plan.refinement_bytes;
     refine.utility_per_byte = options_.refine_utility_weight *
                               std::max(confidence, 0.0) /
-                              static_cast<double>(refine_bytes);
+                              static_cast<double>(plan.refinement_bytes);
     refine.enqueue_ms = now;
     refine.deadline_ms = deadline_ms;
     refine.seq = ++seq_counter_;
     refine.trace_id = trace_id;
-    refine.payload = exact_payload;
+    refine.payload = std::move(plan.exact);
     jobs_.push_back(std::move(refine));
-    ++stats_.chunks_enqueued;
   }
   SpawnPumpLocked();
 }

@@ -9,7 +9,11 @@
 // completed by the PrefetchScheduler are submitted here as they land (not
 // once per request), split by the progressive codec into a small coarse
 // BASE chunk plus an exact REFINEMENT chunk (storage/tile_codec.h), and
-// pushed to sessions under explicit byte-rate budgets:
+// pushed to sessions under explicit byte-rate budgets. Chunks are planned
+// from the tile (TileCodec::PlanProgressive): their exact wire sizes drive
+// ranks and budgets and their decoded payloads go to the sinks, but no
+// bytes are produced in-process — the byte path is the wire format, and
+// the plan matches it bit for bit:
 //
 //  * Utility-per-byte allocation. Every pending USABLE chunk (a tile's
 //    first chunk: the base, or the whole blob in all-or-nothing mode)
@@ -45,9 +49,10 @@
 //    most-underserved-by-bytes session every 1/s picks.
 //
 // Thread-safety: all methods are thread-safe. One mutex guards the chunk
-// list, the session registry, the buckets, and the counters; encoding
-// happens before the lock and sink invocations happen outside it, pinned
-// by per-session in-flight counts (a session is never erased mid-push).
+// list, the session registry, the buckets, and the counters; chunks are
+// planned from the tile before the lock (no bytes in-process) and sink
+// invocations happen outside it, pinned by per-session in-flight counts
+// (a session is never erased mid-push).
 // Sinks must not call back into the scheduler.
 //
 // With an Executor the scheduler pumps itself whenever work is submitted;
@@ -145,8 +150,11 @@ struct StreamSchedulerOptions {
 };
 
 /// Point-in-time counters. Every submitted tile either pushes its usable
-/// chunk (first_usable_pushes) or is dropped (stale / expired), and
-/// chunks_pushed == base_chunks_pushed + exact_chunks_pushed.
+/// chunk (first_usable_pushes) or is dropped (stale / expired), so once
+/// the queue is empty chunks_pushed + stale_chunks_dropped +
+/// expired_chunks_dropped == chunks_enqueued — submissions rejected on
+/// arrival included — and chunks_pushed == base_chunks_pushed +
+/// exact_chunks_pushed.
 struct StreamSchedulerStats {
   std::uint64_t tiles_submitted = 0;
   std::uint64_t chunks_enqueued = 0;
@@ -250,13 +258,14 @@ class StreamScheduler {
   /// expiry. Budgets start metering from the next pump.
   void SetClock(const Clock* clock);
 
-  /// Splits `tile` per the progressive codec (or encodes it whole in
-  /// all-or-nothing mode) and queues the chunks for `session_id`.
-  /// `confidence` feeds the utility rank; `deadline_ms` is an absolute
-  /// virtual time (kNoDeadline = none). Unknown/unregistering sessions
-  /// drop the submission as stale. With an executor, submission kicks the
-  /// self-pump. `trace_id` (0 = unsampled) attributes the resulting chunk
-  /// pushes to the publishing request's trace.
+  /// Plans `tile`'s chunks per the progressive codec (one whole chunk in
+  /// all-or-nothing mode) and queues them for `session_id`. `confidence`
+  /// feeds the utility rank; `deadline_ms` is an absolute virtual time
+  /// (kNoDeadline = none). Submissions to an unknown or unregistering
+  /// session, or after Shutdown, are retired on arrival: counted as
+  /// submitted and enqueued, then dropped as stale. With an executor,
+  /// submission kicks the self-pump. `trace_id` (0 = unsampled) attributes
+  /// the resulting chunk pushes to the publishing request's trace.
   void SubmitTile(std::uint64_t session_id, const tiles::TileKey& key,
                   const tiles::TilePtr& tile, std::uint64_t generation,
                   double confidence, double deadline_ms = kNoDeadline,

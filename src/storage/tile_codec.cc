@@ -1,8 +1,11 @@
 #include "storage/tile_codec.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/logging.h"
@@ -16,6 +19,33 @@ constexpr std::uint32_t kVersion = 2;
 
 constexpr char kRefinementMagic[4] = {'F', 'C', 'T', 'R'};
 constexpr std::uint32_t kRefinementVersion = 1;
+
+// Framing bytes, field for field as Encode and EncodeProgressive write them
+// (PlanProgressive prices chunks from these without writing any).
+// Blob: magic | version | encoding | level | x y width height | nattr
+// | names | [quant_step] ... | checksum.
+std::size_t BlobOverheadBytes(const tiles::Tile& tile, TileEncoding encoding) {
+  std::size_t bytes = sizeof(kMagic) + sizeof(kVersion) +
+                      sizeof(std::uint8_t) + sizeof(std::int32_t) +
+                      4 * sizeof(std::int64_t) + sizeof(std::uint32_t) +
+                      sizeof(std::uint64_t);
+  for (const auto& name : tile.attr_names()) {
+    bytes += sizeof(std::uint32_t) + name.size();
+  }
+  if (encoding == TileEncoding::kDeltaVarint) bytes += sizeof(double);
+  return bytes;
+}
+
+// Refinement: magic | version | encoding | base checksum | level
+// | x y width height | nattr ... | checksum.
+constexpr std::size_t kRefinementOverheadBytes =
+    sizeof(kRefinementMagic) + sizeof(kRefinementVersion) +
+    sizeof(std::uint8_t) + sizeof(std::uint64_t) + sizeof(std::int32_t) +
+    4 * sizeof(std::int64_t) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
+// Each varint-coded attribute (kDeltaVarint payloads, refinement
+// residuals) carries a u64 byte-length prefix.
+constexpr std::size_t kAttrLengthBytes = sizeof(std::uint64_t);
 
 // FNV-1a 64-bit over the blob contents; appended as the trailing 8 bytes.
 std::uint64_t Fnv1a(const char* data, std::size_t len) {
@@ -42,6 +72,11 @@ void AppendVarint(std::string* out, std::uint64_t v) {
     v >>= 7;
   }
   out->push_back(static_cast<char>(v));
+}
+
+// Bytes AppendVarint writes for `v`: one per started 7-bit group.
+std::size_t VarintSize(std::uint64_t v) {
+  return 1 + static_cast<std::size_t>(std::bit_width(v | 1) - 1) / 7;
 }
 
 std::uint64_t ZigZag(std::int64_t v) {
@@ -404,6 +439,90 @@ ProgressiveEncoding TileCodec::EncodeProgressive(const tiles::Tile& tile) const 
   AppendValue(&ref, Fnv1a(ref.data(), ref.size()));
   out.refinement = std::move(ref);
   return out;
+}
+
+ProgressivePlan TileCodec::PlanProgressive(const tiles::TilePtr& tile,
+                                           bool progressive) const {
+  FC_CHECK(tile != nullptr);
+  const tiles::Tile& in = *tile;
+  const TileEncoding encoding = options_.encoding;
+  const double quant_step = options_.quant_step;
+  const double base_step = options_.progressive_base_step;
+
+  // Decoded payloads are written over copies of the tile: Decode rebuilds
+  // the same key, dims and names. A lossless decode IS the tile.
+  std::optional<tiles::Tile> exact;
+  std::optional<tiles::Tile> coarse;
+  if (!lossless()) exact.emplace(in);
+  if (progressive) coarse.emplace(in);
+
+  std::size_t full_bytes = BlobOverheadBytes(in, encoding);
+  std::size_t base_bytes = BlobOverheadBytes(in, TileEncoding::kDeltaVarint);
+  std::size_t refinement_bytes = kRefinementOverheadBytes;
+  for (std::size_t a = 0; a < in.num_attrs(); ++a) {
+    const std::vector<double>& cells = in.AttrData(a);
+    switch (encoding) {
+      case TileEncoding::kRawF64:
+        full_bytes += cells.size() * sizeof(double);
+        break;
+      case TileEncoding::kFloat32:
+        full_bytes += cells.size() * sizeof(float);
+        break;
+      case TileEncoding::kDeltaVarint:
+        full_bytes += kAttrLengthBytes;
+        break;
+    }
+    base_bytes += kAttrLengthBytes;
+    refinement_bytes += kAttrLengthBytes;
+    double* exact_out = exact ? exact->MutableAttrData(a).data() : nullptr;
+    double* coarse_out = coarse ? coarse->MutableAttrData(a).data() : nullptr;
+    if (exact_out == nullptr && coarse_out == nullptr) continue;
+
+    // The same arithmetic as EncodePayload, DecodePayload and the
+    // refinement's bit-domain residuals, minus the bytes.
+    std::int64_t prev = 0;
+    std::int64_t prev_base = 0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const double v = cells[i];
+      double final_value = v;
+      if (encoding == TileEncoding::kFloat32) {
+        final_value = static_cast<double>(ToFloatSaturating(v));
+      } else if (encoding == TileEncoding::kDeltaVarint) {
+        const std::int64_t q = Quantize(v, quant_step);
+        full_bytes += VarintSize(
+            ZigZag(static_cast<std::int64_t>(WrappingDelta(q, prev))));
+        prev = q;
+        final_value = static_cast<double>(q) * quant_step;
+      }
+      if (exact_out != nullptr) exact_out[i] = final_value;
+      if (coarse_out == nullptr) continue;
+
+      const std::int64_t q = Quantize(v, base_step);
+      base_bytes += VarintSize(
+          ZigZag(static_cast<std::int64_t>(WrappingDelta(q, prev_base))));
+      prev_base = q;
+      const double base_value = static_cast<double>(q) * base_step;
+      coarse_out[i] = base_value;
+      refinement_bytes += VarintSize(ZigZag(
+          static_cast<std::int64_t>(BitsOf(final_value) - BitsOf(base_value))));
+    }
+  }
+
+  ProgressivePlan plan;
+  plan.full_bytes = full_bytes;
+  plan.exact = exact ? std::make_shared<const tiles::Tile>(std::move(*exact))
+                     : tile;
+  if (progressive && base_bytes < full_bytes) {
+    plan.base_bytes = base_bytes;
+    plan.refinement_bytes = refinement_bytes;
+    plan.coarse = std::make_shared<const tiles::Tile>(std::move(*coarse));
+  } else {
+    // One chunk: all-or-nothing mode, or EncodeProgressive's degenerate
+    // rule (the exact blob ships as the base).
+    plan.base_bytes = full_bytes;
+    plan.coarse = plan.exact;
+  }
+  return plan;
 }
 
 Result<tiles::Tile> TileCodec::Reassemble(const std::string& base,

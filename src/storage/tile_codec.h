@@ -44,6 +44,16 @@
 // independently, and a refinement applied to the wrong base fails the
 // bound checksum. Degenerate tiles whose coarse base would not undercut
 // the exact blob ship the exact blob AS the base with an empty refinement.
+//
+// Pricing without producing (PlanProgressive): an in-process consumer that
+// only needs what the chunks WOULD weigh and what a client WOULD decode
+// from them — the stream scheduler, which ranks and budgets by bytes and
+// hands decoded payloads to sessions — asks for a ProgressivePlan instead.
+// One pass over the cells, with the encoder's own quantization and varint
+// arithmetic, yields the byte sizes of the full blob, the base, and the
+// refinement (the degenerate rule included) plus the decoded coarse and
+// exact payloads, bit-identical to the byte path; no blob, checksum, or
+// decode is involved. The byte path stays the wire and disk format.
 
 #ifndef FORECACHE_STORAGE_TILE_CODEC_H_
 #define FORECACHE_STORAGE_TILE_CODEC_H_
@@ -89,6 +99,27 @@ struct ProgressiveEncoding {
   std::string refinement;
 };
 
+/// What streaming a tile costs and delivers, priced without producing any
+/// bytes (see PlanProgressive and the format notes above).
+struct ProgressivePlan {
+  /// Encode(tile).size(): the all-or-nothing blob.
+  std::size_t full_bytes = 0;
+  /// The first (usable) chunk: EncodeProgressive(tile).base.size(), or
+  /// full_bytes when the tile ships as one chunk.
+  std::size_t base_bytes = 0;
+  /// EncodeProgressive(tile).refinement.size(); 0 when the tile ships as
+  /// one chunk (degenerate tile, or all-or-nothing mode).
+  std::size_t refinement_bytes = 0;
+  /// What a client decodes from the first chunk: Decode(base), which is
+  /// `exact` itself when the tile ships as one chunk.
+  tiles::TilePtr coarse;
+  /// Decode(Encode(tile)): the submitted pointer itself when the encoding
+  /// is lossless, a directly computed tile otherwise.
+  tiles::TilePtr exact;
+
+  bool one_chunk() const { return refinement_bytes == 0; }
+};
+
 /// Encodes tiles per the configured options; decodes blobs of any encoding.
 class TileCodec {
  public:
@@ -116,6 +147,13 @@ class TileCodec {
   /// bit-identical to Decode(Encode(tile)) for every encoding, and
   /// Decode(base) alone is a usable lossy tile.
   ProgressiveEncoding EncodeProgressive(const tiles::Tile& tile) const;
+
+  /// Prices `tile` as EncodeProgressive would split it (`progressive`
+  /// true) or as one Encode blob (false), in one pass over the cells and
+  /// without producing bytes. Sizes and payloads match the byte path
+  /// exactly (see ProgressivePlan). `tile` must be non-null.
+  ProgressivePlan PlanProgressive(const tiles::TilePtr& tile,
+                                  bool progressive) const;
 
   /// Rebuilds the exact tile from a progressive pair. Each chunk's checksum
   /// is verified independently; a refinement bound to a different base (or

@@ -616,6 +616,105 @@ TEST(CodecPropertyTest, ProgressiveDegenerateTileShipsOneChunk) {
   EXPECT_EQ(rebuilt->At(0, 0, 0), 3.25);
 }
 
+// PlanProgressive prices a tile exactly as the byte path encodes it: for
+// every encoding, base fidelity, shape, and payload (non-finite and
+// saturating cells included) its sizes equal the Encode / EncodeProgressive
+// blob sizes, its coarse and exact payloads equal Decode(base) and
+// Decode(Encode(tile)) bit for bit, degenerate tiles and all-or-nothing
+// mode report one chunk of the full size, and a lossless exact payload is
+// the submitted tile itself.
+TEST(CodecPropertyTest, ProgressivePlanMatchesTheBytePath) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             inf, -inf, -0.0, 1e300, -1e300};
+  const double scales[] = {1e-3, 0.5, 40.0, 1e5};
+  // A planned payload must be the tile Decode rebuilds, bit for bit.
+  auto expect_same_tile = [](const tiles::Tile& got, const tiles::Tile& want) {
+    EXPECT_EQ(got.key(), want.key());
+    EXPECT_EQ(got.width(), want.width());
+    EXPECT_EQ(got.height(), want.height());
+    EXPECT_EQ(got.attr_names(), want.attr_names());
+    EXPECT_EQ(CellBits(got), CellBits(want));
+  };
+  Rng rng(107);
+  int split = 0, degenerate = 0;
+  for (auto encoding :
+       {storage::TileEncoding::kRawF64, storage::TileEncoding::kFloat32,
+        storage::TileEncoding::kDeltaVarint}) {
+    for (double base_step : {0.25, 1.0, 4.0, 1e6}) {
+      storage::TileCodec codec({encoding, 1e-4, base_step});
+      for (int trial = 0; trial < 160; ++trial) {
+        // The first two trials pin the extreme shapes, 1x1x1 and 33x33x4.
+        auto w = static_cast<std::int64_t>(
+            trial == 0 ? 1 : trial == 1 ? 33 : rng.UniformInt(1, 33));
+        auto h = static_cast<std::int64_t>(
+            trial == 0 ? 1 : trial == 1 ? 33 : rng.UniformInt(1, 33));
+        std::size_t nattr = static_cast<std::size_t>(
+            trial == 0 ? 1 : trial == 1 ? 4 : rng.UniformInt(1, 4));
+        std::vector<std::string> names;
+        for (std::size_t a = 0; a < nattr; ++a) {
+          names.push_back("attr" + std::to_string(a));
+        }
+        auto made = tiles::Tile::Make(
+            tiles::TileKey{rng.UniformInt(0, 8), rng.UniformInt(0, 100),
+                           rng.UniformInt(0, 100)},
+            w, h, names);
+        ASSERT_TRUE(made.ok());
+        const double scale = scales[rng.UniformUint32(4)];
+        for (std::size_t a = 0; a < nattr; ++a) {
+          for (auto& v : made->MutableAttrData(a)) {
+            v = rng.UniformUint32(20) == 0 ? specials[rng.UniformUint32(6)]
+                                           : rng.Gaussian(0, scale);
+          }
+        }
+        auto tile = std::make_shared<const tiles::Tile>(std::move(*made));
+        const std::string full = codec.Encode(*tile);
+        auto exact = storage::TileCodec::Decode(full);
+        ASSERT_TRUE(exact.ok());
+        const auto pair = codec.EncodeProgressive(*tile);
+        auto coarse = storage::TileCodec::Decode(pair.base);
+        ASSERT_TRUE(coarse.ok());
+
+        for (bool progressive : {true, false}) {
+          SCOPED_TRACE(::testing::Message()
+                       << storage::TileEncodingName(encoding) << " base step "
+                       << base_step << " trial " << trial << " " << w << "x"
+                       << h << "x" << nattr << " progressive " << progressive);
+          const auto plan = codec.PlanProgressive(tile, progressive);
+          EXPECT_EQ(plan.full_bytes, full.size());
+          ASSERT_NE(plan.exact, nullptr);
+          ASSERT_NE(plan.coarse, nullptr);
+          expect_same_tile(*plan.exact, *exact);
+          if (encoding == storage::TileEncoding::kRawF64) {
+            EXPECT_EQ(plan.exact, tile);  // no copy
+          }
+          if (!progressive) {
+            // All-or-nothing: one chunk, the whole blob.
+            EXPECT_TRUE(plan.one_chunk());
+            EXPECT_EQ(plan.base_bytes, full.size());
+            EXPECT_EQ(plan.coarse, plan.exact);
+            continue;
+          }
+          EXPECT_EQ(plan.base_bytes, pair.base.size());
+          EXPECT_EQ(plan.refinement_bytes, pair.refinement.size());
+          expect_same_tile(*plan.coarse, *coarse);
+          if (pair.refinement.empty()) {
+            ++degenerate;
+            EXPECT_TRUE(plan.one_chunk());
+            EXPECT_EQ(plan.coarse, plan.exact);
+          } else {
+            ++split;
+            EXPECT_FALSE(plan.one_chunk());
+          }
+        }
+      }
+    }
+  }
+  // Both sides of the degenerate rule were exercised.
+  EXPECT_GT(split, 0);
+  EXPECT_GT(degenerate, 0);
+}
+
 // ---------------------------------------------------------------------------
 // LRU cache: never exceeds capacity; most-recent survives
 

@@ -2,8 +2,8 @@
 // (core/stream_scheduler.h + server/push_stream.h).
 //
 // Deterministic pull-mode goldens pin the scheduling order (class before
-// utility, byte budgets, supersession, expiry, deadlines, fairness) on a
-// SimClock; a randomized property checks the progressive schedule is
+// utility, byte budgets, supersession, expiry, deadlines, fairness) and
+// the chunk books on a SimClock; a randomized property checks the progressive schedule is
 // observationally equivalent to the all-or-nothing one (same final tile
 // bits, first-usable chunk never later); and two executor-mode stress
 // tests (session churn mid-stream, manager teardown under in-flight
@@ -245,6 +245,37 @@ TEST(StreamSchedulerTest, StaleGenerationsShedQueuedPairs) {
     EXPECT_EQ(delivery.generation, 2u);
     EXPECT_EQ(delivery.key, (tiles::TileKey{1, 2, 0}));
   }
+}
+
+// Submissions the scheduler cannot take — to an unknown session, or after
+// Shutdown — are retired on arrival: counted as submitted and enqueued and
+// dropped as stale, so chunks_pushed + stale + expired == chunks_enqueued
+// still holds (the PrefetchScheduler::Publish rule).
+TEST(StreamSchedulerTest, RejectedSubmissionsKeepTheBooksBalanced) {
+  StreamSchedulerOptions options;
+  options.codec.progressive_base_step = 8.0;
+  StreamScheduler scheduler(nullptr, options);
+  std::vector<Delivery> log;
+  const std::uint64_t session =
+      scheduler.RegisterSession(5, {}, Record(&log, 5));
+
+  scheduler.SubmitTile(session, {1, 0, 0}, GaussianTile({1, 0, 0}, 1), 1, 0.9);
+  EXPECT_EQ(scheduler.Flush(), 2u);
+  scheduler.SubmitTile(session + 1, {1, 1, 0}, GaussianTile({1, 1, 0}, 2), 1,
+                       0.9);  // never registered
+  scheduler.Shutdown();
+  scheduler.SubmitTile(session, {1, 2, 0}, GaussianTile({1, 2, 0}, 3), 1, 0.9);
+
+  const auto stats = scheduler.Stats();
+  EXPECT_EQ(stats.tiles_submitted, 3u);
+  EXPECT_EQ(stats.chunks_enqueued, 6u);  // base + refinement per tile
+  EXPECT_EQ(stats.chunks_pushed, 2u);
+  EXPECT_EQ(stats.stale_chunks_dropped, 4u);
+  EXPECT_EQ(stats.chunks_pushed + stats.stale_chunks_dropped +
+                stats.expired_chunks_dropped,
+            stats.chunks_enqueued);
+  EXPECT_EQ(scheduler.queued(), 0u);
+  EXPECT_EQ(log.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -576,14 +607,11 @@ TEST(StreamSchedulerStressTest, SessionChurnUnderConcurrentSubmitAndPump) {
   EXPECT_EQ(stats.chunks_pushed,
             stats.base_chunks_pushed + stats.exact_chunks_pushed);
   EXPECT_EQ(stats.chunks_pushed, delivered.load());
-  // Every enqueued chunk was either pushed or accounted as dropped (the
-  // stale counter also covers submissions rejected before enqueue, so it
-  // bounds from above).
-  EXPECT_LE(stats.chunks_pushed + stats.expired_chunks_dropped,
+  // Every enqueued chunk was either pushed or accounted as dropped —
+  // submissions that raced a churned slot's teardown included.
+  EXPECT_EQ(stats.chunks_pushed + stats.stale_chunks_dropped +
+                stats.expired_chunks_dropped,
             stats.chunks_enqueued);
-  EXPECT_LE(stats.chunks_enqueued,
-            stats.chunks_pushed + stats.stale_chunks_dropped +
-                stats.expired_chunks_dropped);
   EXPECT_EQ(scheduler.queued(), 0u);
 }
 
