@@ -1,7 +1,7 @@
-// Cross-session prefetch dedup: per-session scheduling (every session fills
-// its own region through the shared cache) vs the shared PrefetchScheduler
-// (one process-wide queue merging overlapping predictions) at 4/16/64
-// overlapping sessions.
+// Cross-session prefetch dedup: per-session scheduling (every session
+// publishes into a queue of its own over the shared cache) vs the shared
+// PrefetchScheduler (one process-wide queue merging overlapping
+// predictions) at 4/16/64 overlapping sessions.
 //
 // Every session replays the SAME study trace — N distinct users making the
 // same exploration, the workload where per-session scheduling is maximally

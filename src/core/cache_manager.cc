@@ -10,15 +10,6 @@ CacheManager::CacheManager(storage::TileStore* store, CacheManagerOptions option
       history_(options.history_bytes),
       prefetch_(options.prefetch_bytes) {}
 
-Result<tiles::TilePtr> CacheManager::FetchThrough(const tiles::TileKey& key,
-                                                  double confidence) {
-  if (shared_ != nullptr) {
-    return shared_->GetOrFetch(key, store_,
-                               {options_.session_id, confidence});
-  }
-  return store_->Fetch(key);
-}
-
 Result<FetchOutcome> CacheManager::Request(const tiles::TileKey& key) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   FetchOutcome outcome;
@@ -71,67 +62,6 @@ Result<FetchOutcome> CacheManager::Request(const tiles::TileKey& key) {
   return outcome;
 }
 
-Status CacheManager::Prefetch(const std::vector<tiles::TileKey>& predictions) {
-  return Prefetch(predictions, {}, [] { return false; });
-}
-
-Status CacheManager::Prefetch(const std::vector<tiles::TileKey>& predictions,
-                              const std::function<bool()>& cancelled) {
-  return Prefetch(predictions, {}, cancelled);
-}
-
-Status CacheManager::Prefetch(const std::vector<tiles::TileKey>& predictions,
-                              const std::vector<double>& confidences,
-                              const std::function<bool()>& cancelled) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A fill superseded before it even started must not touch the region:
-    // its successor may already have cleared and repopulated it.
-    if (cancelled()) return Status::OK();
-    prefetch_.Clear();
-  }
-  std::size_t filled_bytes = 0;
-  const std::size_t budget = options_.prefetch_bytes;
-  for (std::size_t i = 0; i < predictions.size(); ++i) {
-    const tiles::TileKey& key = predictions[i];
-    if (filled_bytes >= budget) break;
-    if (cancelled()) break;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (auto resident = history_.Peek(key)) {
-        // Already resident; its bytes are effectively spent from the budget
-        // (the paper refills the region around what the user holds).
-        filled_bytes += resident->SizeBytes();
-        continue;
-      }
-    }
-    const double confidence = i < confidences.size() ? confidences[i] : 0.0;
-    auto tile = FetchThrough(key, confidence);  // slow path — never under the lock
-    if (!tile.ok()) {
-      // Skip the bad tile and keep draining the ranked list: one missing
-      // tile must not starve every lower-ranked prediction.
-      prefetch_failures_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    std::size_t bytes = (*tile)->SizeBytes();
-    // The ranked list is priority-ordered: the first tile that no longer
-    // fits ends the fill rather than evicting higher-priority tiles. The
-    // overflow tile's own fetch is spent — its size is only knowable after
-    // the fetch (the store's spec has geometry but not attribute count) —
-    // but at most one fetch per fill is wasted, and only on truncation.
-    if (filled_bytes > 0 && filled_bytes + bytes > budget) break;
-    std::lock_guard<std::mutex> lock(mu_);
-    // Re-check under the lock: if this fill is superseded now, a successor
-    // fill's Clear() has either run (we must not re-pollute its region) or
-    // will run after we release mu_ (and would erase anything we put).
-    // Checking and inserting under one lock hold closes the gap between.
-    if (cancelled()) break;
-    prefetch_.Put(key, std::move(*tile));
-    filled_bytes += bytes;
-  }
-  return Status::OK();
-}
-
 std::vector<PrefetchCandidate> CacheManager::BeginPrefetch(
     const std::vector<tiles::TileKey>& predictions,
     const std::vector<double>& confidences, std::uint64_t generation) {
@@ -143,8 +73,7 @@ std::vector<PrefetchCandidate> CacheManager::BeginPrefetch(
   fill_open_ = true;
   for (std::size_t i = 0; i < predictions.size(); ++i) {
     const tiles::TileKey& key = predictions[i];
-    // Already resident where the user can hit it: nothing to schedule (the
-    // synchronous path skips these the same way).
+    // Already resident where the user can hit it: nothing to schedule.
     if (history_.Contains(key)) continue;
     bool duplicate = false;
     for (const auto& candidate : plan) {
@@ -168,6 +97,13 @@ bool CacheManager::AcceptPrefetched(const tiles::TileKey& key,
   // A delivery for a superseded fill must not pollute the re-planned
   // region (its successor's BeginPrefetch has already cleared it).
   if (!fill_open_ || generation != fill_generation_) return false;
+  // Deliveries arrive in priority order: once the region is full, the
+  // tiles it holds outrank every new key, so the new key is turned away
+  // instead of evicting one of them.
+  if (prefetch_.size() > 0 && !prefetch_.Contains(key) &&
+      prefetch_.bytes_resident() + tile->SizeBytes() > prefetch_.max_bytes()) {
+    return false;
+  }
   prefetch_.Put(key, tile);
   return true;
 }

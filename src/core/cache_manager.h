@@ -8,22 +8,25 @@
 //    is the allocation strategy's decision, applied upstream by the engine
 //    when it merges the two ranked lists).
 //
+// The manager never fetches for the prefetch region itself. A fill has one
+// path: BeginPrefetch plans it, a PrefetchScheduler fetches it, and
+// AcceptPrefetched lands each delivered tile.
+//
 // Optionally the manager sits on top of a process-wide SharedTileCache: a
 // request missing both private regions probes the shared cache before the
-// backing store, and every tile fetched (on demand or by prefetch) is
-// published there for other sessions.
+// backing store, and every demand fetch is published there for other
+// sessions.
 //
 // Thread-safety: all methods may be called concurrently — in the async
-// serving stack the session thread calls Request while an executor worker
-// runs Prefetch. Region state is mutex-guarded; backing-store fetches happen
-// outside the lock so a slow DBMS query never blocks the session thread's
-// region lookups. Stats are atomics.
+// serving stack the session thread calls Request while a scheduler drain
+// worker delivers through AcceptPrefetched. Region state is mutex-guarded;
+// backing-store fetches happen outside the lock so a slow DBMS query never
+// blocks the session thread's region lookups. Stats are atomics.
 
 #ifndef FORECACHE_CORE_CACHE_MANAGER_H_
 #define FORECACHE_CORE_CACHE_MANAGER_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -69,55 +72,36 @@ class CacheManager {
   /// region (and published to the shared cache on a store fetch).
   Result<FetchOutcome> Request(const tiles::TileKey& key);
 
-  /// Replaces the prefetch region with `predictions` (ranked, highest
-  /// priority first), fetching each tile from the shared cache or backing
-  /// store until the region's byte budget is spent. Tiles already in a
-  /// private region are not re-fetched (but still charge the budget). A
-  /// fetch failure skips that tile (counted in prefetch_failures()) and
-  /// continues down the ranked list, so one bad tile cannot starve the rest.
-  Status Prefetch(const std::vector<tiles::TileKey>& predictions);
-
-  /// As above, but polls `cancelled` between tiles and stops early when it
-  /// returns true — the async server cancels a fill superseded by a newer
-  /// request. Aborted fills leave the region partially updated.
-  Status Prefetch(const std::vector<tiles::TileKey>& predictions,
-                  const std::function<bool()>& cancelled);
-
-  /// As above with the engine's per-tile confidences (parallel to
-  /// `predictions`; missing entries read as 0): each shared-cache fill
-  /// carries its confidence so a near-certain prediction takes the
-  /// priority-admission path past the frequency filter.
-  Status Prefetch(const std::vector<tiles::TileKey>& predictions,
-                  const std::vector<double>& confidences,
-                  const std::function<bool()>& cancelled);
-
-  /// Scheduler-mode fill, step 1 (the submission API swap): instead of
-  /// fetching the ranked list itself, the session plans it for the
-  /// process-wide PrefetchScheduler. Clears the prefetch region, gates
-  /// AcceptPrefetched on `generation` (the server's per-request counter,
-  /// monotonic), and returns the ranked candidates to publish — skipping
-  /// tiles the history region already holds and in-list duplicates.
-  /// Thread-safe.
+  /// Fill step 1: plans the region fill for the PrefetchScheduler. Clears
+  /// the prefetch region, gates AcceptPrefetched on `generation` (the
+  /// server's per-request counter, monotonic), and returns the ranked
+  /// candidates to publish (`confidences` parallels `predictions`; missing
+  /// entries read as 0). Tiles the history region already holds and in-list
+  /// duplicates are skipped; they cost the region nothing. Thread-safe.
   std::vector<PrefetchCandidate> BeginPrefetch(
       const std::vector<tiles::TileKey>& predictions,
       const std::vector<double>& confidences, std::uint64_t generation);
 
-  /// Scheduler-mode fill, step 2: the scheduler's delivery callback lands a
-  /// completed fill here. Retained only while `generation` is still the
-  /// current fill (a newer BeginPrefetch or Clear rejects stragglers — the
-  /// generation-based invalidation that keeps superseded fills out of a
-  /// re-planned region). Returns true when the tile was retained. Unlike
-  /// the synchronous Prefetch, byte-budget overflow evicts the region's
-  /// least-recently-delivered tile rather than ending the fill (deliveries
-  /// arrive in queue-priority order, not submission order). Thread-safe.
+  /// Fill step 2: the scheduler's delivery callback lands a fetched tile
+  /// here. Returns true when the tile was retained, which needs:
+  ///  * `generation` is still the current fill. A newer BeginPrefetch, an
+  ///    AbortPrefetch or a Clear rejects stragglers, so superseded fills
+  ///    never land in a re-planned region.
+  ///  * The tile fits. The queue delivers in priority order, so a region
+  ///    that cannot take a new key without overflowing its byte budget
+  ///    rejects it and keeps the higher-priority tiles it holds. Replacing
+  ///    a key the region already holds (a stream refinement) and a lone
+  ///    oversized tile in an empty region are always accepted. For
+  ///    equal-size tiles the first tile that no longer fits ends the fill.
+  /// Thread-safe.
   bool AcceptPrefetched(const tiles::TileKey& key, const tiles::TilePtr& tile,
                         std::uint64_t generation);
 
-  /// Closes the scheduler-mode fill gate without touching region contents:
-  /// every AcceptPrefetched delivery is rejected until the next
-  /// BeginPrefetch. The server calls this when cancelling a fill, so
-  /// deliveries from still-settling merged fills cannot land in a region
-  /// the session has abandoned. Thread-safe.
+  /// Closes the fill gate without touching region contents: every
+  /// AcceptPrefetched delivery is rejected until the next BeginPrefetch.
+  /// The server calls this when cancelling a fill, so deliveries from
+  /// still-settling merged fills cannot land in a region the session has
+  /// abandoned. Thread-safe.
   void AbortPrefetch();
 
   /// True if a private region holds the tile (no stats side effects).
@@ -134,23 +118,16 @@ class CacheManager {
   /// scheduling; the private regions do not).
   std::uint64_t private_hits() const { return private_hits_; }
   std::uint64_t shared_hits() const { return shared_hits_; }
-  /// Ranked-list entries dropped because their fetch failed.
-  std::uint64_t prefetch_failures() const { return prefetch_failures_; }
   double HitRate() const;
   double PrivateHitRate() const;
 
   /// Region accessors for inspection. Not synchronized: callers must
-  /// quiesce concurrent Request/Prefetch activity first (e.g. via
+  /// quiesce concurrent Request/delivery activity first (e.g. via
   /// ForeCacheServer::WaitForPrefetch).
   const LruTileCache& history_cache() const { return history_; }
   const LruTileCache& prefetch_cache() const { return prefetch_; }
 
  private:
-  /// Fetches through the shared cache when present, else the store.
-  /// `confidence` tags the shared-cache access (0 for demand traffic).
-  Result<tiles::TilePtr> FetchThrough(const tiles::TileKey& key,
-                                      double confidence);
-
   storage::TileStore* store_;
   CacheManagerOptions options_;
   SharedTileCache* shared_;
@@ -158,15 +135,14 @@ class CacheManager {
   mutable std::mutex mu_;  ///< Guards history_, prefetch_, and the fill gate.
   LruTileCache history_;
   LruTileCache prefetch_;
-  /// Scheduler-mode fill gate: AcceptPrefetched only lands deliveries
-  /// carrying the generation of the latest BeginPrefetch. Closed by Clear.
+  /// Fill gate: AcceptPrefetched only lands deliveries carrying the
+  /// generation of the latest BeginPrefetch. Closed by Clear.
   std::uint64_t fill_generation_ = 0;
   bool fill_open_ = false;
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> private_hits_{0};
   std::atomic<std::uint64_t> shared_hits_{0};
-  std::atomic<std::uint64_t> prefetch_failures_{0};
 };
 
 }  // namespace fc::core

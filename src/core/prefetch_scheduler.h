@@ -239,8 +239,9 @@ struct PrefetchQueueEntry {
   double deadline_ms = std::numeric_limits<double>::infinity();
 };
 
-/// Process-wide prefetch queue merging overlapping predictions across
-/// sessions. One instance serves every session of a SessionManager.
+/// Prefetch queue merging overlapping predictions across sessions. One
+/// instance serves every session of a SessionManager; a ForeCacheServer
+/// given none owns one for its session alone.
 class PrefetchScheduler {
  public:
   /// Entry::enqueue_ms / PrefetchQueueEntry::enqueue_ms value for entries

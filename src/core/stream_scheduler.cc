@@ -456,11 +456,6 @@ void StreamScheduler::SpawnPumpLocked() {
   if (!accepted) pump_armed_ = false;
 }
 
-void StreamScheduler::Kick() {
-  std::lock_guard<std::mutex> lock(mu_);
-  SpawnPumpLocked();
-}
-
 void StreamScheduler::Shutdown() {
   std::unique_lock<std::mutex> lock(mu_);
   shutdown_ = true;

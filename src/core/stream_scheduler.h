@@ -282,11 +282,6 @@ class StreamScheduler {
   /// once the buckets run dry — it never busy-waits.
   std::size_t Flush();
 
-  /// Re-arms the self-pump if queued work exists (executor mode only; the
-  /// self-pump parks when budgets run dry, and time passing does not wake
-  /// it by itself).
-  void Kick();
-
   /// Stops accepting work: drops every queued chunk and joins in-flight
   /// pushes. Idempotent; also called by the destructor.
   void Shutdown();

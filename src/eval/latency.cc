@@ -4,6 +4,7 @@
 
 #include "common/sim_clock.h"
 #include "core/cache_manager.h"
+#include "core/prefetch_scheduler.h"
 #include "storage/tile_store.h"
 
 namespace fc::eval {
@@ -45,6 +46,17 @@ Result<LatencyReport> ReplayLatencyForUser(const sim::Study& study,
   cache_opts.history_bytes = options.history_tiles * tile_bytes;
   cache_opts.prefetch_bytes = options.predictor.k * tile_bytes;
   core::CacheManager cache(&store, cache_opts);
+  // The region fills the way ForeCacheServer fills it without an executor:
+  // plan, publish into a pull-mode queue, and drain it before the next
+  // request.
+  core::PrefetchScheduler scheduler(&store, /*executor=*/nullptr,
+                                    /*shared=*/nullptr);
+  const std::uint64_t session = scheduler.RegisterSession(
+      1, [&cache](const tiles::TileKey& key, const tiles::TilePtr& tile,
+                  std::uint64_t generation) {
+        cache.AcceptPrefetched(key, tile, generation);
+      });
+  std::uint64_t generation = 0;
 
   LatencyReport report;
   std::size_t hits = 0;
@@ -70,7 +82,11 @@ Result<LatencyReport> ReplayLatencyForUser(const sim::Study& study,
         if (ranked.size() > options.predictor.k) {
           ranked.resize(options.predictor.k);
         }
-        FC_RETURN_IF_ERROR(cache.Prefetch(ranked));
+        ++generation;
+        scheduler.Publish(session, generation,
+                          cache.BeginPrefetch(ranked, {}, generation));
+        while (scheduler.DrainOne()) {
+        }
       }
     }
   }

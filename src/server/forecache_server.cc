@@ -22,8 +22,12 @@ ForeCacheServer::ForeCacheServer(storage::TileStore* store,
                 ? options.wall_clock
                 : static_cast<const Clock*>(clock)),
       options_(options),
-      executor_(executor),
-      scheduler_(scheduler),
+      own_scheduler_(scheduler == nullptr
+                         ? std::make_unique<core::PrefetchScheduler>(
+                               store, executor, shared)
+                         : nullptr),
+      scheduler_(scheduler != nullptr ? scheduler : own_scheduler_.get()),
+      drain_inline_(scheduler == nullptr && executor == nullptr),
       stream_scheduler_(scheduler != nullptr ? stream_scheduler : nullptr),
       cache_manager_(store, options.cache, shared),
       think_time_([&options, this] {
@@ -57,27 +61,25 @@ ForeCacheServer::ForeCacheServer(storage::TileStore* store,
           cache_manager_.AcceptPrefetched(key, tile, generation);
         });
   }
-  if (scheduler_ != nullptr) {
-    // Completed fills land in the prefetch region iff their generation is
-    // still current (AcceptPrefetched re-checks under the region lock).
-    scheduler_session_ = scheduler_->RegisterSession(
-        options_.cache.session_id,
-        [this](const tiles::TileKey& key, const tiles::TilePtr& tile,
-               std::uint64_t generation) {
-          if (stream_ != nullptr) {
-            stream_->Accept(key, tile, generation);
-          } else {
-            cache_manager_.AcceptPrefetched(key, tile, generation);
-          }
-        });
-  }
+  // Completed fills land in the prefetch region iff their generation is
+  // still current (AcceptPrefetched re-checks under the region lock).
+  scheduler_session_ = scheduler_->RegisterSession(
+      options_.cache.session_id,
+      [this](const tiles::TileKey& key, const tiles::TilePtr& tile,
+             std::uint64_t generation) {
+        if (stream_ != nullptr) {
+          stream_->Accept(key, tile, generation);
+        } else {
+          cache_manager_.AcceptPrefetched(key, tile, generation);
+        }
+      });
 }
 
 ForeCacheServer::~ForeCacheServer() {
   CancelAndWaitForPrefetch();
   // After this, the scheduler never invokes the delivery callback again,
   // so cache_manager_ (destroyed next) cannot be touched by a late fill.
-  if (scheduler_ != nullptr) scheduler_->UnregisterSession(scheduler_session_);
+  scheduler_->UnregisterSession(scheduler_session_);
   // The stream unregisters last: fills stopped arriving above, and its
   // destructor waits out in-flight chunk pushes before cache_manager_ dies.
   stream_.reset();
@@ -91,72 +93,25 @@ void ForeCacheServer::StartSession() {
 }
 
 void ForeCacheServer::WaitForPrefetch() {
-  if (scheduler_ != nullptr) {
-    scheduler_->WaitForSession(scheduler_session_);
-    if (stream_scheduler_ != nullptr) {
-      // Push what the byte budgets allow right now. Budget-blocked chunks
-      // stay queued — a rate-limited stream is SUPPOSED to leave the
-      // region partially coarse until bandwidth accrues.
-      stream_scheduler_->Flush();
-    }
-    return;
+  scheduler_->WaitForSession(scheduler_session_);
+  if (stream_scheduler_ != nullptr) {
+    // Push what the byte budgets allow right now. Budget-blocked chunks
+    // stay queued — a rate-limited stream is SUPPOSED to leave the region
+    // partially coarse until bandwidth accrues.
+    stream_scheduler_->Flush();
   }
-  if (executor_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(pending_mu_);
-  pending_cv_.wait(lock, [this] { return pending_prefetches_ == 0; });
 }
 
 void ForeCacheServer::CancelAndWaitForPrefetch() {
-  // Supersede any in-flight fill so it aborts at its next per-tile poll
-  // instead of draining its whole ranked list into a doomed region.
-  prefetch_generation_.fetch_add(1, std::memory_order_release);
-  if (scheduler_ != nullptr) {
-    // Close the region gate first so a merged fill settling during the
-    // cancel wait cannot deliver into the abandoned region, then retire
-    // this session's queued predictions and wait out its in-flight fills.
-    cache_manager_.AbortPrefetch();
-    scheduler_->CancelSession(scheduler_session_);
-    // Then shed the push queue: chunks for the abandoned region are dead
-    // weight on the channel (in-flight pushes settle against the closed
-    // gate).
-    if (stream_ != nullptr) stream_->Cancel();
-    return;
-  }
-  WaitForPrefetch();
-}
-
-void ForeCacheServer::FinishPendingPrefetch() {
-  // Notify under the lock: the destructor may tear the server down the
-  // instant the count reaches zero, so the cv must not be touched after
-  // the mutex is released.
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  --pending_prefetches_;
-  pending_cv_.notify_all();
-}
-
-void ForeCacheServer::SchedulePrefetch(core::RankedTiles tiles,
-                                       std::vector<double> confidences) {
-  std::uint64_t generation = prefetch_generation_.load(std::memory_order_acquire);
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    ++pending_prefetches_;
-  }
-  bool accepted = executor_->Submit(
-      [this, generation, tiles = std::move(tiles),
-       confidences = std::move(confidences)] {
-    auto superseded = [this, generation] {
-      return prefetch_generation_.load(std::memory_order_acquire) != generation;
-    };
-    // Failures are skipped inside Prefetch (counted per session); the
-    // fill itself cannot return an error worth surfacing here.
-    cache_manager_.Prefetch(tiles, confidences, superseded).IgnoreError();
-    FinishPendingPrefetch();
-  });
-  if (!accepted) {
-    // Executor already shut down: undo the reservation so WaitForPrefetch
-    // and the destructor don't wait for a task that will never run.
-    FinishPendingPrefetch();
-  }
+  // Close the region gate first so a merged fill settling during the cancel
+  // wait cannot deliver into the abandoned region, then retire this
+  // session's queued predictions and wait out its in-flight fills.
+  cache_manager_.AbortPrefetch();
+  scheduler_->CancelSession(scheduler_session_);
+  // Then shed the push queue: chunks for the abandoned region are dead
+  // weight on the channel (in-flight pushes settle against the closed
+  // gate).
+  if (stream_ != nullptr) stream_->Cancel();
 }
 
 Result<ServedRequest> ForeCacheServer::HandleRequest(
@@ -170,10 +125,6 @@ Result<ServedRequest> ForeCacheServer::HandleRequest(
     trace_ctx = options_.trace->StartTrace(options_.cache.session_id);
   }
   telemetry::Span handle_span(options_.trace, "request.handle", trace_ctx);
-
-  // Supersede any fill still running for the previous request: the region
-  // is about to be re-planned around this newer position anyway.
-  prefetch_generation_.fetch_add(1, std::memory_order_release);
 
   // Step 1: serve the tile, measuring user-perceived latency. In
   // simulation mode this runs on the virtual clock: a cache hit costs
@@ -218,45 +169,42 @@ Result<ServedRequest> ForeCacheServer::HandleRequest(
   }
 
   // Steps 2-3: predict, then prefetch during the user's think time (not
-  // charged to this request's latency). With an executor the fill runs in
-  // the background and this request returns immediately.
-  if (options_.prefetching_enabled) {
-    FC_ASSIGN_OR_RETURN(served.prediction, engine_->OnRequest(request));
-    if (scheduler_ != nullptr) {
-      // Cross-session path: plan the region fill (clear + gate on this
-      // request's generation), then publish the ranked candidates into the
-      // shared queue. The gate opens before Publish so a fill completing
-      // immediately is never rejected as early.
-      const std::uint64_t generation =
-          prefetch_generation_.load(std::memory_order_acquire);
-      telemetry::Span publish_span(options_.trace, "prefetch.publish",
-                                   trace_ctx);
-      auto plan = cache_manager_.BeginPrefetch(
-          served.prediction.tiles, served.prediction.confidences, generation);
-      // The think estimate rides along with every publication; the
-      // scheduler prices it into per-subscription deadlines only when its
-      // deadline mode is on (keyed to the phase the engine inferred for
-      // the position these predictions fan out from).
-      const double think_ms = think_time_.EstimateMs(served.prediction.phase);
-      if (stream_ != nullptr) {
-        // Arm the push channel for this generation before the fills it
-        // will carry can possibly complete, shedding the previous
-        // generation's queued chunks. The trace id rides along so sampled
-        // requests' chunk pushes record stream.push spans downstream.
-        stream_->BeginGeneration(
-            generation, plan,
-            think_ms > 0.0 ? time_->NowMillis() + think_ms
-                           : core::StreamScheduler::kNoDeadline,
-            trace_ctx.trace_id);
-      }
-      scheduler_->Publish(scheduler_session_, generation, std::move(plan),
-                          think_ms, trace_ctx.trace_id);
-    } else if (executor_ != nullptr) {
-      SchedulePrefetch(served.prediction.tiles, served.prediction.confidences);
-    } else {
-      FC_RETURN_IF_ERROR(cache_manager_.Prefetch(
-          served.prediction.tiles, served.prediction.confidences,
-          [] { return false; }));
+  // charged to this request's latency).
+  if (!options_.prefetching_enabled) return served;
+  FC_ASSIGN_OR_RETURN(served.prediction, engine_->OnRequest(request));
+  // Plan the region fill (clear + gate on this request's generation), then
+  // publish the ranked candidates, superseding the previous request's. The
+  // gate opens before Publish so a fill completing immediately is never
+  // rejected as early.
+  const std::uint64_t generation = ++prefetch_generation_;
+  {
+    telemetry::Span publish_span(options_.trace, "prefetch.publish",
+                                 trace_ctx);
+    auto plan = cache_manager_.BeginPrefetch(
+        served.prediction.tiles, served.prediction.confidences, generation);
+    // The think estimate rides along with every publication; the scheduler
+    // prices it into per-subscription deadlines only when its deadline mode
+    // is on (keyed to the phase the engine inferred for the position these
+    // predictions fan out from).
+    const double think_ms = think_time_.EstimateMs(served.prediction.phase);
+    if (stream_ != nullptr) {
+      // Arm the push channel for this generation before the fills it will
+      // carry can possibly complete, shedding the previous generation's
+      // queued chunks. The trace id rides along so sampled requests' chunk
+      // pushes record stream.push spans downstream.
+      stream_->BeginGeneration(
+          generation, plan,
+          think_ms > 0.0 ? time_->NowMillis() + think_ms
+                         : core::StreamScheduler::kNoDeadline,
+          trace_ctx.trace_id);
+    }
+    scheduler_->Publish(scheduler_session_, generation, std::move(plan),
+                        think_ms, trace_ctx.trace_id);
+  }
+  if (drain_inline_) {
+    // No executor to drain this session's own queue: fill the region now,
+    // before the response returns (the paper's synchronous fill).
+    while (scheduler_->DrainOne()) {
     }
   }
   return served;

@@ -6,30 +6,31 @@
 // ranked list. Prefetching happens during the user's think time, so only
 // step (1) counts toward response latency.
 //
-// With an Executor attached, step (3) runs as a background task and
-// HandleRequest returns right after steps (1)-(2) — the fill genuinely
-// overlaps think time instead of serializing with the response. A newer
-// request supersedes any still-running fill (generation check), mirroring
-// the paper's "re-filled after every request" semantics without double work.
-//
-// With a PrefetchScheduler attached (the multi-session configuration), the
-// server does not fill its own region at all: it publishes the ranked
-// predictions — tagged with the request generation — into the process-wide
-// queue, which merges them with every other session's, fetches each tile
-// once, and delivers completed fills back through AcceptPrefetched.
+// Step (3) has one path: the server plans the fill (CacheManager::
+// BeginPrefetch) and publishes the ranked predictions, tagged with the
+// request generation, into a PrefetchScheduler, which fetches them and
+// delivers each tile back through CacheManager::AcceptPrefetched. A newer
+// request supersedes the previous publication, so the region is "re-filled
+// after every request" without double work. Whose queue it is depends on
+// the constructor:
+//  * A process-wide scheduler (the multi-session configuration) merges this
+//    session's predictions with every other session's and fetches each
+//    tile once.
+//  * Otherwise the server owns a queue for this session alone. With an
+//    Executor, that queue drains in the background and HandleRequest
+//    returns right after steps (1)-(2), so the fill overlaps think time.
+//    Without one, HandleRequest drains the queue itself before returning:
+//    the paper's synchronous fill.
 //
 // Thread-safety: one server backs one session. HandleRequest and the
-// accessors must be called from that session's thread; the background fill
-// only touches the (internally synchronized) CacheManager, shared cache,
+// accessors must be called from that session's thread; background drains
+// only touch the (internally synchronized) CacheManager, shared cache,
 // scheduler, store, and clock.
 
 #ifndef FORECACHE_SERVER_FORECACHE_SERVER_H_
 #define FORECACHE_SERVER_FORECACHE_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "array/cost_model.h"
@@ -99,16 +100,16 @@ class ForeCacheServer {
   /// null only when options.prefetching_enabled is false; `clock` may be
   /// null only when options.wall_clock supplies the time base instead.
   ///
-  /// `executor` (optional) makes prefetch fills asynchronous; `shared`
-  /// (optional) layers the session cache over a process-wide tile cache;
-  /// `scheduler` (optional) routes predictions through the cross-session
-  /// prefetch queue instead of per-session executor fills (it takes
-  /// precedence over `executor` for prefetching and registers this session
-  /// under options.cache.session_id); `stream_scheduler` (optional,
-  /// requires `scheduler`) routes completed fills through a per-session
-  /// PushStream — progressive chunks under options.push_stream's byte
-  /// budget — instead of landing them in the region whole. All must
-  /// outlive the server.
+  /// `scheduler` (optional) is a process-wide prefetch queue this session
+  /// registers with under options.cache.session_id. Without one, the server
+  /// owns a queue (default PrefetchSchedulerOptions) over `store`,
+  /// `executor` and `shared`: `executor` (optional) drains it in the
+  /// background, and without one HandleRequest drains it inline. `shared`
+  /// (optional) layers the session cache over a process-wide tile cache.
+  /// `stream_scheduler` (optional, requires `scheduler`) routes completed
+  /// fills through a per-session PushStream — progressive chunks under
+  /// options.push_stream's byte budget — instead of landing them in the
+  /// region whole. All must outlive the server.
   ForeCacheServer(storage::TileStore* store, core::PredictionEngine* engine,
                   SimClock* clock, ServerOptions options = {},
                   Executor* executor = nullptr,
@@ -116,26 +117,27 @@ class ForeCacheServer {
                   core::PrefetchScheduler* scheduler = nullptr,
                   core::StreamScheduler* stream_scheduler = nullptr);
 
-  /// Joins any in-flight prefetch task before destruction.
+  /// Cancels this session's fills and waits out the in-flight ones.
   ~ForeCacheServer();
 
   ForeCacheServer(const ForeCacheServer&) = delete;
   ForeCacheServer& operator=(const ForeCacheServer&) = delete;
 
-  /// Serves one client request end to end. With an executor, returns as
-  /// soon as the tile is served and the prediction made; the region fill
-  /// proceeds in the background.
+  /// Serves one client request end to end. Returns once the tile is served
+  /// and the predictions published; the region is already filled only when
+  /// the server drains its own queue inline (no executor, no process-wide
+  /// scheduler).
   Result<ServedRequest> HandleRequest(const core::TileRequest& request);
 
-  /// Blocks until no prefetch fill is in flight. Replay harnesses call this
-  /// between moves to model think time fully covering the fill (and to make
-  /// replays deterministic). No-op for synchronous servers.
+  /// Blocks until none of this session's fills is queued or in flight.
+  /// Replay harnesses call this between moves to model think time fully
+  /// covering the fill (and to make replays deterministic). Returns at once
+  /// when the queue was drained inline. With a pull-mode process-wide
+  /// scheduler, its owner must drain the queue first.
   void WaitForPrefetch();
 
   /// Resets per-session state (cache + engine history) for a new session.
   void StartSession();
-
-  bool async() const { return executor_ != nullptr || scheduler_ != nullptr; }
 
   const core::CacheManager& cache_manager() const { return cache_manager_; }
   core::CacheManager* mutable_cache_manager() { return &cache_manager_; }
@@ -154,15 +156,10 @@ class ForeCacheServer {
   const PushStream* push_stream() const { return stream_.get(); }
 
  private:
-  /// `confidences` parallels `tiles` (the engine's per-rank confidence) so
-  /// background fills carry priority-admission hints into the shared cache.
-  void SchedulePrefetch(core::RankedTiles tiles,
-                        std::vector<double> confidences);
-  /// Supersedes any in-flight fill, then waits for it to settle (session
-  /// reset/teardown: the region is about to be discarded anyway).
+  /// Closes the region gate, retires this session's queued predictions and
+  /// waits out its in-flight fills (session reset/teardown: the region is
+  /// about to be discarded anyway).
   void CancelAndWaitForPrefetch();
-  /// Decrements the pending-fill count and wakes waiters.
-  void FinishPendingPrefetch();
 
   storage::TileStore* store_;
   core::PredictionEngine* engine_;
@@ -171,13 +168,18 @@ class ForeCacheServer {
   /// options_.wall_clock when set, else clock_. Never null.
   const Clock* time_;
   ServerOptions options_;
-  Executor* executor_;
+  /// This session's own queue; null when a process-wide one was passed in.
+  std::unique_ptr<core::PrefetchScheduler> own_scheduler_;
+  /// The queue fills go through: the process-wide one or own_scheduler_.
   core::PrefetchScheduler* scheduler_;
+  /// Own queue without an executor: HandleRequest drains it before
+  /// returning.
+  bool drain_inline_;
   core::StreamScheduler* stream_scheduler_;
-  /// This session's registration with the scheduler (valid iff scheduler_).
+  /// This session's registration with scheduler_.
   std::uint64_t scheduler_session_ = 0;
-  /// The per-session push channel (non-null iff scheduler_ and
-  /// stream_scheduler_ were both wired). Created before the scheduler
+  /// The per-session push channel (non-null iff a process-wide scheduler
+  /// and stream_scheduler_ were both wired). Created before the scheduler
   /// registration so the delivery callback can route through it, destroyed
   /// after unregistration so late fills cannot touch a dead stream.
   std::unique_ptr<PushStream> stream_;
@@ -191,12 +193,9 @@ class ForeCacheServer {
   telemetry::Counter* requests_total_ = nullptr;
   telemetry::Counter* cache_hits_total_ = nullptr;
 
-  /// Monotonic id of the latest request; a background fill aborts once a
-  /// newer request has superseded it.
-  std::atomic<std::uint64_t> prefetch_generation_{0};
-  std::mutex pending_mu_;
-  std::condition_variable pending_cv_;
-  std::size_t pending_prefetches_ = 0;  ///< Guarded by pending_mu_.
+  /// Monotonic id of the latest published fill; the region gate and the
+  /// scheduler reject deliveries for older ones.
+  std::uint64_t prefetch_generation_ = 0;
 };
 
 }  // namespace fc::server

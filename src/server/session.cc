@@ -91,7 +91,8 @@ SessionManager::SessionManager(storage::TileStore* store, SimClock* clock,
   // store the sessions use, so demand and prefetch traffic dedup together.
   // It only exists alongside a shared cache: without one, merged fills
   // would have nowhere to land once and the "private sessions" baseline
-  // would silently stop being private.
+  // would silently stop being private. Without it, each session's server
+  // fills through a queue of its own.
   if (options_.use_prefetch_scheduler && executor_ != nullptr &&
       shared_cache_ != nullptr) {
     // Batch lingering and deadlines age against the same time base the

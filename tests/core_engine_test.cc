@@ -7,6 +7,7 @@
 #include "core/allocation.h"
 #include "core/cache_manager.h"
 #include "core/prediction_engine.h"
+#include "core/prefetch_scheduler.h"
 #include "core/tile_cache.h"
 #include "storage/tile_store.h"
 #include "tiles/pyramid.h"
@@ -285,6 +286,36 @@ TEST(LruCacheTest, ZeroBudgetStillAdmitsOneTile) {
 // ---------------------------------------------------------------------------
 // CacheManager
 
+/// Fills one manager's prefetch region the way ForeCacheServer does without
+/// an executor: plan, publish into its own pull-mode queue, drain inline.
+class PullModeFill {
+ public:
+  PullModeFill(storage::TileStore* store, CacheManager* manager)
+      : manager_(manager), scheduler_(store, /*executor=*/nullptr, nullptr) {
+    session_ = scheduler_.RegisterSession(
+        1, [manager](const tiles::TileKey& key, const tiles::TilePtr& tile,
+                     std::uint64_t generation) {
+          manager->AcceptPrefetched(key, tile, generation);
+        });
+  }
+
+  void Fill(const std::vector<tiles::TileKey>& predictions) {
+    ++generation_;
+    scheduler_.Publish(session_, generation_,
+                       manager_->BeginPrefetch(predictions, {}, generation_));
+    while (scheduler_.DrainOne()) {
+    }
+  }
+
+  PrefetchSchedulerStats Stats() const { return scheduler_.Stats(); }
+
+ private:
+  CacheManager* manager_;
+  PrefetchScheduler scheduler_;
+  std::uint64_t session_ = 0;
+  std::uint64_t generation_ = 0;
+};
+
 TEST(CacheManagerTest, MissThenHit) {
   auto pyramid = SmallPyramid();
   storage::MemoryTileStore store(pyramid);
@@ -303,13 +334,14 @@ TEST(CacheManagerTest, PrefetchedTilesHit) {
   auto pyramid = SmallPyramid();
   storage::MemoryTileStore store(pyramid);
   CacheManager manager(&store);
-  ASSERT_TRUE(manager.Prefetch({{1, 1, 0}, {1, 0, 1}}).ok());
+  PullModeFill fill(&store, &manager);
+  fill.Fill({{1, 1, 0}, {1, 0, 1}});
   EXPECT_TRUE(manager.Cached({1, 1, 0}));
   auto served = manager.Request({1, 1, 0});
   ASSERT_TRUE(served.ok());
   EXPECT_TRUE(served->cache_hit);
   // Promoted into history: survives the next prefetch refresh.
-  ASSERT_TRUE(manager.Prefetch({{1, 1, 1}}).ok());
+  fill.Fill({{1, 1, 1}});
   EXPECT_TRUE(manager.Cached({1, 1, 0}));
   EXPECT_FALSE(manager.Cached({1, 0, 1}));  // replaced prefetch region
 }
@@ -320,21 +352,26 @@ TEST(CacheManagerTest, PrefetchRespectsCapacity) {
   CacheManagerOptions options;
   options.prefetch_bytes = 2 * 8 * 8 * sizeof(double);  // two 8x8 tiles
   CacheManager manager(&store, options);
-  ASSERT_TRUE(
-      manager.Prefetch({{2, 0, 0}, {2, 1, 0}, {2, 2, 0}, {2, 3, 0}}).ok());
+  PullModeFill fill(&store, &manager);
+  // The queue delivers in rank order (equal confidences): the full region
+  // keeps the two highest-ranked tiles and turns the rest away.
+  fill.Fill({{2, 0, 0}, {2, 1, 0}, {2, 2, 0}, {2, 3, 0}});
   EXPECT_TRUE(manager.Cached({2, 0, 0}));
   EXPECT_TRUE(manager.Cached({2, 1, 0}));
   EXPECT_FALSE(manager.Cached({2, 2, 0}));
+  EXPECT_FALSE(manager.Cached({2, 3, 0}));
 }
 
 TEST(CacheManagerTest, PrefetchSkipsHistoryResident) {
   auto pyramid = SmallPyramid();
   storage::MemoryTileStore store(pyramid);
   CacheManager manager(&store);
+  PullModeFill fill(&store, &manager);
   ASSERT_TRUE(manager.Request({1, 0, 0}).ok());
   auto fetches_before = store.fetch_count();
-  ASSERT_TRUE(manager.Prefetch({{1, 0, 0}}).ok());
+  fill.Fill({{1, 0, 0}});
   EXPECT_EQ(store.fetch_count(), fetches_before);  // no redundant fetch
+  EXPECT_EQ(fill.Stats().predictions_published, 0u);
 }
 
 TEST(CacheManagerTest, MissingTilePropagatesNotFound) {
@@ -348,11 +385,12 @@ TEST(CacheManagerTest, PrefetchSkipsFailedTilesAndContinues) {
   auto pyramid = SmallPyramid();
   storage::MemoryTileStore store(pyramid);
   CacheManager manager(&store);
+  PullModeFill fill(&store, &manager);
   // A bad tile mid-list must not starve the lower-ranked predictions.
-  ASSERT_TRUE(manager.Prefetch({{1, 0, 0}, {9, 9, 9}, {1, 1, 0}}).ok());
+  fill.Fill({{1, 0, 0}, {9, 9, 9}, {1, 1, 0}});
   EXPECT_TRUE(manager.Cached({1, 0, 0}));
   EXPECT_TRUE(manager.Cached({1, 1, 0}));
-  EXPECT_EQ(manager.prefetch_failures(), 1u);
+  EXPECT_EQ(fill.Stats().fill_failures, 1u);
 }
 
 TEST(CacheManagerTest, SharedCacheServesOtherSessionsFetches) {
@@ -382,8 +420,10 @@ TEST(CacheManagerTest, ClearDropsEverything) {
   auto pyramid = SmallPyramid();
   storage::MemoryTileStore store(pyramid);
   CacheManager manager(&store);
+  PullModeFill fill(&store, &manager);
   ASSERT_TRUE(manager.Request({1, 0, 0}).ok());
-  ASSERT_TRUE(manager.Prefetch({{1, 1, 0}}).ok());
+  fill.Fill({{1, 1, 0}});
+  ASSERT_TRUE(manager.Cached({1, 1, 0}));
   manager.Clear();
   EXPECT_FALSE(manager.Cached({1, 0, 0}));
   EXPECT_FALSE(manager.Cached({1, 1, 0}));

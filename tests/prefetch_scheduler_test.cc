@@ -285,6 +285,39 @@ TEST(CacheManagerPrefetchGateTest, StaleGenerationsAreRejected) {
   EXPECT_FALSE(manager.AcceptPrefetched(b, *tile, /*generation=*/8));
 }
 
+TEST(CacheManagerPrefetchGateTest, FullRegionKeepsWhatItHolds) {
+  auto pyramid = SmallPyramid();
+  storage::MemoryTileStore store(pyramid);
+  CacheManagerOptions options;
+  options.prefetch_bytes = 8 * 8 * sizeof(double);  // one 8x8 tile
+  CacheManager manager(&store, options);
+
+  const tiles::TileKey a{1, 0, 0}, b{1, 0, 1};
+  auto tile_a = store.Fetch(a);
+  auto tile_b = store.Fetch(b);
+  ASSERT_TRUE(tile_a.ok() && tile_b.ok());
+
+  manager.BeginPrefetch({a, b}, {}, /*generation=*/1);
+  EXPECT_TRUE(manager.AcceptPrefetched(a, *tile_a, 1));
+  // Full: the later (lower-priority) delivery is turned away rather than
+  // evicting the tile already held.
+  EXPECT_FALSE(manager.AcceptPrefetched(b, *tile_b, 1));
+  EXPECT_TRUE(manager.Cached(a));
+  EXPECT_FALSE(manager.Cached(b));
+  // A key the region already holds is replaced in place (a refinement).
+  EXPECT_TRUE(manager.AcceptPrefetched(a, *tile_b, 1));
+  EXPECT_TRUE(manager.Cached(a));
+
+  // A lone tile larger than the whole budget still lands in an empty
+  // region.
+  CacheManagerOptions tiny;
+  tiny.prefetch_bytes = 1;
+  CacheManager small(&store, tiny);
+  small.BeginPrefetch({a}, {}, /*generation=*/1);
+  EXPECT_TRUE(small.AcceptPrefetched(a, *tile_a, 1));
+  EXPECT_TRUE(small.Cached(a));
+}
+
 TEST(CacheManagerPrefetchGateTest, PlanSkipsHistoryResidentAndDuplicates) {
   auto pyramid = SmallPyramid();
   storage::MemoryTileStore store(pyramid);

@@ -166,7 +166,6 @@ TEST(ForeCacheServerTest, AsyncPrefetchFillsDuringThinkTime) {
   options.cache.prefetch_bytes = 9 * kTileBytes;  // room for every neighbor
   Executor executor(2);  // outlives the server (joined prefetch tasks)
   ForeCacheServer server(&store, &engine, &clock, options, &executor);
-  ASSERT_TRUE(server.async());
   server.StartSession();
 
   ASSERT_TRUE(server.HandleRequest(Req({0, 0, 0}, std::nullopt)).ok());
