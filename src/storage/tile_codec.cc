@@ -15,10 +15,14 @@ namespace fc::storage {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'C', 'T', 'L'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
+// Format v2 differs from v3 only in its trailer, FNV-1a instead of XXH64.
+// Decode still reads it, so tile files and packed extents written by
+// earlier builds keep working.
+constexpr std::uint32_t kFnvVersion = 2;
 
 constexpr char kRefinementMagic[4] = {'F', 'C', 'T', 'R'};
-constexpr std::uint32_t kRefinementVersion = 1;
+constexpr std::uint32_t kRefinementVersion = 2;
 
 // Framing bytes, field for field as Encode and EncodeProgressive write them
 // (PlanProgressive prices chunks from these without writing any).
@@ -47,14 +51,98 @@ constexpr std::size_t kRefinementOverheadBytes =
 // residuals) carries a u64 byte-length prefix.
 constexpr std::size_t kAttrLengthBytes = sizeof(std::uint64_t);
 
-// FNV-1a 64-bit over the blob contents; appended as the trailing 8 bytes.
-std::uint64_t Fnv1a(const char* data, std::size_t len) {
+// Most bytes one LEB128 varint of a u64 takes (ceil(64 / 7)).
+constexpr std::size_t kMaxVarintBytes = 10;
+
+std::uint64_t Load64(const unsigned char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+std::uint32_t Load32(const unsigned char* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// XXH64 with seed 0: the trailing 8 bytes of a format-v3 blob and of a
+// refinement chunk. Four independent 8-byte lanes absorb each 32-byte
+// stripe, so the hash runs at word speed.
+constexpr std::uint64_t kXxPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kXxPrime3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ull;
+
+std::uint64_t XxRound(std::uint64_t acc, std::uint64_t lane) {
+  return std::rotl(acc + lane * kXxPrime2, 31) * kXxPrime1;
+}
+
+std::uint64_t XxMerge(std::uint64_t h, std::uint64_t acc) {
+  return (h ^ XxRound(0, acc)) * kXxPrime1 + kXxPrime4;
+}
+
+std::uint64_t Xxh64(std::string_view data) {
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  const auto* const end = p + data.size();
+  std::uint64_t h;
+  if (data.size() >= 32) {
+    std::uint64_t v1 = kXxPrime1 + kXxPrime2;
+    std::uint64_t v2 = kXxPrime2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kXxPrime1;
+    do {
+      v1 = XxRound(v1, Load64(p));
+      v2 = XxRound(v2, Load64(p + 8));
+      v3 = XxRound(v3, Load64(p + 16));
+      v4 = XxRound(v4, Load64(p + 24));
+      p += 32;
+    } while (end - p >= 32);
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = XxMerge(h, v1);
+    h = XxMerge(h, v2);
+    h = XxMerge(h, v3);
+    h = XxMerge(h, v4);
+  } else {
+    h = kXxPrime5;
+  }
+  h += data.size();
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ XxRound(0, Load64(p)), 27) * kXxPrime1 + kXxPrime4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (Load32(p) * kXxPrime1), 23) * kXxPrime2 + kXxPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h = std::rotl(h ^ (*p * kXxPrime5), 11) * kXxPrime1;
+  }
+  h ^= h >> 33;
+  h *= kXxPrime2;
+  h ^= h >> 29;
+  h *= kXxPrime3;
+  h ^= h >> 32;
+  return h;
+}
+
+// FNV-1a 64-bit: the trailer of format-v2 blobs, verified only when
+// reading one.
+std::uint64_t Fnv1a(std::string_view data) {
   std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
+  for (char c : data) {
+    h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
   return h;
+}
+
+std::uint64_t StoredChecksum(std::string_view bytes) {
+  std::uint64_t stored;
+  std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
+              sizeof(stored));
+  return stored;
 }
 
 void AppendRaw(std::string* out, const void* data, std::size_t len) {
@@ -66,15 +154,7 @@ void AppendValue(std::string* out, T value) {
   AppendRaw(out, &value, sizeof(T));
 }
 
-void AppendVarint(std::string* out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-// Bytes AppendVarint writes for `v`: one per started 7-bit group.
+// Bytes a varint of `v` takes: one per started 7-bit group.
 std::size_t VarintSize(std::uint64_t v) {
   return 1 + static_cast<std::size_t>(std::bit_width(v | 1) - 1) / 7;
 }
@@ -86,6 +166,29 @@ std::uint64_t ZigZag(std::int64_t v) {
 
 std::int64_t UnZigZag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
+}
+
+// Appends one varint-coded attribute: the u64 byte-length prefix, then the
+// zigzag/LEB128 varint of value(i) for i in [0, count). The varints are
+// written straight into `out` over a worst-case reservation that is then
+// trimmed to the bytes written.
+template <typename ValueFn>
+void AppendVarintAttr(std::string* out, std::size_t count, ValueFn value) {
+  const std::size_t start = out->size();
+  out->resize(start + kAttrLengthBytes + count * kMaxVarintBytes);
+  char* const begin = out->data() + start + kAttrLengthBytes;
+  char* p = begin;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint64_t v = ZigZag(value(i));
+    while (v >= 0x80) {
+      *p++ = static_cast<char>((v & 0x7f) | 0x80);
+      v >>= 7;
+    }
+    *p++ = static_cast<char>(v);
+  }
+  const auto len = static_cast<std::uint64_t>(p - begin);
+  std::memcpy(out->data() + start, &len, sizeof(len));
+  out->resize(start + kAttrLengthBytes + len);
 }
 
 // Deltas between quanta are computed in uint64: two saturated quanta at
@@ -103,20 +206,27 @@ std::int64_t WrappingAdd(std::int64_t prev, std::int64_t delta) {
 
 class Reader {
  public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
+  explicit Reader(std::string_view bytes, std::size_t pos = 0)
+      : bytes_(bytes), pos_(pos) {}
+
+  /// Checks that `len` bytes remain, steps over them, and returns where
+  /// they start.
+  Result<const char*> Take(std::size_t len) {
+    if (len > remaining()) return Status::Corruption("tile blob truncated");
+    const char* at = bytes_.data() + pos_;
+    pos_ += len;
+    return at;
+  }
 
   Status ReadRaw(void* dst, std::size_t len) {
-    if (pos_ + len > bytes_.size()) {
-      return Status::Corruption("tile blob truncated");
-    }
-    std::memcpy(dst, bytes_.data() + pos_, len);
-    pos_ += len;
+    FC_ASSIGN_OR_RETURN(const char* at, Take(len));
+    std::memcpy(dst, at, len);
     return Status::OK();
   }
 
   template <typename T>
   Result<T> ReadValue() {
-    T value;
+    T value{};
     FC_RETURN_IF_ERROR(ReadRaw(&value, sizeof(T)));
     return value;
   }
@@ -124,43 +234,63 @@ class Reader {
   Result<std::string> ReadString() {
     FC_ASSIGN_OR_RETURN(auto len, ReadValue<std::uint32_t>());
     if (len > 1 << 20) return Status::Corruption("unreasonable string length");
-    std::string s(len, '\0');
-    FC_RETURN_IF_ERROR(ReadRaw(s.data(), len));
-    return s;
-  }
-
-  Result<std::uint64_t> ReadVarint() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (pos_ >= bytes_.size()) return Status::Corruption("varint truncated");
-      auto byte = static_cast<unsigned char>(bytes_[pos_++]);
-      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return v;
-    }
-    return Status::Corruption("varint overlong");
+    FC_ASSIGN_OR_RETURN(const char* at, Take(len));
+    return std::string(at, len);
   }
 
   std::size_t pos() const { return pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
-  const std::string& bytes_;
+  std::string_view bytes_;
   std::size_t pos_ = 0;
 };
 
-// Quantized value domain for kDeltaVarint: clamp before llround so extreme
-// values cannot overflow the int64 lattice (infinities saturate). NaN has
-// no lattice point and would be undefined behavior in llround; it maps to
-// 0 — kDeltaVarint is for finite rasters, use a lossless encoding when
-// non-finite cells must survive.
+// Reads one varint-coded attribute of `count` values: the u64 byte-length
+// prefix, checked once against the bytes that remain, then exactly `count`
+// zigzag/LEB128 varints that must fill it. apply(i, value) receives each
+// decoded value.
+template <typename ApplyFn>
+Status DecodeVarintAttr(Reader* reader, std::size_t count, ApplyFn apply) {
+  FC_ASSIGN_OR_RETURN(auto attr_len, reader->ReadValue<std::uint64_t>());
+  FC_ASSIGN_OR_RETURN(const char* begin, reader->Take(attr_len));
+  const auto* p = reinterpret_cast<const unsigned char*>(begin);
+  const auto* const end = p + attr_len;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (p == end) return Status::Corruption("varint truncated");
+    std::uint64_t byte = *p++;
+    std::uint64_t v = byte & 0x7f;
+    for (int shift = 7; byte >= 0x80; shift += 7) {
+      if (shift > 63) return Status::Corruption("varint overlong");
+      if (p == end) return Status::Corruption("varint truncated");
+      byte = *p++;
+      v |= (byte & 0x7f) << shift;
+    }
+    apply(i, UnZigZag(v));
+  }
+  if (p != end) {
+    return Status::Corruption("varint attribute length mismatch");
+  }
+  return Status::OK();
+}
+
+// Quantized value domain for kDeltaVarint: clamp before rounding so
+// extreme values cannot overflow the int64 lattice (infinities saturate).
+// NaN has no lattice point and maps to 0 — kDeltaVarint is for finite
+// rasters, use a lossless encoding when non-finite cells must survive.
 constexpr double kMaxQuantum = 4.611686018427387904e18;  // 2^62
 
+// Rounds half away from zero, the lattice point std::llround picks:
+// truncate, then step away from zero when the dropped fraction is at least
+// one half. The fraction q - trunc(q) is exact in double arithmetic.
 std::int64_t Quantize(double v, double step) {
   if (std::isnan(v)) return 0;
   double q = v / step;
   if (q > kMaxQuantum) q = kMaxQuantum;
   if (q < -kMaxQuantum) q = -kMaxQuantum;
-  return std::llround(q);
+  const auto t = static_cast<std::int64_t>(q);
+  const double fraction = q - static_cast<double>(t);
+  return fraction >= 0.5 ? t + 1 : fraction <= -0.5 ? t - 1 : t;
 }
 
 // Refinement residuals live in the IEEE-754 bit domain: close doubles have
@@ -194,6 +324,20 @@ float ToFloatSaturating(double v) {
   return static_cast<float>(v);
 }
 
+// Fewest payload bytes one cell of `encoding` takes: a blob whose header
+// claims more cells than the bytes left could hold is corrupt.
+std::size_t MinCellBytes(TileEncoding encoding) {
+  switch (encoding) {
+    case TileEncoding::kRawF64:
+      return sizeof(double);
+    case TileEncoding::kFloat32:
+      return sizeof(float);
+    case TileEncoding::kDeltaVarint:
+      return 1;
+  }
+  return 1;
+}
+
 void EncodePayload(const tiles::Tile& tile, const TileCodecOptions& options,
                    std::string* out) {
   switch (options.encoding) {
@@ -212,17 +356,14 @@ void EncodePayload(const tiles::Tile& tile, const TileCodecOptions& options,
       return;
     case TileEncoding::kDeltaVarint:
       for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-        std::string attr;
-        attr.reserve(tile.AttrData(a).size() * 2);
+        const double* cells = tile.AttrData(a).data();
         std::int64_t prev = 0;
-        for (double v : tile.AttrData(a)) {
-          std::int64_t q = Quantize(v, options.quant_step);
-          AppendVarint(&attr,
-                       ZigZag(static_cast<std::int64_t>(WrappingDelta(q, prev))));
+        AppendVarintAttr(out, tile.AttrData(a).size(), [&](std::size_t i) {
+          const std::int64_t q = Quantize(cells[i], options.quant_step);
+          const std::uint64_t delta = WrappingDelta(q, prev);
           prev = q;
-        }
-        AppendValue(out, static_cast<std::uint64_t>(attr.size()));
-        out->append(attr);
+          return static_cast<std::int64_t>(delta);
+        });
       }
       return;
   }
@@ -240,8 +381,13 @@ Status DecodePayload(Reader* reader, TileEncoding encoding, double quant_step,
       return Status::OK();
     case TileEncoding::kFloat32:
       for (std::size_t a = 0; a < tile->num_attrs(); ++a) {
-        for (auto& v : tile->MutableAttrData(a)) {
-          FC_ASSIGN_OR_RETURN(auto f, reader->ReadValue<float>());
+        auto& buf = tile->MutableAttrData(a);
+        FC_ASSIGN_OR_RETURN(const char* p,
+                            reader->Take(buf.size() * sizeof(float)));
+        for (auto& v : buf) {
+          float f;
+          std::memcpy(&f, p, sizeof(f));
+          p += sizeof(f);
           v = static_cast<double>(f);
         }
       }
@@ -251,41 +397,45 @@ Status DecodePayload(Reader* reader, TileEncoding encoding, double quant_step,
         return Status::Corruption("non-positive quantization step");
       }
       for (std::size_t a = 0; a < tile->num_attrs(); ++a) {
-        FC_ASSIGN_OR_RETURN(auto attr_len, reader->ReadValue<std::uint64_t>());
-        std::size_t attr_end = reader->pos() + attr_len;
+        double* cells = tile->MutableAttrData(a).data();
         std::int64_t prev = 0;
-        for (auto& v : tile->MutableAttrData(a)) {
-          FC_ASSIGN_OR_RETURN(auto z, reader->ReadVarint());
-          prev = WrappingAdd(prev, UnZigZag(z));
-          v = static_cast<double>(prev) * quant_step;
-        }
-        if (reader->pos() != attr_end) {
-          return Status::Corruption("delta-varint attribute length mismatch");
-        }
+        FC_RETURN_IF_ERROR(DecodeVarintAttr(
+            reader, tile->MutableAttrData(a).size(),
+            [&](std::size_t i, std::int64_t delta) {
+              prev = WrappingAdd(prev, delta);
+              cells[i] = static_cast<double>(prev) * quant_step;
+            }));
       }
       return Status::OK();
   }
   return Status::Corruption("unknown tile encoding");
 }
 
+struct BlobPrefix {
+  std::uint32_t version = 0;
+  TileEncoding encoding = TileEncoding::kRawF64;
+};
+
 /// Reads and validates magic | version | encoding. Checked before the
 /// checksum so a format-v1 blob fails as "unsupported tile version", not as
 /// phantom corruption.
-Result<TileEncoding> ReadHeaderPrefix(Reader* reader) {
+Result<BlobPrefix> ReadHeaderPrefix(Reader* reader) {
   char magic[4];
   FC_RETURN_IF_ERROR(reader->ReadRaw(magic, sizeof(magic)));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad tile magic");
   }
-  FC_ASSIGN_OR_RETURN(auto version, reader->ReadValue<std::uint32_t>());
-  if (version != kVersion) {
+  BlobPrefix prefix;
+  FC_ASSIGN_OR_RETURN(prefix.version, reader->ReadValue<std::uint32_t>());
+  if (prefix.version != kVersion && prefix.version != kFnvVersion) {
     return Status::Corruption("unsupported tile version");
   }
   FC_ASSIGN_OR_RETURN(auto encoding, reader->ReadValue<std::uint8_t>());
   if (encoding > static_cast<std::uint8_t>(TileEncoding::kDeltaVarint)) {
     return Status::Corruption("unknown tile encoding");
   }
-  return static_cast<TileEncoding>(encoding);
+  prefix.encoding = static_cast<TileEncoding>(encoding);
+  return prefix;
 }
 
 }  // namespace
@@ -329,31 +479,35 @@ std::string TileCodec::Encode(const tiles::Tile& tile) const {
     AppendValue(&out, options_.quant_step);
   }
   EncodePayload(tile, options_, &out);
-  AppendValue(&out, Fnv1a(out.data(), out.size()));
+  AppendValue(&out, Xxh64(out));
   return out;
 }
 
-Result<TileEncoding> TileCodec::PeekEncoding(const std::string& bytes) {
+Result<TileEncoding> TileCodec::PeekEncoding(std::string_view bytes) {
   Reader reader(bytes);
-  return ReadHeaderPrefix(&reader);
+  FC_ASSIGN_OR_RETURN(auto prefix, ReadHeaderPrefix(&reader));
+  return prefix.encoding;
 }
 
-Result<tiles::Tile> TileCodec::Decode(const std::string& bytes) {
+Result<tiles::Tile> TileCodec::Decode(std::string_view bytes) {
   Reader reader(bytes);
-  FC_ASSIGN_OR_RETURN(auto encoding, ReadHeaderPrefix(&reader));
+  FC_ASSIGN_OR_RETURN(auto prefix, ReadHeaderPrefix(&reader));
+  const TileEncoding encoding = prefix.encoding;
 
   // With the format structurally identified, verify the trailing checksum
   // before trusting the rest: it catches mid-blob corruption the field
-  // checks below would misparse.
+  // checks below would misparse. The rest parses the checksummed body only.
   if (bytes.size() < reader.pos() + sizeof(std::uint64_t)) {
     return Status::Corruption("tile blob truncated");
   }
-  std::size_t body_len = bytes.size() - sizeof(std::uint64_t);
-  std::uint64_t stored;
-  std::memcpy(&stored, bytes.data() + body_len, sizeof(stored));
-  if (stored != Fnv1a(bytes.data(), body_len)) {
+  const std::string_view body =
+      bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
+  const std::uint64_t sum =
+      prefix.version == kFnvVersion ? Fnv1a(body) : Xxh64(body);
+  if (StoredChecksum(bytes) != sum) {
     return Status::Corruption("tile checksum mismatch");
   }
+  reader = Reader(body, reader.pos());
 
   FC_ASSIGN_OR_RETURN(auto level, reader.ReadValue<std::int32_t>());
   FC_ASSIGN_OR_RETURN(auto x, reader.ReadValue<std::int64_t>());
@@ -374,6 +528,23 @@ Result<tiles::Tile> TileCodec::Decode(const std::string& bytes) {
   if (encoding == TileEncoding::kDeltaVarint) {
     FC_ASSIGN_OR_RETURN(quant_step, reader.ReadValue<double>());
   }
+  // Bound the claimed cell count by the payload bytes left before the
+  // trailer BEFORE allocating: a forged header must not size the tile.
+  // Every cell takes at least MinCellBytes, and every varint-coded
+  // attribute a length prefix too. Unsigned and division-only, so no
+  // header value can overflow it.
+  const std::size_t prefix_bytes =
+      encoding == TileEncoding::kDeltaVarint ? nattr * kAttrLengthBytes : 0;
+  if (prefix_bytes > reader.remaining()) {
+    return Status::Corruption("tile blob truncated");
+  }
+  const std::uint64_t max_cells =
+      (reader.remaining() - prefix_bytes) / MinCellBytes(encoding) / nattr;
+  if (static_cast<std::uint64_t>(width) > max_cells ||
+      static_cast<std::uint64_t>(height) >
+          max_cells / static_cast<std::uint64_t>(width)) {
+    return Status::Corruption("tile dimensions exceed the blob");
+  }
   auto tile_result = tiles::Tile::Make(tiles::TileKey{level, x, y}, width,
                                        height, std::move(names));
   if (!tile_result.ok()) {
@@ -381,7 +552,7 @@ Result<tiles::Tile> TileCodec::Decode(const std::string& bytes) {
   }
   tiles::Tile tile = std::move(tile_result).value();
   FC_RETURN_IF_ERROR(DecodePayload(&reader, encoding, quant_step, &tile));
-  if (reader.pos() != body_len) {
+  if (reader.remaining() != 0) {
     return Status::Corruption("trailing bytes after tile payload");
   }
   return tile;
@@ -414,10 +585,7 @@ ProgressiveEncoding TileCodec::EncodeProgressive(const tiles::Tile& tile) const 
   AppendRaw(&ref, kRefinementMagic, sizeof(kRefinementMagic));
   AppendValue(&ref, kRefinementVersion);
   AppendValue(&ref, static_cast<std::uint8_t>(options_.encoding));
-  std::uint64_t base_sum;
-  std::memcpy(&base_sum, out.base.data() + out.base.size() - sizeof(base_sum),
-              sizeof(base_sum));
-  AppendValue(&ref, base_sum);
+  AppendValue(&ref, StoredChecksum(out.base));
   AppendValue(&ref, static_cast<std::int32_t>(tile.key().level));
   AppendValue(&ref, tile.key().x);
   AppendValue(&ref, tile.key().y);
@@ -425,18 +593,14 @@ ProgressiveEncoding TileCodec::EncodeProgressive(const tiles::Tile& tile) const 
   AppendValue(&ref, tile.height());
   AppendValue(&ref, static_cast<std::uint32_t>(tile.num_attrs()));
   for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-    const auto& final_data = final_tile->AttrData(a);
-    const auto& base_data = base_tile->AttrData(a);
-    std::string attr;
-    attr.reserve(final_data.size() * 2);
-    for (std::size_t i = 0; i < final_data.size(); ++i) {
-      std::uint64_t residual = BitsOf(final_data[i]) - BitsOf(base_data[i]);
-      AppendVarint(&attr, ZigZag(static_cast<std::int64_t>(residual)));
-    }
-    AppendValue(&ref, static_cast<std::uint64_t>(attr.size()));
-    ref.append(attr);
+    const double* final_data = final_tile->AttrData(a).data();
+    const double* base_data = base_tile->AttrData(a).data();
+    AppendVarintAttr(&ref, final_tile->AttrData(a).size(), [&](std::size_t i) {
+      return static_cast<std::int64_t>(BitsOf(final_data[i]) -
+                                       BitsOf(base_data[i]));
+    });
   }
-  AppendValue(&ref, Fnv1a(ref.data(), ref.size()));
+  AppendValue(&ref, Xxh64(ref));
   out.refinement = std::move(ref);
   return out;
 }
@@ -551,18 +715,15 @@ Result<tiles::Tile> TileCodec::Reassemble(const std::string& base,
   if (refinement.size() < reader.pos() + sizeof(std::uint64_t)) {
     return Status::Corruption("refinement chunk truncated");
   }
-  std::size_t body_len = refinement.size() - sizeof(std::uint64_t);
-  std::uint64_t stored;
-  std::memcpy(&stored, refinement.data() + body_len, sizeof(stored));
-  if (stored != Fnv1a(refinement.data(), body_len)) {
+  const std::string_view body = std::string_view(refinement).substr(
+      0, refinement.size() - sizeof(std::uint64_t));
+  if (StoredChecksum(refinement) != Xxh64(body)) {
     return Status::Corruption("refinement checksum mismatch");
   }
+  reader = Reader(body, reader.pos());
 
   FC_ASSIGN_OR_RETURN(auto bound_sum, reader.ReadValue<std::uint64_t>());
-  std::uint64_t base_sum;
-  std::memcpy(&base_sum, base.data() + base.size() - sizeof(base_sum),
-              sizeof(base_sum));
-  if (bound_sum != base_sum) {
+  if (bound_sum != StoredChecksum(base)) {
     return Status::Corruption("refinement does not match base chunk");
   }
 
@@ -579,18 +740,15 @@ Result<tiles::Tile> TileCodec::Reassemble(const std::string& base,
   }
 
   for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-    FC_ASSIGN_OR_RETURN(auto attr_len, reader.ReadValue<std::uint64_t>());
-    std::size_t attr_end = reader.pos() + attr_len;
-    for (auto& v : tile.MutableAttrData(a)) {
-      FC_ASSIGN_OR_RETURN(auto z, reader.ReadVarint());
-      v = DoubleFromBits(BitsOf(v) +
-                         static_cast<std::uint64_t>(UnZigZag(z)));
-    }
-    if (reader.pos() != attr_end) {
-      return Status::Corruption("refinement attribute length mismatch");
-    }
+    double* cells = tile.MutableAttrData(a).data();
+    FC_RETURN_IF_ERROR(DecodeVarintAttr(
+        &reader, tile.MutableAttrData(a).size(),
+        [&](std::size_t i, std::int64_t residual) {
+          cells[i] = DoubleFromBits(BitsOf(cells[i]) +
+                                    static_cast<std::uint64_t>(residual));
+        }));
   }
-  if (reader.pos() != body_len) {
+  if (reader.remaining() != 0) {
     return Status::Corruption("trailing bytes after refinement payload");
   }
   return tile;
@@ -600,7 +758,7 @@ std::string EncodeTile(const tiles::Tile& tile) {
   return TileCodec({TileEncoding::kRawF64}).Encode(tile);
 }
 
-Result<tiles::Tile> DecodeTile(const std::string& bytes) {
+Result<tiles::Tile> DecodeTile(std::string_view bytes) {
   return TileCodec::Decode(bytes);
 }
 

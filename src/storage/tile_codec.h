@@ -1,13 +1,17 @@
 // Tile serialization with pluggable payload encodings — the on-disk format
 // of DiskTileStore and the compression engine of the shared cache's L2 tier.
 //
-// Layout (little-endian), format version 2:
+// Layout (little-endian), format version 3:
 //   magic "FCTL" | u32 version | u8 encoding
 //   | i32 level | i64 x | i64 y | i64 width | i64 height | u32 nattr
 //   | nattr x { u32 name_len | bytes }
 //   | [f64 quant_step when encoding == kDeltaVarint]
 //   | per-attribute payload (encoding-specific, see below)
-//   | u64 FNV-1a checksum over every preceding byte
+//   | u64 XXH64 (seed 0) checksum over every preceding byte
+//
+// Format v2 blobs (tile files and packed extents written by earlier builds)
+// are still read: they differ only in the trailer, an FNV-1a checksum over
+// the same bytes. Version 1 is rejected as "unsupported tile version".
 //
 // Payloads:
 //   kRawF64      — width*height f64 per attribute; lossless, bit-exact.
@@ -28,15 +32,16 @@
 //
 // Progressive two-chunk encoding (EncodeProgressive / Reassemble): a tile
 // splits into
-//   * a BASE chunk — a standard format-v2 blob at coarse fidelity
+//   * a BASE chunk — a standard format-v3 blob at coarse fidelity
 //     (kDeltaVarint quantized to progressive_base_step), self-describing
 //     and checksummed like any blob, so Decode(base) alone yields a usable
 //     lossy tile (absolute error <= progressive_base_step / 2); and
-//   * a REFINEMENT chunk — format "FCTR" v1: header (final encoding id,
+//   * a REFINEMENT chunk — format "FCTR" v2: header (final encoding id,
 //     the base chunk's checksum binding the pair, tile key/dims/attr
 //     count), then per-attribute zigzag/varint residuals in the IEEE-754
 //     bit domain (bits(final) - bits(base), wrapping), then its own
-//     trailing FNV-1a checksum.
+//     trailing XXH64 checksum. Refinements are never persisted, so only v2
+//     is read.
 // Reassemble(base, refinement) reproduces the configured encoding's
 // decoded payload BIT-IDENTICALLY (bit-domain residuals are exact even for
 // NaN payload bits), so streaming the pair is observationally equivalent
@@ -60,6 +65,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "tiles/tile.h"
@@ -161,12 +167,14 @@ class TileCodec {
   static Result<tiles::Tile> Reassemble(const std::string& base,
                                         const std::string& refinement);
 
-  /// Parses a blob produced by any TileCodec. Corruption on truncation,
-  /// header damage, or checksum mismatch.
-  static Result<tiles::Tile> Decode(const std::string& bytes);
+  /// Parses a blob produced by any TileCodec, in place (`bytes` may be a
+  /// slice of a larger buffer). Corruption on truncation, header damage,
+  /// checksum mismatch, or a header claiming more cells than the payload
+  /// can hold.
+  static Result<tiles::Tile> Decode(std::string_view bytes);
 
   /// The encoding recorded in a blob's header, without a full decode.
-  static Result<TileEncoding> PeekEncoding(const std::string& bytes);
+  static Result<TileEncoding> PeekEncoding(std::string_view bytes);
 
  private:
   TileCodecOptions options_;
@@ -174,7 +182,7 @@ class TileCodec {
 
 /// Back-compatible helpers: lossless raw-f64 encode, self-describing decode.
 std::string EncodeTile(const tiles::Tile& tile);
-Result<tiles::Tile> DecodeTile(const std::string& bytes);
+Result<tiles::Tile> DecodeTile(std::string_view bytes);
 
 }  // namespace fc::storage
 

@@ -452,7 +452,7 @@ Result<std::string> DiskTileStore::ReadFile(const std::string& path) {
 }
 
 Result<tiles::TilePtr> DiskTileStore::DecodeFile(const tiles::TileKey& key,
-                                                 const std::string& bytes) const {
+                                                 std::string_view bytes) const {
   FC_ASSIGN_OR_RETURN(auto tile, DecodeTile(bytes));
   if (!(tile.key() == key)) {
     return Status::Corruption("tile file " + PathFor(key) + " holds key " +
@@ -546,7 +546,8 @@ std::vector<Result<tiles::TilePtr>> DiskTileStore::FetchBatch(
         }
         const PackedEntry& e = packed->entries[packed->index.at(keys[slot])];
         out[slot] = DecodeFile(
-            keys[slot], buffer.substr(e.offset - run.offset, e.length));
+            keys[slot],
+            std::string_view(buffer).substr(e.offset - run.offset, e.length));
       }
     }
     for (const auto& [dup, original] : dup_slots) out[dup] = out[original];

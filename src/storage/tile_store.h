@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -274,9 +275,11 @@ class DiskTileStore : public TileStore {
   DiskTileStore(std::string directory, tiles::PyramidSpec spec,
                 TileCodecOptions codec, RangeCoalesceOptions coalesce);
 
-  /// Reads and validates one tile file (shared by Fetch and FetchBatch).
+  /// Decodes and validates one tile's bytes: a tile file, or its slice of
+  /// a coalesced run buffer, decoded in place (shared by Fetch and
+  /// FetchBatch).
   Result<tiles::TilePtr> DecodeFile(const tiles::TileKey& key,
-                                    const std::string& bytes) const;
+                                    std::string_view bytes) const;
   static Result<std::string> ReadFile(const std::string& path);
 
   /// pread loop reading exactly [offset, offset+length) into dst; bumps

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -358,6 +359,59 @@ TEST(CodecPropertyTest, OppositeSaturationDeltasRoundTrip) {
   EXPECT_DOUBLE_EQ(back->At(0, 2, 0), bound);
 }
 
+// kDeltaVarint lands every cell on the lattice point std::llround picks:
+// Decode(Encode(tile)) == llround(clamp(v / step)) * step, NaN -> 0, for
+// the values where a hand-rolled rounding goes wrong — halves and their
+// neighbours, the edge of exact integers at 2^52..2^53, the saturation
+// bound 2^62, signed zero, subnormals and non-finite cells.
+TEST(CodecPropertyTest, QuantizationMatchesLlround) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double two52 = 4503599627370496.0;
+  const double two53 = 9007199254740992.0;
+  const double two62 = 4.611686018427387904e18;
+  std::vector<double> quanta = {
+      0.5, 1.5, 2.5, 3.5, 1e6 + 0.5,
+      std::nextafter(0.5, 0.0), std::nextafter(0.5, 1.0),
+      0.49999999999999994,
+      two52 + 0.5, two52 - 0.5, two52 + 1.5, two53, std::nextafter(two53, 0.0),
+      two62, std::nextafter(two62, 0.0), std::nextafter(two62, inf), 2 * two62,
+      1e300, 0.0, 5e-324, 2.2250738585072014e-308, inf,
+      std::numeric_limits<double>::quiet_NaN()};
+  const std::size_t fixed = quanta.size();
+  for (std::size_t i = 0; i < fixed; ++i) quanta.push_back(-quanta[i]);
+  Rng rng(109);
+  for (int i = 0; i < 200; ++i) {
+    quanta.push_back(rng.UniformInt(-1000, 1000) + 0.5);
+    quanta.push_back(rng.Gaussian(0, 1e3));
+  }
+  for (double step : {1e-4, 0.3, 1.0}) {
+    // Each quantum q as a cell of its own, and q * step, which lands on
+    // (or an ulp beside) q once divided back by the step.
+    std::vector<double> cells;
+    for (double q : quanta) {
+      cells.push_back(q);
+      cells.push_back(q * step);
+    }
+    auto tile = tiles::Tile::Make({0, 0, 0},
+                                  static_cast<std::int64_t>(cells.size()), 1,
+                                  {"v"});
+    ASSERT_TRUE(tile.ok());
+    tile->MutableAttrData(0) = cells;
+    auto back = storage::TileCodec::Decode(
+        storage::TileCodec({storage::TileEncoding::kDeltaVarint, step})
+            .Encode(*tile));
+    ASSERT_TRUE(back.ok()) << back.status();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const double v = cells[i];
+      const double q = std::clamp(v / step, -two62, two62);
+      const double want =
+          std::isnan(v) ? 0.0 : static_cast<double>(std::llround(q)) * step;
+      EXPECT_EQ(back->AttrData(0)[i], want)
+          << "step " << step << " cell " << std::hexfloat << v;
+    }
+  }
+}
+
 // An old format-v1 blob (no trailing checksum) must fail with a version
 // error, not a misleading checksum-corruption message.
 TEST(CodecPropertyTest, UnsupportedVersionReportedBeforeChecksum) {
@@ -378,7 +432,8 @@ TEST(CodecPropertyTest, ZeroAttributeTilesAreUnrepresentable) {
 }
 
 // Any single flipped byte anywhere in the blob must be rejected: structural
-// checks catch header damage, the FNV-1a checksum catches payload damage.
+// checks catch header damage, the XXH64 trailer (format v3) catches payload
+// damage.
 TEST(CodecPropertyTest, ChecksumRejectsFlippedBytesEverywhere) {
   Rng rng(93);
   for (auto encoding :
