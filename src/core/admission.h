@@ -94,8 +94,8 @@ class AdmissionPolicy {
                            const std::vector<std::uint64_t>& victim_hashes) = 0;
 };
 
-/// The pre-admission-control behavior: everything is admitted. Keeps the
-/// recency-only (LRU/FIFO) semantics of PR 1/2 unchanged.
+/// The pre-admission-control behavior: everything is admitted, leaving
+/// residency to the cache's LRU eviction alone.
 class AdmitAllPolicy final : public AdmissionPolicy {
  public:
   std::string_view name() const override { return "admit-all"; }

@@ -97,7 +97,8 @@ void SharedTileCache::DetachFromL1(
   shard.l1_bytes -= entry.bytes;
   DischargeOwner(shard, entry);
   shard.l1_order.erase(entry.order_it);
-  pending->push_back({it->first, std::move(entry.tile), entry.owner});
+  pending->push_back(
+      {it->first, std::move(entry.tile), entry.owner, std::move(entry.blob)});
   shard.l1.erase(it);
 }
 
@@ -207,7 +208,8 @@ SharedTileCache::AdmitOutcome SharedTileCache::AdmitToL1(
   shard.l1_bytes += bytes;
   auto order_it = shard.l1_order.insert(shard.l1_order.end(), key);
   auto [entry_it, _] = shard.l1.emplace(
-      key, L1Entry{std::move(tile), bytes, access.session_id, order_it, {}});
+      key,
+      L1Entry{std::move(tile), bytes, access.session_id, order_it, {}, {}});
   ChargeOwner(shard, key, entry_it->second);
   // Pop victims after inserting: the new entry is at the back of the order
   // and within budget (and quota) by itself, so it is never its own victim.
@@ -226,12 +228,17 @@ void SharedTileCache::FinishDemotions(Shard& shard,
     return;
   }
   // Compress outside the lock — encoding is the expensive part of a
-  // demotion and must not block concurrent lookups on the shard.
-  std::vector<std::string> blobs;
+  // demotion and must not block concurrent lookups on the shard. A tile
+  // promoted from L2 and not replaced since still holds the blob it was
+  // decoded from: Encode would write those bytes again (see header notes).
+  std::vector<std::shared_ptr<const std::string>> blobs;
   blobs.reserve(pending.size());
   std::uint64_t t0 = NowNs();
   for (const auto& demotion : pending) {
-    blobs.push_back(codec_.Encode(*demotion.tile));
+    blobs.push_back(demotion.blob != nullptr
+                        ? demotion.blob
+                        : std::make_shared<const std::string>(
+                              codec_.Encode(*demotion.tile)));
   }
   std::uint64_t encode_ns = NowNs() - t0;
 
@@ -239,7 +246,7 @@ void SharedTileCache::FinishDemotions(Shard& shard,
   shard.counters.encode_ns += encode_ns;
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const tiles::TileKey& key = pending[i].key;
-    std::string& blob = blobs[i];
+    const std::size_t blob_bytes = blobs[i]->size();
     if (shard.l1.count(key) > 0 || shard.l2.count(key) > 0) {
       // Re-fetched while in limbo: the newer copy owns the residency (and
       // was counted as a fresh insertion), so this stale copy's departure
@@ -247,21 +254,21 @@ void SharedTileCache::FinishDemotions(Shard& shard,
       ++shard.counters.evictions;
       continue;
     }
-    if (blob.size() > shard_l2_bytes_) {
+    if (blob_bytes > shard_l2_bytes_) {
       // Oversized even alone: the tier cannot hold it.
       ++shard.counters.evictions;
       continue;
     }
-    while (shard.l2_bytes + blob.size() > shard_l2_bytes_ &&
+    while (shard.l2_bytes + blob_bytes > shard_l2_bytes_ &&
            !shard.l2.empty()) {
       EvictFromL2(shard);
     }
-    shard.l2_bytes += blob.size();
+    shard.l2_bytes += blob_bytes;
     auto order_it = shard.l2_order.insert(shard.l2_order.end(), key);
     shard.l2.emplace(
-        key, L2Entry{std::make_shared<const std::string>(std::move(blob)),
-                     pending[i].owner, order_it});
+        key, L2Entry{std::move(blobs[i]), pending[i].owner, order_it});
     ++shard.counters.demotions;
+    if (pending[i].blob != nullptr) ++shard.counters.blob_reuses;
   }
 }
 
@@ -277,15 +284,13 @@ tiles::TilePtr SharedTileCache::Lookup(const tiles::TileKey& key,
     auto it = shard.l1.find(key);
     if (it != shard.l1.end()) {
       ++shard.counters.l1_hits;
-      if (options_.eviction == EvictionPolicyKind::kLru) {
-        shard.l1_order.splice(shard.l1_order.end(), shard.l1_order,
-                              it->second.order_it);
-        if (it->second.owner != 0) {
-          // Keep the owner queue's relative order in lockstep with
-          // l1_order (the pass-1/pass-2 victim simulation relies on it).
-          auto& order = shard.session_l1_order.find(it->second.owner)->second;
-          order.splice(order.end(), order, it->second.owner_order_it);
-        }
+      shard.l1_order.splice(shard.l1_order.end(), shard.l1_order,
+                            it->second.order_it);
+      if (it->second.owner != 0) {
+        // Keep the owner queue's relative order in lockstep with l1_order
+        // (the pass-1/pass-2 victim simulation relies on it).
+        auto& order = shard.session_l1_order.find(it->second.owner)->second;
+        order.splice(order.end(), order, it->second.owner_order_it);
       }
       return it->second.tile;
     }
@@ -347,6 +352,8 @@ tiles::TilePtr SharedTileCache::Lookup(const tiles::TileKey& key,
       auto outcome = AdmitToL1(shard, key, tile, promo, /*bypass_filter=*/true,
                                /*count_priority=*/false, &pending);
       if (outcome == AdmitOutcome::kAdmitted) {
+        // The tile is Decode(blob): a re-demotion lands the blob again.
+        shard.l1.find(key)->second.blob = std::move(blob);
         if (!was_in_l2) {
           ++shard.counters.admission_attempts;
           ++shard.counters.insertions;
@@ -384,9 +391,7 @@ void SharedTileCache::Insert(const tiles::TileKey& key, tiles::TilePtr tile,
       L1Entry& entry = it->second;
       shard.l1_bytes = shard.l1_bytes - entry.bytes + bytes;
       if (entry.owner == access.session_id) {
-        // Same owner: adjust the byte charge in place. The owner-queue
-        // node keeps its position, staying in lockstep with l1_order —
-        // under FIFO neither queue re-ages on refresh (LRU re-ages both
+        // Same owner: adjust the byte charge in place (both queues re-age
         // below).
         if (entry.owner != 0) {
           auto usage = shard.session_l1_bytes.find(entry.owner);
@@ -401,13 +406,13 @@ void SharedTileCache::Insert(const tiles::TileKey& key, tiles::TilePtr tile,
         entry.bytes = bytes;
         ChargeOwner(shard, key, entry);
       }
-      if (options_.eviction == EvictionPolicyKind::kLru) {
-        shard.l1_order.splice(shard.l1_order.end(), shard.l1_order,
-                              entry.order_it);
-        if (entry.owner != 0) {
-          auto& order = shard.session_l1_order.find(entry.owner)->second;
-          order.splice(order.end(), order, entry.owner_order_it);
-        }
+      // The new payload was not decoded from the retained blob.
+      entry.blob = nullptr;
+      shard.l1_order.splice(shard.l1_order.end(), shard.l1_order,
+                            entry.order_it);
+      if (entry.owner != 0) {
+        auto& order = shard.session_l1_order.find(entry.owner)->second;
+        order.splice(order.end(), order, entry.owner_order_it);
       }
       CollectQuotaOverflow(shard, access.session_id, &pending);
       CollectL1Overflow(shard, &pending);
@@ -625,6 +630,7 @@ SharedTileCacheStats SharedTileCache::Stats() const {
     stats.insertions += c.insertions;
     stats.evictions += c.evictions;
     stats.demotions += c.demotions;
+    stats.blob_reuses += c.blob_reuses;
     stats.encode_ns += c.encode_ns;
     stats.decode_ns += c.decode_ns;
     stats.admission_attempts += c.admission_attempts;
@@ -657,6 +663,7 @@ std::uint64_t RegisterSharedTileCacheMetrics(
     sink.AddCounter("fc.cache.l1_hits", s.l1_hits);
     sink.AddCounter("fc.cache.l2_hits", s.l2_hits);
     sink.AddCounter("fc.cache.demotions", s.demotions);
+    sink.AddCounter("fc.cache.blob_reuses", s.blob_reuses);
     sink.AddCounter("fc.cache.promotions", s.promotions);
     sink.AddCounter("fc.cache.encode_ns", s.encode_ns);
     sink.AddCounter("fc.cache.decode_ns", s.decode_ns);

@@ -13,6 +13,17 @@
 //    bounded by `l2_bytes`. An L2 hit decodes the blob, promotes the tile
 //    back into L1, and costs decode time instead of a DBMS query. Only when
 //    the L2 budget is exhausted is a tile truly evicted from the process.
+//  * Each tier evicts its least-recently-used entry first (L1 hits and
+//    refreshes re-age; L2 is ordered by demotion time).
+//  * A promoted tile keeps the blob it was decoded from. Tiles are
+//    immutable and the codec is a fixed point on its own output
+//    (Encode(Decode(b)) == b; CodecPropertyTest names the one exception,
+//    delta-varint cells at 2^51..2^52 quanta, which a re-encode would move
+//    by a quantum), so when that tile is demoted again the retained blob
+//    lands in L2 as is, instead of being encoded anew: same bytes, same L2
+//    accounting, no codec work. Any Insert that replaces the entry's
+//    payload drops the blob. The retained blob is not charged to
+//    `l1_bytes` — it is a fraction (1 / compression ratio) of the tile.
 //
 // Multi-tenant fairness (this PR): admission into L1 is policy-gated. A
 // TinyLFU frequency sketch (see core/admission.h) rejects cold tiles that
@@ -51,11 +62,6 @@
 
 namespace fc::core {
 
-/// How a full shard chooses a victim. kLru evicts the least-recently-touched
-/// tile; kFifo evicts in insertion order (cheaper: hits skip the bookkeeping
-/// write, at the price of keeping stale-but-recently-hot tiles no longer).
-enum class EvictionPolicyKind { kLru, kFifo };
-
 /// Who is touching the cache, and how sure the prediction engine was that
 /// they would. Defaults describe an anonymous demand access: subject to the
 /// admission filter, exempt from (and uncharged against) session quotas.
@@ -82,7 +88,6 @@ struct SharedTileCacheOptions {
   /// shard's slice is served but never cached, so when setting this
   /// explicitly keep l1_bytes / num_shards comfortably above one tile.
   std::size_t num_shards = 0;
-  EvictionPolicyKind eviction = EvictionPolicyKind::kLru;
   /// Encoding for L2 blobs. The default delta-varint quantization bounds
   /// absolute error at quant_step/2 — set encoding = kRawF64 for a lossless
   /// (but incompressible) warm tier.
@@ -110,6 +115,9 @@ struct SharedTileCacheStats {
   std::uint64_t l1_hits = 0;
   std::uint64_t l2_hits = 0;
   std::uint64_t demotions = 0;   ///< L1 -> L2 compactions.
+  /// Demotions that landed the blob a promoted tile was decoded from
+  /// instead of encoding the tile again (a subset of demotions).
+  std::uint64_t blob_reuses = 0;
   std::uint64_t promotions = 0;  ///< L2 -> L1 decodes (== l2_hits).
 
   std::uint64_t encode_ns = 0;  ///< Total time compressing demoted tiles.
@@ -166,9 +174,10 @@ class SharedTileCache {
  public:
   explicit SharedTileCache(SharedTileCacheOptions options = {});
 
-  /// Returns the cached tile, or null. An L1 hit (for LRU) freshens the
-  /// entry; an L2 hit decodes the blob and promotes it back into L1. Every
-  /// lookup feeds the admission policy's frequency model.
+  /// Returns the cached tile, or null. An L1 hit freshens the entry; an L2
+  /// hit decodes the blob and promotes it back into L1, keeping the blob
+  /// for a later re-demotion. Every lookup feeds the admission policy's
+  /// frequency model.
   tiles::TilePtr Lookup(const tiles::TileKey& key,
                         const CacheAccess& access = {});
 
@@ -264,6 +273,9 @@ class SharedTileCache {
     std::list<tiles::TileKey>::iterator order_it;
     /// Position in Shard::session_l1_order[owner]; valid iff owner != 0.
     std::list<tiles::TileKey>::iterator owner_order_it;
+    /// The L2 blob `tile` was decoded from (null unless promoted and not
+    /// replaced since). Not charged to l1_bytes.
+    std::shared_ptr<const std::string> blob;
   };
 
   struct L2Entry {
@@ -285,6 +297,7 @@ class SharedTileCache {
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
     std::uint64_t demotions = 0;
+    std::uint64_t blob_reuses = 0;
     std::uint64_t encode_ns = 0;
     std::uint64_t decode_ns = 0;
     std::uint64_t admission_attempts = 0;
@@ -299,9 +312,8 @@ class SharedTileCache {
     mutable std::mutex mu;
     std::unordered_map<tiles::TileKey, L1Entry, tiles::TileKeyHash> l1;
     std::unordered_map<tiles::TileKey, L2Entry, tiles::TileKeyHash> l2;
-    /// Eviction queues, front = next victim. LRU moves L1 entries to the
-    /// back on every hit; FIFO leaves them where insertion put them. L2 is
-    /// ordered by demotion time under either policy.
+    /// Eviction queues, front = next victim. L1 entries move to the back
+    /// on every hit and refresh; L2 is ordered by demotion time.
     std::list<tiles::TileKey> l1_order;
     std::list<tiles::TileKey> l2_order;
     std::size_t l1_bytes = 0;
@@ -326,6 +338,8 @@ class SharedTileCache {
     tiles::TileKey key;
     tiles::TilePtr tile;
     std::uint64_t owner = 0;
+    /// The entry's retained blob: landed instead of encoding `tile`.
+    std::shared_ptr<const std::string> blob;
   };
 
   /// Why AdmitToL1 refused a tile (callers decide which counters move).
@@ -378,8 +392,9 @@ class SharedTileCache {
   void CollectQuotaOverflow(Shard& shard, std::uint64_t session,
                             std::vector<PendingDemotion>* pending);
 
-  /// Compresses pending victims (outside any lock), then re-acquires
-  /// shard.mu to land them in L2 or count their eviction. A victim whose
+  /// Compresses pending victims that retain no blob (outside any lock),
+  /// then re-acquires shard.mu to land them in L2 or count their eviction
+  /// (blob_reuses counts landed retained blobs). A victim whose
   /// key re-entered the cache in the meantime is dropped as an eviction
   /// (the newer copy owns the residency).
   void FinishDemotions(Shard& shard, std::vector<PendingDemotion> pending);

@@ -54,6 +54,14 @@ void StreamScheduler::UnregisterSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
   auto it = sessions_.find(session_id);
   if (it == sessions_.end()) return;
+  if (it->second->unregistering) {
+    // A concurrent unregister owns the teardown; return once it is done.
+    cv_.wait(lock, [&] {
+      auto found = sessions_.find(session_id);
+      return found == sessions_.end() || !found->second->unregistering;
+    });
+    return;
+  }
   SessionState* state = it->second.get();
   state->unregistering = true;
   for (auto job = jobs_.begin(); job != jobs_.end();) {
@@ -63,15 +71,15 @@ void StreamScheduler::UnregisterSession(std::uint64_t session_id) {
       ++job;
     }
   }
+  // Only this call erases the session, so `state` outlives the wait.
   cv_.wait(lock, [&] { return state->in_flight == 0; });
   sessions_.erase(session_id);
+  cv_.notify_all();  // cancels and unregisters waiting on this session
 }
 
 void StreamScheduler::CancelSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  SessionState* state = it->second.get();
+  if (sessions_.count(session_id) == 0) return;
   for (auto job = jobs_.begin(); job != jobs_.end();) {
     if (job->session_id == session_id) {
       job = DropLocked(job, &stats_.stale_chunks_dropped);
@@ -79,7 +87,12 @@ void StreamScheduler::CancelSession(std::uint64_t session_id) {
       ++job;
     }
   }
-  cv_.wait(lock, [&] { return state->in_flight == 0; });
+  // Looked up afresh on every wake: a concurrent UnregisterSession may
+  // erase the session meanwhile.
+  cv_.wait(lock, [&] {
+    auto found = sessions_.find(session_id);
+    return found == sessions_.end() || found->second->in_flight == 0;
+  });
 }
 
 void StreamScheduler::CancelStaleGenerations(std::uint64_t session_id,
@@ -106,13 +119,13 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
                                  double deadline_ms, std::uint64_t trace_id) {
   if (tile == nullptr) return;
 
-  // Plan before the lock: one pass over the cells prices the chunks and
-  // computes their payloads, with no bytes produced. The usable chunk's
-  // rank divides by the ALL-OR-NOTHING payload size in both modes, so the
-  // progressive schedule visits tiles in exactly the order the
-  // all-or-nothing one would (see header notes).
-  storage::ProgressivePlan plan =
-      codec_.PlanProgressive(tile, options_.progressive);
+  // Plan before the lock: one pass over the cells (or a memo hit) prices
+  // the chunks and computes their payloads, with no bytes produced. The
+  // usable chunk's rank divides by the ALL-OR-NOTHING payload size in both
+  // modes, so the progressive schedule visits tiles in exactly the order
+  // the all-or-nothing one would (see header notes).
+  bool computed = false;
+  storage::ProgressivePlan plan = PlanFor(tile, &computed);
   const double usable_rank = options_.base_utility_weight *
                              std::max(confidence, 0.0) /
                              static_cast<double>(plan.full_bytes);
@@ -120,6 +133,7 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.tiles_submitted;
+  if (computed) ++stats_.plans_computed;
   stats_.chunks_enqueued += chunks;
   auto it = sessions_.find(session_id);
   if (shutdown_ || it == sessions_.end() || it->second->unregistering) {
@@ -165,6 +179,66 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
     jobs_.push_back(std::move(refine));
   }
   SpawnPumpLocked();
+}
+
+storage::ProgressivePlan StreamScheduler::PlanFor(const tiles::TilePtr& tile,
+                                                  bool* computed) {
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    auto it = memo_.find(tile.get());
+    // While the memoized tile lives it occupies this address, so it is the
+    // submitted tile; once dead, the address may hold a new one.
+    if (it != memo_.end() && !it->second.tile.expired()) {
+      storage::ProgressivePlan plan = it->second.plan;
+      if (plan.coarse == nullptr) plan.coarse = tile;
+      if (plan.exact == nullptr) plan.exact = tile;
+      return plan;
+    }
+  }
+
+  storage::ProgressivePlan plan =
+      codec_.PlanProgressive(tile, options_.progressive);
+  *computed = true;
+  PlanMemoEntry entry;
+  entry.tile = tile;
+  entry.plan = plan;
+  if (plan.exact == tile) {
+    entry.plan.exact = nullptr;
+  } else {
+    entry.bytes += plan.exact->SizeBytes();
+  }
+  if (plan.coarse == tile) {
+    entry.plan.coarse = nullptr;
+  } else if (plan.coarse != plan.exact) {
+    entry.bytes += plan.coarse->SizeBytes();
+  }
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  MemoizeLocked(tile, std::move(entry));
+  return plan;
+}
+
+void StreamScheduler::MemoizeLocked(const tiles::TilePtr& tile,
+                                    PlanMemoEntry entry) {
+  // A dead tile's entry at this address, or a concurrent miss's.
+  if (auto old = memo_.find(tile.get()); old != memo_.end()) {
+    memo_bytes_ -= old->second.bytes;
+    memo_.erase(old);
+  }
+  if (memo_.size() >= memo_sweep_at_) {
+    std::erase_if(memo_, [this](const auto& item) {
+      if (!item.second.tile.expired()) return false;
+      memo_bytes_ -= item.second.bytes;
+      return true;
+    });
+    memo_sweep_at_ = std::max(kPlanMemoMinSweep, 2 * memo_.size());
+  }
+  if (entry.bytes > kPlanMemoBytes) return;
+  if (memo_bytes_ + entry.bytes > kPlanMemoBytes) {
+    memo_.clear();
+    memo_bytes_ = 0;
+  }
+  memo_bytes_ += entry.bytes;
+  memo_.emplace(tile.get(), std::move(entry));
 }
 
 void StreamScheduler::RefillBudgetsLocked(double now_ms) {
@@ -498,6 +572,7 @@ std::uint64_t RegisterStreamSchedulerMetrics(
   return registry->AddSource([scheduler](telemetry::SnapshotSink& sink) {
     const StreamSchedulerStats s = scheduler->Stats();
     sink.AddCounter("fc.stream.tiles_submitted", s.tiles_submitted);
+    sink.AddCounter("fc.stream.plans_computed", s.plans_computed);
     sink.AddCounter("fc.stream.chunks_enqueued", s.chunks_enqueued);
     sink.AddCounter("fc.stream.chunks_pushed", s.chunks_pushed);
     sink.AddCounter("fc.stream.base_chunks_pushed", s.base_chunks_pushed);

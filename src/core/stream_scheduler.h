@@ -13,7 +13,23 @@
 // from the tile (TileCodec::PlanProgressive): their exact wire sizes drive
 // ranks and budgets and their decoded payloads go to the sinks, but no
 // bytes are produced in-process — the byte path is the wire format, and
-// the plan matches it bit for bit:
+// the plan matches it bit for bit. Each tile object is planned once:
+//
+//  * Plan memo. A plan depends only on the tile's cells and the
+//    scheduler's fixed codec options, and tiles are immutable, so plans
+//    are memoized by tile IDENTITY (its address) and reused for every later
+//    submission of the same object — to any session. The memo holds the
+//    tile only through a weak_ptr and counts a hit only while that tile is
+//    alive, so a freed tile can never alias a new one allocated at its
+//    address. It never holds the submitted tile strongly (with kRawF64 the
+//    tile IS the exact payload, and a one-chunk plan's coarse payload too):
+//    it keeps the coarse payload, and the exact one only when the final
+//    encoding is lossy. The payload bytes it holds are capped at
+//    kPlanMemoBytes: entries whose tile died are swept whenever the map
+//    has doubled since the last sweep, and an insert that would still
+//    exceed the cap drops every entry first. The memo has its own mutex
+//    and planning runs outside every lock, so a lookup never waits behind
+//    a pump's selection. Stats().plans_computed counts the misses.
 //
 //  * Utility-per-byte allocation. Every pending USABLE chunk (a tile's
 //    first chunk: the base, or the whole blob in all-or-nothing mode)
@@ -49,11 +65,11 @@
 //    most-underserved-by-bytes session every 1/s picks.
 //
 // Thread-safety: all methods are thread-safe. One mutex guards the chunk
-// list, the session registry, the buckets, and the counters; chunks are
-// planned from the tile before the lock (no bytes in-process) and sink
-// invocations happen outside it, pinned by per-session in-flight counts
-// (a session is never erased mid-push).
-// Sinks must not call back into the scheduler.
+// list, the session registry, the buckets, and the counters (the plan memo
+// has a mutex of its own); chunks are planned from the tile before either
+// lock (no bytes in-process) and sink invocations happen outside them,
+// pinned by per-session in-flight counts (a session is never erased
+// mid-push). Sinks must not call back into the scheduler.
 //
 // With an Executor the scheduler pumps itself whenever work is submitted;
 // with none it is in PULL MODE and the owner drives it via Pump()/Flush()
@@ -157,6 +173,9 @@ struct StreamSchedulerOptions {
 /// exact_chunks_pushed.
 struct StreamSchedulerStats {
   std::uint64_t tiles_submitted = 0;
+  /// Submissions that ran TileCodec::PlanProgressive: the plan memo had
+  /// no entry for that live tile object (see header notes).
+  std::uint64_t plans_computed = 0;
   std::uint64_t chunks_enqueued = 0;
   std::uint64_t chunks_pushed = 0;
   std::uint64_t base_chunks_pushed = 0;   ///< Coarse lossy payloads.
@@ -210,6 +229,9 @@ class StreamScheduler {
   static constexpr double kNoDeadline =
       std::numeric_limits<double>::infinity();
 
+  /// Most payload bytes (Tile::SizeBytes) the plan memo holds.
+  static constexpr std::size_t kPlanMemoBytes = 16ull << 20;
+
   /// Receives one pushed chunk: the decoded payload at that fidelity
   /// (`exact` false = coarse base, true = exact tile) and the publish
   /// generation it was submitted under. Invoked WITHOUT the scheduler
@@ -239,7 +261,8 @@ class StreamScheduler {
 
   /// Drops the session's queued chunks (stale), waits for its in-flight
   /// pushes to settle, and forgets it. After return its sink is never
-  /// invoked again. No-op for unknown ids.
+  /// invoked again. No-op for unknown ids. Concurrent unregisters of one
+  /// session all return once it is forgotten.
   void UnregisterSession(std::uint64_t session_id);
 
   /// Drops the session's queued chunks and waits for its in-flight pushes,
@@ -259,7 +282,8 @@ class StreamScheduler {
   void SetClock(const Clock* clock);
 
   /// Plans `tile`'s chunks per the progressive codec (one whole chunk in
-  /// all-or-nothing mode) and queues them for `session_id`. `confidence`
+  /// all-or-nothing mode), or reuses the memoized plan of this live tile
+  /// object, and queues them for `session_id`. `confidence`
   /// feeds the utility rank; `deadline_ms` is an absolute virtual time
   /// (kNoDeadline = none). Submissions to an unknown or unregistering
   /// session, or after Shutdown, are retired on arrival: counted as
@@ -343,6 +367,25 @@ class StreamScheduler {
     double push_start_ms = 0.0;    ///< Span start (selection time).
   };
 
+  /// A memoized plan. `plan.coarse` and `plan.exact` are null where they
+  /// are the planned tile itself, so the memo never holds it strongly.
+  struct PlanMemoEntry {
+    std::weak_ptr<const tiles::Tile> tile;
+    storage::ProgressivePlan plan;
+    std::size_t bytes = 0;  ///< Payload bytes the entry holds.
+  };
+
+  /// `tile`'s plan: memoized while the tile lives, else planned outside
+  /// every lock and memoized. Sets `*computed` when it planned.
+  storage::ProgressivePlan PlanFor(const tiles::TilePtr& tile,
+                                   bool* computed);
+
+  /// Stores `entry` for `tile`, replacing an entry at the same address,
+  /// sweeping dead tiles' entries when the map has doubled since the last
+  /// sweep, and dropping everything when the cap would still be exceeded.
+  /// Caller holds memo_mu_.
+  void MemoizeLocked(const tiles::TilePtr& tile, PlanMemoEntry entry);
+
   /// Refills one session's bucket (and lazily the global bucket) from the
   /// clock. Caller holds mu_.
   void RefillBudgetsLocked(double now_ms);
@@ -391,6 +434,15 @@ class StreamScheduler {
   /// Telemetry instrument, resolved once at construction (null when
   /// options_.metrics is null).
   telemetry::Histogram* ttfu_us_ = nullptr;
+
+  /// Plan memo, keyed by tile address (see header notes). Guarded by
+  /// memo_mu_, never held together with mu_.
+  std::mutex memo_mu_;
+  std::unordered_map<const tiles::Tile*, PlanMemoEntry> memo_;
+  std::size_t memo_bytes_ = 0;
+  /// memo_ size that triggers the next sweep of dead tiles' entries.
+  static constexpr std::size_t kPlanMemoMinSweep = 64;
+  std::size_t memo_sweep_at_ = kPlanMemoMinSweep;
 };
 
 /// Folds the scheduler's Stats() into `registry` as fc.stream.* counters

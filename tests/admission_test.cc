@@ -405,33 +405,6 @@ TEST(QuotaTest, FilterJudgesRealVictimsNotQuotaSelfEvictions) {
   EXPECT_EQ(cache.SessionL1Bytes(2), 2 * kTileBytes);
 }
 
-TEST(QuotaTest, FifoRefreshKeepsQuotaVictimOrder) {
-  // Under FIFO, refreshing a resident tile re-ages neither eviction queue:
-  // the owner's quota queue must stay in lockstep with l1_order, so an
-  // over-quota insert still displaces the session's FIFO-oldest tile.
-  auto pyramid = SmallPyramid();
-  storage::MemoryTileStore store(pyramid);
-  SharedTileCacheOptions options;
-  options.l1_bytes = 16 * kTileBytes;
-  options.num_shards = 1;
-  options.eviction = EvictionPolicyKind::kFifo;
-  options.session_quota_bytes = 2 * kTileBytes;
-  SharedTileCache cache(options);
-
-  const auto level2 = pyramid->spec().KeysAtLevel(2);
-  const CacheAccess self{1, 0.0};
-  cache.Insert(level2[0], FetchTile(&store, level2[0]), self);
-  cache.Insert(level2[1], FetchTile(&store, level2[1]), self);
-  // Refresh the oldest tile in place: under FIFO this is not a touch.
-  cache.Insert(level2[0], FetchTile(&store, level2[0]), self);
-  // Over quota: the FIFO-oldest (still level2[0]) pays, not level2[1].
-  cache.Insert(level2[2], FetchTile(&store, level2[2]), self);
-  EXPECT_FALSE(cache.Contains(level2[0]));
-  EXPECT_TRUE(cache.Contains(level2[1]));
-  EXPECT_TRUE(cache.Contains(level2[2]));
-  EXPECT_EQ(cache.Stats().quota_evictions, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Priority admission.
 

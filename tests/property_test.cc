@@ -412,6 +412,128 @@ TEST(CodecPropertyTest, QuantizationMatchesLlround) {
   }
 }
 
+// Encode is a fixed point on its own output: Encode(Decode(b)) == b for
+// every blob b that Encode writes, in every encoding — over random tiles,
+// over random quanta in every binade up to the 2^62 lattice bound, and
+// over the cells where lossy encodings saturate or round: NaN, the
+// infinities, -0.0, subnormals, the 2^52..2^53 edge of exact integers, the
+// 2^62-quanta lattice bound, and float32 saturation. The shared cache's L2
+// tier relies on it: a promoted tile demoted again lands the blob it was
+// decoded from instead of encoding it anew. The one exception found is the
+// binade 2^51 <= |v / step| < 2^52 (next test).
+TEST(CodecPropertyTest, EncodeIsAFixedPointOfItsOwnBlobs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double two52 = 4503599627370496.0;
+  const double two53 = 9007199254740992.0;
+  const double two62 = 4.611686018427387904e18;
+  const double flt_max = std::numeric_limits<float>::max();
+  std::vector<double> quanta = {
+      0.5, 1.5, 2.5, 1e6 + 0.5, std::nextafter(0.5, 0.0),
+      two52 + 0.5, two52 - 0.5, two52 + 1.5, two53,
+      std::nextafter(two53, 0.0), std::nextafter(two53, inf),
+      two62, std::nextafter(two62, 0.0), std::nextafter(two62, inf),
+      2 * two62, 1e300, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, inf,
+      std::numeric_limits<double>::quiet_NaN()};
+  const std::size_t fixed = quanta.size();
+  for (std::size_t i = 0; i < fixed; ++i) quanta.push_back(-quanta[i]);
+
+  Rng rng(131);
+  for (const storage::TileCodecOptions options :
+       {storage::TileCodecOptions{storage::TileEncoding::kRawF64},
+        storage::TileCodecOptions{storage::TileEncoding::kFloat32},
+        storage::TileCodecOptions{storage::TileEncoding::kDeltaVarint, 1e-4},
+        storage::TileCodecOptions{storage::TileEncoding::kDeltaVarint, 0.3},
+        storage::TileCodecOptions{storage::TileEncoding::kDeltaVarint, 1.0}}) {
+    const storage::TileCodec codec(options);
+    std::vector<tiles::Tile> inputs;
+    for (int trial = 0; trial < 20; ++trial) {
+      auto w = static_cast<std::int64_t>(rng.UniformInt(1, 24));
+      auto h = static_cast<std::int64_t>(rng.UniformInt(1, 24));
+      std::size_t nattr = static_cast<std::size_t>(rng.UniformInt(1, 3));
+      std::vector<std::string> names;
+      for (std::size_t a = 0; a < nattr; ++a) {
+        names.push_back("attr" + std::to_string(a));
+      }
+      auto tile = tiles::Tile::Make(
+          tiles::TileKey{rng.UniformInt(0, 8), rng.UniformInt(0, 100),
+                         rng.UniformInt(0, 100)},
+          w, h, names);
+      ASSERT_TRUE(tile.ok());
+      for (std::size_t a = 0; a < nattr; ++a) {
+        for (auto& v : tile->MutableAttrData(a)) v = rng.Gaussian(0, 1e3);
+      }
+      inputs.push_back(std::move(*tile));
+    }
+    // Each adversarial quantum q as a cell, q * step (on the lattice, or an
+    // ulp beside it), and float32's saturation edge.
+    std::vector<double> cells;
+    for (double q : quanta) {
+      cells.push_back(q);
+      cells.push_back(q * options.quant_step);
+    }
+    for (double v : {flt_max, std::nextafter(flt_max, inf), 2.0 * flt_max,
+                     1e-46, -1e-46}) {
+      cells.push_back(v);
+      cells.push_back(-v);
+    }
+    for (int binade = 0; binade <= 62; ++binade) {
+      if (binade == 51) continue;
+      for (int i = 0; i < 64; ++i) {
+        const double q = std::ldexp(rng.UniformDouble(1.0, 2.0), binade);
+        cells.push_back((i % 2 == 0 ? q : -q) * options.quant_step);
+      }
+    }
+    auto adversarial = tiles::Tile::Make(
+        {0, 0, 0}, static_cast<std::int64_t>(cells.size()), 1, {"v"});
+    ASSERT_TRUE(adversarial.ok());
+    adversarial->MutableAttrData(0) = cells;
+    inputs.push_back(std::move(*adversarial));
+
+    for (const tiles::Tile& tile : inputs) {
+      const std::string blob = codec.Encode(tile);
+      auto decoded = storage::TileCodec::Decode(blob);
+      ASSERT_TRUE(decoded.ok()) << decoded.status();
+      EXPECT_EQ(codec.Encode(*decoded), blob)
+          << storage::TileEncodingName(options.encoding) << " step "
+          << options.quant_step << " tile " << tile.key().ToString();
+    }
+  }
+}
+
+// The input class that breaks the fixed point: kDeltaVarint cells with
+// 2^51 <= |v / step| < 2^52, where doubles are spaced half a quantum apart.
+// There (q * step) / step can land on q + 0.5 (in magnitude), which rounds
+// to q + 1, so a second encode moves the cell one quantum away from zero:
+// about 2% of such cells for steps 1e-6, 1e-4, 1e-2 and 0.3, none for
+// power-of-two steps (e.g. step 1e-4 and v = 0x1.4f982828835adp+38). A
+// retained blob still decodes to the promoted tile exactly, so the L2 tier
+// landing it keeps that tile's cells where a re-encode would drift; here
+// the drift is pinned to at most one quantum, away from zero.
+TEST(CodecPropertyTest, SecondEncodeMovesCellsAtMostOneQuantumNearTwo51) {
+  const double step = 1e-4;
+  const storage::TileCodec codec({storage::TileEncoding::kDeltaVarint, step});
+  std::vector<double> cells = {0x1.4f982828835adp+38};
+  Rng rng(137);
+  for (int i = 0; i < 4096; ++i) {
+    const double q = std::ldexp(rng.UniformDouble(1.0, 2.0), 51);
+    cells.push_back((i % 2 == 0 ? q : -q) * step);
+  }
+  auto tile = tiles::Tile::Make(
+      {0, 0, 0}, static_cast<std::int64_t>(cells.size()), 1, {"v"});
+  ASSERT_TRUE(tile.ok());
+  tile->MutableAttrData(0) = cells;
+  auto once = storage::TileCodec::Decode(codec.Encode(*tile));
+  ASSERT_TRUE(once.ok());
+  auto twice = storage::TileCodec::Decode(codec.Encode(*once));
+  ASSERT_TRUE(twice.ok());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const double a = once->AttrData(0)[i];
+    const double b = twice->AttrData(0)[i];
+    EXPECT_GE(std::abs(b), std::abs(a)) << std::hexfloat << cells[i];
+    EXPECT_LE(std::abs(b - a), step * (1.0 + 1e-6)) << std::hexfloat << cells[i];
+  }
+}
+
 // An old format-v1 blob (no trailing checksum) must fail with a version
 // error, not a misleading checksum-corruption message.
 TEST(CodecPropertyTest, UnsupportedVersionReportedBeforeChecksum) {

@@ -1,11 +1,12 @@
 // Unit tests for the process-wide SharedTileCache: sharding, byte budgets,
-// LRU/FIFO eviction goldens, the compressed L2 tier, cache-through fetch,
-// and stat/byte conservation.
+// LRU eviction goldens, the compressed L2 tier and its retained blobs,
+// cache-through fetch, and stat/byte conservation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/shared_tile_cache.h"
@@ -49,13 +50,11 @@ tiles::TilePtr FetchTile(storage::TileStore* store, const tiles::TileKey& key) {
 }
 
 /// One-shard L1-only cache holding `tiles` 8x8 test tiles.
-SharedTileCacheOptions L1Only(std::size_t tiles,
-                              EvictionPolicyKind eviction = EvictionPolicyKind::kLru) {
+SharedTileCacheOptions L1Only(std::size_t tiles) {
   SharedTileCacheOptions options;
   options.l1_bytes = tiles * kTileBytes;
   options.l2_bytes = 0;
   options.num_shards = 1;
-  options.eviction = eviction;
   return options;
 }
 
@@ -100,7 +99,7 @@ TEST(SharedTileCacheTest, GetOrFetchPopulatesAndDedupsSequentially) {
 TEST(SharedTileCacheTest, LruEvictionGolden) {
   auto pyramid = SmallPyramid();
   storage::MemoryTileStore store(pyramid);
-  SharedTileCache cache(L1Only(2, EvictionPolicyKind::kLru));
+  SharedTileCache cache(L1Only(2));
 
   const tiles::TileKey a{1, 0, 0}, b{1, 1, 0}, c{1, 0, 1}, d{1, 1, 1};
   // Insert a, b -> resident {a, b}, next victim a.
@@ -127,24 +126,6 @@ TEST(SharedTileCacheTest, LruEvictionGolden) {
   EXPECT_EQ(stats.bytes_resident, 2 * kTileBytes);
   EXPECT_EQ(stats.l1_bytes_resident, 2 * kTileBytes);
   EXPECT_EQ(stats.l2_bytes_resident, 0u);
-}
-
-TEST(SharedTileCacheTest, FifoEvictionGolden) {
-  auto pyramid = SmallPyramid();
-  storage::MemoryTileStore store(pyramid);
-  SharedTileCache cache(L1Only(2, EvictionPolicyKind::kFifo));
-
-  const tiles::TileKey a{1, 0, 0}, b{1, 1, 0}, c{1, 0, 1};
-  cache.Insert(a, FetchTile(&store, a));
-  cache.Insert(b, FetchTile(&store, b));
-  // Under FIFO this touch does not save the oldest entry.
-  EXPECT_NE(cache.Lookup(a), nullptr);
-  cache.Insert(c, FetchTile(&store, c));
-
-  EXPECT_FALSE(cache.Contains(a));  // evicted despite the hit
-  EXPECT_TRUE(cache.Contains(b));
-  EXPECT_TRUE(cache.Contains(c));
-  EXPECT_EQ(cache.Stats().bytes_resident, 2 * kTileBytes);
 }
 
 TEST(SharedTileCacheTest, ByteBudgetSpreadAcrossShards) {
@@ -381,6 +362,77 @@ TEST(SharedTileCacheTest, QuantizedL2TierStaysWithinErrorBound) {
     }
   }
   EXPECT_LE(max_err, 1e-4 / 2 + 1e-12);
+}
+
+/// One-shard cache holding one decoded tile over a roomy quantized L2.
+SharedTileCacheOptions OneTileOverQuantizedL2() {
+  SharedTileCacheOptions options;
+  options.l1_bytes = kTileBytes;
+  options.l2_bytes = 1 << 20;
+  options.num_shards = 1;
+  options.codec = {storage::TileEncoding::kDeltaVarint, 1e-4};
+  return options;
+}
+
+std::vector<std::uint64_t> CellBits(const tiles::Tile& tile) {
+  std::vector<std::uint64_t> bits(tile.AttrData(0).size());
+  std::memcpy(bits.data(), tile.AttrData(0).data(), bits.size() * sizeof(double));
+  return bits;
+}
+
+TEST(SharedTileCacheTest, RedemotionLandsThePromotedTilesOwnBlob) {
+  auto pyramid = SmallPyramid();
+  storage::MemoryTileStore store(pyramid);
+  SharedTileCache cache(OneTileOverQuantizedL2());
+  const tiles::TileKey a{1, 0, 0}, b{1, 1, 0};
+
+  cache.Insert(a, FetchTile(&store, a));
+  cache.Insert(b, FetchTile(&store, b));  // a: L1 -> L2, encoded
+  const std::uint64_t first_l2_bytes = cache.Stats().l2_bytes_resident;
+  auto promoted = cache.Lookup(a);  // a: L2 -> L1; b: L1 -> L2, encoded
+  ASSERT_NE(promoted, nullptr);
+  EXPECT_EQ(cache.Stats().blob_reuses, 0u);
+
+  ASSERT_NE(cache.Lookup(b), nullptr);  // b: L2 -> L1; a: L1 -> L2 again
+  auto stats = cache.Stats();
+  EXPECT_EQ(stats.demotions, 3u);
+  EXPECT_EQ(stats.blob_reuses, 1u);  // a landed the blob it came from
+  // a alone in L2 again, with the same bytes as after its first demotion.
+  EXPECT_EQ(stats.l2_bytes_resident, first_l2_bytes);
+  EXPECT_EQ(stats.l1_bytes_resident, kTileBytes);  // the blob is not charged
+
+  auto again = cache.Lookup(a);  // decoded anew from the landed blob
+  ASSERT_NE(again, nullptr);
+  EXPECT_NE(again, promoted);
+  EXPECT_EQ(CellBits(*again), CellBits(*promoted));
+}
+
+TEST(SharedTileCacheTest, InsertDropsTheRetainedBlob) {
+  auto pyramid = SmallPyramid();
+  storage::MemoryTileStore store(pyramid);
+  SharedTileCache cache(OneTileOverQuantizedL2());
+  const tiles::TileKey a{1, 0, 0}, b{1, 1, 0};
+
+  cache.Insert(a, FetchTile(&store, a));
+  cache.Insert(b, FetchTile(&store, b));  // a -> L2
+  ASSERT_NE(cache.Lookup(a), nullptr);    // a -> L1 with its blob; b -> L2
+  // New cells under the same key replace the promoted payload in place.
+  auto fresh = tiles::Tile::Make(a, 8, 8, {"v"});
+  ASSERT_TRUE(fresh.ok());
+  for (std::size_t i = 0; i < fresh->AttrData(0).size(); ++i) {
+    fresh->MutableAttrData(0)[i] = 1000.0 + static_cast<double>(i);
+  }
+  auto fresh_tile = std::make_shared<const tiles::Tile>(std::move(*fresh));
+  cache.Insert(a, fresh_tile);
+
+  ASSERT_NE(cache.Lookup(b), nullptr);  // a -> L2, encoded from new cells
+  EXPECT_EQ(cache.Stats().blob_reuses, 0u);
+  auto back = cache.Lookup(a);
+  ASSERT_NE(back, nullptr);
+  auto want = storage::TileCodec::Decode(
+      storage::TileCodec(OneTileOverQuantizedL2().codec).Encode(*fresh_tile));
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(CellBits(*back), CellBits(*want));
 }
 
 TEST(SharedTileCacheTest, StatsSnapshotSumsAreExactAfterDeterministicWorkload) {

@@ -13,9 +13,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/executor.h"
@@ -422,6 +428,184 @@ TEST(StreamSchedulerTest, FairnessShareServesUnderservedSession) {
 }
 
 // ---------------------------------------------------------------------------
+// ---------------------------------------------------------------------------
+// Plan memo: each live tile object is planned once, whatever the number of
+// submissions and sessions, and identity never outlives the tile.
+
+/// GaussianTile allocated apart from its control block (not make_shared),
+/// so freeing it hands its address back to the allocator even while a
+/// weak_ptr to it survives.
+tiles::TilePtr SeparatelyAllocatedTile(const tiles::TileKey& key,
+                                       std::uint64_t seed) {
+  return tiles::TilePtr(new tiles::Tile(*GaussianTile(key, seed)));
+}
+
+/// Decode(EncodeProgressive(tile).base): what a client decodes from the
+/// tile's first chunk.
+tiles::TilePtr DecodedBase(const storage::TileCodecOptions& codec,
+                           const tiles::Tile& tile) {
+  auto base = storage::TileCodec::Decode(
+      storage::TileCodec(codec).EncodeProgressive(tile).base);
+  EXPECT_TRUE(base.ok());
+  return std::make_shared<const tiles::Tile>(std::move(*base));
+}
+
+TEST(StreamSchedulerMemoTest, OneLiveTileIsPlannedOnceForEverySession) {
+  StreamSchedulerOptions options;
+  options.codec.progressive_base_step = 8.0;
+  StreamScheduler scheduler(nullptr, options);
+  std::vector<tiles::TilePtr> coarse;
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t tag = 1; tag <= 4; ++tag) {
+    ids.push_back(scheduler.RegisterSession(
+        tag, {},
+        [&coarse](const tiles::TileKey&, const tiles::TilePtr& tile,
+                  bool exact, std::uint64_t) {
+          if (!exact) coarse.push_back(tile);
+        }));
+  }
+  const tiles::TileKey key{2, 1, 1};
+  auto tile = GaussianTile(key, 41);
+  for (std::uint64_t id : ids) scheduler.SubmitTile(id, key, tile, 1, 0.5);
+  scheduler.SubmitTile(ids[0], key, tile, 2, 0.5);
+  EXPECT_EQ(scheduler.Flush(), 10u);
+
+  const auto stats = scheduler.Stats();
+  EXPECT_EQ(stats.tiles_submitted, 5u);
+  EXPECT_EQ(stats.plans_computed, 1u);
+  ASSERT_EQ(coarse.size(), 5u);
+  for (const auto& payload : coarse) EXPECT_EQ(payload, coarse[0]);
+  EXPECT_EQ(CellBits(*coarse[0]), CellBits(*DecodedBase(options.codec, *tile)));
+}
+
+// The memo holds submitted tiles only weakly: with kRawF64 the tile IS the
+// exact payload (and, for a one-chunk plan, the coarse one too), so a
+// strong reference would keep every tile ever streamed alive.
+TEST(StreamSchedulerMemoTest, MemoNeverKeepsTheSubmittedTileAlive) {
+  for (bool progressive : {true, false}) {
+    StreamSchedulerOptions options;
+    options.progressive = progressive;
+    options.codec.progressive_base_step = 8.0;
+    StreamScheduler scheduler(nullptr, options);
+    const std::uint64_t session = scheduler.RegisterSession(
+        1, {}, [](const tiles::TileKey&, const tiles::TilePtr&, bool,
+                  std::uint64_t) {});
+    const tiles::TileKey key{2, 0, 1};
+    auto tile = GaussianTile(key, 43);
+    std::weak_ptr<const tiles::Tile> watch = tile;
+    scheduler.SubmitTile(session, key, tile, 1, 0.5);
+    scheduler.SubmitTile(session, key, tile, 1, 0.5);  // a memo hit
+    EXPECT_EQ(scheduler.Stats().plans_computed, 1u);
+    tile.reset();
+    EXPECT_FALSE(watch.expired()) << "queued exact chunks hold the tile";
+    scheduler.Flush();
+    EXPECT_TRUE(watch.expired()) << "progressive " << progressive;
+  }
+}
+
+// A tile freed while its memo entry survives may hand its address to the
+// next tile allocated: that tile must be planned afresh, never served the
+// dead tile's chunks.
+TEST(StreamSchedulerMemoTest, FreedTileAddressNeverAliasesANewTile) {
+  StreamSchedulerOptions options;
+  options.codec.progressive_base_step = 8.0;
+  StreamScheduler scheduler(nullptr, options);
+  std::vector<std::uint64_t> coarse_bits;
+  const std::uint64_t session = scheduler.RegisterSession(
+      1, {},
+      [&coarse_bits](const tiles::TileKey&, const tiles::TilePtr& tile,
+                     bool exact, std::uint64_t) {
+        if (!exact) coarse_bits = CellBits(*tile);
+      });
+  const tiles::TileKey key{2, 2, 2};
+  std::set<const tiles::Tile*> freed;
+  bool reused = false;
+  int tries = 0;
+  for (; tries < 64 && !reused; ++tries) {
+    auto tile = SeparatelyAllocatedTile(key, 500 + tries);
+    reused = freed.count(tile.get()) > 0;
+    scheduler.SubmitTile(session, key, tile, 1, 0.5);
+    scheduler.Flush();
+    EXPECT_EQ(coarse_bits, CellBits(*DecodedBase(options.codec, *tile)))
+        << "try " << tries;
+    freed.insert(tile.get());
+  }
+  EXPECT_EQ(scheduler.Stats().plans_computed,
+            static_cast<std::uint64_t>(tries));
+  if (!reused) GTEST_SKIP() << "the allocator never reused a freed address";
+}
+
+// With a lossy final encoding the memo holds the computed exact payload:
+// a hit delivers the very tile the miss computed, bit-equal to
+// Decode(Encode(tile)).
+TEST(StreamSchedulerMemoTest, LossyExactPayloadIsReusedBitForBit) {
+  StreamSchedulerOptions options;
+  options.codec = {storage::TileEncoding::kDeltaVarint, 1e-2, 8.0};
+  StreamScheduler scheduler(nullptr, options);
+  std::vector<tiles::TilePtr> exact_payloads;
+  const std::uint64_t session = scheduler.RegisterSession(
+      1, {},
+      [&exact_payloads](const tiles::TileKey&, const tiles::TilePtr& tile,
+                        bool exact, std::uint64_t) {
+        if (exact) exact_payloads.push_back(tile);
+      });
+  const tiles::TileKey key{2, 3, 0};
+  auto tile = GaussianTile(key, 47);
+  scheduler.SubmitTile(session, key, tile, 1, 0.5);
+  scheduler.SubmitTile(session, key, tile, 2, 0.5);
+  scheduler.Flush();
+
+  EXPECT_EQ(scheduler.Stats().plans_computed, 1u);
+  ASSERT_EQ(exact_payloads.size(), 2u);
+  EXPECT_EQ(exact_payloads[0], exact_payloads[1]);
+  EXPECT_NE(exact_payloads[0], tile);
+  auto want = storage::TileCodec::Decode(
+      storage::TileCodec(options.codec).Encode(*tile));
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(CellBits(*exact_payloads[1]), CellBits(*want));
+}
+
+// A plan whose payloads alone exceed the memo's byte cap is never memoized
+// (it is re-planned on every submission, correctly), and memoizing it does
+// not flush the smaller entries.
+TEST(StreamSchedulerMemoTest, PlansBeyondTheCapStillPlanCorrectly) {
+  StreamSchedulerOptions options;
+  options.codec.progressive_base_step = 8.0;
+  StreamScheduler scheduler(nullptr, options);
+  // Square tile whose cells alone outweigh the cap.
+  const auto side = static_cast<std::int64_t>(
+      std::sqrt(StreamScheduler::kPlanMemoBytes / sizeof(double)) + 1);
+  auto made = tiles::Tile::Make({0, 0, 0}, side, side, {"v"});
+  ASSERT_TRUE(made.ok());
+  Rng rng(53);
+  for (auto& v : made->MutableAttrData(0)) v = rng.Gaussian(0, 100);
+  auto big = std::make_shared<const tiles::Tile>(std::move(*made));
+  ASSERT_GT(big->SizeBytes(), StreamScheduler::kPlanMemoBytes);
+  auto small = GaussianTile({2, 0, 0}, 59);
+  const auto big_base = DecodedBase(options.codec, *big);
+  const auto small_base = DecodedBase(options.codec, *small);
+
+  std::vector<bool> matches;
+  const std::uint64_t session = scheduler.RegisterSession(
+      1, {},
+      [&](const tiles::TileKey& key, const tiles::TilePtr& tile, bool exact,
+          std::uint64_t) {
+        if (exact) return;
+        const auto& want = key == big->key() ? *big_base : *small_base;
+        const auto& cells = tile->AttrData(0);
+        matches.push_back(cells.size() == want.AttrData(0).size() &&
+                          std::memcmp(cells.data(), want.AttrData(0).data(),
+                                      cells.size() * sizeof(double)) == 0);
+      });
+  for (const auto& tile : {small, big, big, small}) {
+    scheduler.SubmitTile(session, tile->key(), tile, 1, 0.5);
+    scheduler.Flush();  // one big plan alive at a time
+  }
+
+  EXPECT_EQ(scheduler.Stats().plans_computed, 3u);  // big twice, small once
+  EXPECT_EQ(matches, std::vector<bool>(4, true));
+}
+
 // The conformance property: under identical byte budgets on one clock, the
 // progressive schedule delivers every tile's final payload bit-identically
 // to the all-or-nothing schedule, and makes each tile usable NO LATER.
@@ -530,12 +714,15 @@ TEST(StreamSchedulerTest, ProgressiveEquivalentToAllOrNothingNeverLater) {
 
 // ---------------------------------------------------------------------------
 // TSan stress: session churn racing submissions, cancellations, and the
-// executor self-pump mid-stream. Run under TSan in CI.
+// executor self-pump mid-stream, while submitters share a pool of tiles a
+// replacer thread keeps freeing and reallocating — plan memo hits, inserts,
+// sweeps and address reuse race too. Run under TSan and ASan in CI.
 
 TEST(StreamSchedulerStressTest, SessionChurnUnderConcurrentSubmitAndPump) {
   constexpr std::size_t kSlots = 8;
   constexpr int kSubmittersPerSlot = 2;
   constexpr int kSubmissions = 150;
+  constexpr std::size_t kPoolTiles = 24;
 
   Executor executor(4);
   StreamSchedulerOptions options;
@@ -547,13 +734,23 @@ TEST(StreamSchedulerStressTest, SessionChurnUnderConcurrentSubmitAndPump) {
   auto register_slot = [&] {
     return scheduler.RegisterSession(
         0, {},
-        [&delivered](const tiles::TileKey&, const tiles::TilePtr& tile, bool,
-                     std::uint64_t) {
+        [&delivered](const tiles::TileKey& key, const tiles::TilePtr& tile,
+                     bool, std::uint64_t) {
           ASSERT_NE(tile, nullptr);
+          EXPECT_EQ(tile->key(), key);  // never another tile's plan
           delivered.fetch_add(1, std::memory_order_relaxed);
         });
   };
   for (std::size_t s = 0; s < kSlots; ++s) slots[s].store(register_slot());
+
+  // Shared tile pool, each pool tile under its own key.
+  std::mutex pool_mu;
+  std::vector<tiles::TilePtr> pool;
+  auto pool_tile = [](std::size_t i, std::uint64_t seed) {
+    return SeparatelyAllocatedTile(
+        {2, static_cast<int>(i % 5), static_cast<int>(i / 5)}, seed);
+  };
+  for (std::size_t i = 0; i < kPoolTiles; ++i) pool.push_back(pool_tile(i, i));
 
   std::vector<std::thread> threads;
   // Submitters target whatever session currently occupies their slot;
@@ -563,15 +760,33 @@ TEST(StreamSchedulerStressTest, SessionChurnUnderConcurrentSubmitAndPump) {
       threads.emplace_back([&, s, w] {
         Rng rng(7000 + s * 10 + w);
         for (int i = 0; i < kSubmissions; ++i) {
-          tiles::TileKey key{2, static_cast<int>(rng.UniformInt(0, 20)),
-                             static_cast<int>(rng.UniformInt(0, 20))};
-          scheduler.SubmitTile(slots[s].load(std::memory_order_relaxed), key,
-                               GaussianTile(key, 9000 + i), 1 + i % 3,
+          tiles::TilePtr tile;
+          {
+            std::lock_guard<std::mutex> lock(pool_mu);
+            tile = pool[rng.UniformUint32(kPoolTiles)];
+          }
+          scheduler.SubmitTile(slots[s].load(std::memory_order_relaxed),
+                               tile->key(), tile, 1 + i % 3,
                                rng.UniformInt(0, 100) / 100.0);
         }
       });
     }
   }
+  // Replacer: frees pool tiles mid-run (their memo entries go stale, their
+  // addresses return to the allocator) and puts fresh tiles in their place.
+  threads.emplace_back([&] {
+    Rng rng(7100);
+    for (int round = 0; round < 400; ++round) {
+      const std::size_t i = rng.UniformUint32(kPoolTiles);
+      tiles::TilePtr old;
+      {
+        std::lock_guard<std::mutex> lock(pool_mu);
+        old = std::exchange(pool[i], pool_tile(i, kPoolTiles + round));
+      }
+      old.reset();
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
   // Churn: repeatedly tear a slot's session down mid-stream (waits out its
   // in-flight pushes) and replace it.
   threads.emplace_back([&] {
@@ -613,6 +828,51 @@ TEST(StreamSchedulerStressTest, SessionChurnUnderConcurrentSubmitAndPump) {
                 stats.expired_chunks_dropped,
             stats.chunks_enqueued);
   EXPECT_EQ(scheduler.queued(), 0u);
+}
+
+// Teardown calls racing on one session: a cancel and two unregisters all
+// wait out the same in-flight push. Whichever erases the session must not
+// leave the others reading it (a use-after-free under ASan and TSan, and a
+// hang when the freed count reads nonzero).
+TEST(StreamSchedulerStressTest, ConcurrentTeardownsOfOneSessionAllReturn) {
+  StreamScheduler scheduler(nullptr, {});
+  std::mutex mu;
+  std::condition_variable cv;
+  bool in_sink = false;
+  bool release = false;
+  const std::uint64_t session = scheduler.RegisterSession(
+      1, {},
+      [&](const tiles::TileKey&, const tiles::TilePtr&, bool, std::uint64_t) {
+        std::unique_lock<std::mutex> lock(mu);
+        in_sink = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+      });
+  scheduler.SubmitTile(session, {1, 0, 0}, GaussianTile({1, 0, 0}, 3), 1, 0.5);
+  std::thread pump([&] { scheduler.Pump(); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return in_sink; });
+  }
+  std::vector<std::thread> teardowns;
+  teardowns.emplace_back([&] { scheduler.CancelSession(session); });
+  teardowns.emplace_back([&] { scheduler.UnregisterSession(session); });
+  teardowns.emplace_back([&] { scheduler.UnregisterSession(session); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // all waiting
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  pump.join();
+  for (auto& t : teardowns) t.join();
+
+  // The session is gone: a new submission retires on arrival.
+  scheduler.SubmitTile(session, {1, 1, 0}, GaussianTile({1, 1, 0}, 4), 1, 0.5);
+  EXPECT_EQ(scheduler.queued(), 0u);
+  const auto stats = scheduler.Stats();
+  EXPECT_EQ(stats.chunks_pushed + stats.stale_chunks_dropped,
+            stats.chunks_enqueued);
 }
 
 // ---------------------------------------------------------------------------
