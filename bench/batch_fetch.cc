@@ -210,7 +210,6 @@ int main() {
       row.Set("dedup_saved_fetches", run->scheduler.dedup_saved_fetches);
       row.Set("fetch_batches", run->scheduler.fetch_batches);
       row.Set("batched_fills", run->scheduler.batched_fills);
-      row.Set("batch_deferrals", run->scheduler.batch_deferrals);
       row.Set("cache_batches_issued", run->cache.batches_issued);
       row.Set("cache_batched_tiles", run->cache.batched_tiles);
       row.Set("cache_fetch_rounds_saved", run->cache.fetch_rounds_saved);

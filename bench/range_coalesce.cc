@@ -12,11 +12,9 @@
 //    Per-key reads issue one pread per tile; the vectored path issues one
 //    pread per byte run. Headline: syscall_count.
 //
-// The coalesced configurations also open the scheduler's bounded
-// adjacency window (batch.adjacency_priority_window = 0.5) so batch
-// formation feeds the planners run-shaped batches — the three tentpole
-// layers (pop policy, run planner, backend pricing/readv) measured
-// end to end. Per-key configurations keep every default OFF and thus
+// Both configurations pop the same strict-priority top-k batches; only the
+// backend's run planning differs, so the rows measure what planning alone
+// saves end to end. Per-key configurations keep every default OFF and thus
 // reproduce the PR 5 drain bit for bit.
 //
 // Emits BENCH_range_coalesce.json; CI gates on the 64-session points
@@ -86,7 +84,7 @@ storage::RangeCoalesceOptions CoalesceProfile() {
 
 RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
                       std::size_t num_sessions, storage::TileStore* store,
-                      SimClock* clock, double adjacency_window) {
+                      SimClock* clock) {
   server::SharedPredictionComponents shared;
   shared.classifier = trained.classifier.get();
   shared.ab = trained.ab.get();
@@ -111,7 +109,6 @@ RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
   options.single_flight = true;
   options.use_prefetch_scheduler = true;
   options.prefetch_scheduler.batch.max_batch_tiles = 32;
-  options.prefetch_scheduler.batch.adjacency_priority_window = adjacency_window;
   options.prefetch_scheduler.nominal_tile_bytes =
       study.dataset.pyramid->NominalTileBytes();
   server::SessionManager manager(store, clock, shared, options);
@@ -119,7 +116,7 @@ RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
   // Sessions spread across the whole study (user-major, task-minor), so the
   // scheduler's queue holds predictions around MANY live viewports at once —
   // the adjacency-heavy mix run planning is for. Identical-trace sessions
-  // would dedup into a queue too shallow to ever offer the batcher a choice.
+  // would dedup into a queue too shallow to fill a batch.
   std::vector<server::SessionManager::SessionWorkload> workloads;
   for (std::size_t s = 0; s < num_sessions; ++s) {
     const core::Trace& trace = study.traces[(s / 8) % study.traces.size()];
@@ -185,8 +182,7 @@ RunResult RunDbms(const sim::Study& study, const TrainedComponents& trained,
   storage::SimulatedDbmsStore store(
       study.dataset.pyramid, costs, &clock,
       coalesced ? CoalesceProfile() : storage::RangeCoalesceOptions{});
-  auto result = RunSessions(study, trained, num_sessions, &store, &clock,
-                            coalesced ? 0.5 : 0.0);
+  auto result = RunSessions(study, trained, num_sessions, &store, &clock);
   result.chunk_scans = store.chunk_scan_count();
   result.coalesced_runs = store.run_count();
   result.waste_cells = store.waste_cell_count();
@@ -211,8 +207,7 @@ RunResult RunDisk(const sim::Study& study, const TrainedComponents& trained,
     std::cerr << "ERROR: packed extent missing from " << directory << "\n";
     return {};
   }
-  auto result = RunSessions(study, trained, num_sessions, store.get(), &clock,
-                            coalesced ? 0.5 : 0.0);
+  auto result = RunSessions(study, trained, num_sessions, store.get(), &clock);
   result.syscalls = store->syscall_count();
   result.bytes_read = store->bytes_read();
   result.vectored_runs = store->vectored_run_count();
@@ -259,7 +254,7 @@ int main() {
 
   eval::TablePrinter table({"Backend", "Sessions", "Mode", "Hit rate",
                             "Round trips", "Tiles", "Chunk scans", "Syscalls",
-                            "Runs", "Reorders", "p99 ms"});
+                            "Runs", "p99 ms"});
   auto results = JsonValue::Array();
   bool pass = true;
   double chunk_scan_reduction_64 = 0.0;
@@ -290,7 +285,6 @@ int main() {
                     std::to_string(run->chunk_scans),
                     std::to_string(run->syscalls),
                     std::to_string(run->coalesced_runs + run->vectored_runs),
-                    std::to_string(run->scheduler.adjacency_reorders),
                     eval::TablePrinter::Num(run->p99_latency_ms, 1)});
 
       auto row = JsonValue::Object();
@@ -308,7 +302,6 @@ int main() {
       row.Set("syscalls", run->syscalls);
       row.Set("bytes_read", run->bytes_read);
       row.Set("vectored_runs", run->vectored_runs);
-      row.Set("adjacency_reorders", run->scheduler.adjacency_reorders);
       row.Set("fetch_batches", run->scheduler.fetch_batches);
       row.Set("batched_fills", run->scheduler.batched_fills);
       row.Set("books_balance", run->books_balance);
@@ -318,7 +311,7 @@ int main() {
     }
 
     // The coalesced paths must actually coalesce (runs planned, vectored
-    // reads issued) and the adjacency window must actually reorder.
+    // reads issued).
     if (dbms_coalesced.coalesced_runs == 0 ||
         disk_coalesced.vectored_runs == 0) {
       pass = false;

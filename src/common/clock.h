@@ -1,12 +1,12 @@
-// Clock: the read-only time interface behind deadline scheduling and batch
-// lingering.
+// Clock: the read-only time interface behind deadline scheduling and
+// stream byte budgets.
 //
-// The scheduler, think-time estimator, and batch planner only ever READ
-// time — they ask "what is now?" to stamp enqueue ages and deadlines and to
-// age lingering batches. Simulation code additionally ADVANCES time, but
-// that is a property of the simulation harness (SimClock), not of the
-// consumers. Splitting the read interface out lets the exact same deadline
-// and linger machinery run against either time base:
+// The schedulers and the think-time estimator only ever READ time — they
+// ask "what is now?" to stamp enqueue ages and deadlines and to refill
+// token buckets. Simulation code additionally ADVANCES time, but that is a
+// property of the simulation harness (SimClock), not of the consumers.
+// Splitting the read interface out lets the exact same deadline and budget
+// machinery run against either time base:
 //
 //  * SimClock (common/sim_clock.h): the virtual clock replay experiments
 //    charge simulated service time to. Implements Clock.
@@ -16,7 +16,7 @@
 //    time.
 //
 // Milliseconds were chosen as the unit because every existing consumer
-// (deadlines, think-time EWMAs, linger ages) already works in fractional
+// (deadlines, think-time EWMAs, chunk ages) already works in fractional
 // virtual milliseconds.
 
 #ifndef FORECACHE_COMMON_CLOCK_H_

@@ -17,8 +17,8 @@
 namespace fc {
 
 /// Monotonic virtual clock, microsecond resolution. Implements the Clock
-/// read interface (common/clock.h), so deadline scheduling and batch
-/// lingering run against it interchangeably with the wall-clock adapter.
+/// read interface (common/clock.h), so deadline scheduling and stream
+/// budgets run against it interchangeably with the wall-clock adapter.
 ///
 /// Thread-safe: concurrent sessions share one clock, and background prefetch
 /// tasks charge DBMS time to it while request threads read it. Advances are

@@ -11,19 +11,19 @@ namespace fc::core {
 
 namespace {
 
-/// Resolves the batcher's byte-cap conversion: an explicit knob wins, else
-/// a single-attribute estimate from the store's pyramid geometry (the spec
-/// does not know the attribute count; underestimating only loosens the
+/// Resolves the batch tile cap's byte conversion: an explicit knob wins,
+/// else a single-attribute estimate from the store's pyramid geometry (the
+/// spec does not know the attribute count; underestimating only loosens the
 /// byte cap, never the tile cap).
-storage::FetchBatcher MakeBatcher(const PrefetchSchedulerOptions& options,
-                                  storage::TileStore* store) {
+std::size_t ResolveBatchTileCap(const PrefetchSchedulerOptions& options,
+                                storage::TileStore* store) {
   std::size_t nominal = options.nominal_tile_bytes;
   if (nominal == 0 && store != nullptr) {
     const auto& spec = store->spec();
     nominal = static_cast<std::size_t>(spec.tile_width) *
               static_cast<std::size_t>(spec.tile_height) * sizeof(double);
   }
-  return storage::FetchBatcher(options.batch, nominal);
+  return storage::BatchTileCap(options.batch, nominal);
 }
 
 }  // namespace
@@ -36,7 +36,7 @@ PrefetchScheduler::PrefetchScheduler(storage::TileStore* store,
       executor_(executor),
       shared_(shared),
       options_(options),
-      batcher_(MakeBatcher(options, store)) {
+      batch_tile_cap_(ResolveBatchTileCap(options, store)) {
   FC_CHECK_MSG(store_ != nullptr, "PrefetchScheduler requires a tile store");
   if (options_.max_in_flight == 0) options_.max_in_flight = 1;
   options_.fairness_share = std::clamp(options_.fairness_share, 0.0, 1.0);
@@ -91,8 +91,8 @@ void PrefetchScheduler::RescoreLocked(const tiles::TileKey& key, Entry& entry) {
   }
 }
 
-std::size_t PrefetchScheduler::PopDeadlinesLocked(
-    std::size_t budget, double now_ms, std::vector<PoppedEntry>& batch) {
+void PrefetchScheduler::PopDeadlinesLocked(std::size_t budget, double now_ms,
+                                           std::vector<PoppedEntry>& batch) {
   // Round-start top utility score, for promotion accounting. A lazy peek:
   // stale nodes encountered on the way are discarded for good.
   double top_priority = 0.0;
@@ -108,26 +108,19 @@ std::size_t PrefetchScheduler::PopDeadlinesLocked(
     have_top = true;
     break;
   }
-  // Collect the earliest-deadline entries clearing the absolute utility
-  // bar. With the adjacency window on, over-collect (CandidateCap) so the
-  // batcher can complete a spatial run around the most urgent entry
-  // instead of scattering the batch across the curve.
-  const bool adjacency = batcher_.adjacency_enabled() && budget > 1;
-  const std::size_t cap = adjacency ? batcher_.CandidateCap(budget) : budget;
-  std::vector<DeadlineNode> nodes;
-  std::vector<storage::BatchCandidate> candidates;
-  while (candidates.size() < cap && !deadline_heap_.empty()) {
-    DeadlineNode node = deadline_heap_.top();
+  // The earliest-deadline entries clearing the absolute utility bar.
+  std::size_t popped = 0;
+  while (popped < budget && !deadline_heap_.empty()) {
+    const DeadlineNode node = deadline_heap_.top();
+    deadline_heap_.pop();
     auto eit = pending_.find(node.key);
     if (eit == pending_.end() || eit->second.stamp != node.stamp) {
-      deadline_heap_.pop();  // superseded score or retired entry
-      continue;
+      continue;  // superseded score or retired entry
     }
     if (eit->second.priority < options_.deadline_utility_bar) {
       // Below the bar: never deadline-promoted; the entry still drains
       // through the utility backfill. Dropping the node outright is safe —
       // any future rescore pushes a fresh one.
-      deadline_heap_.pop();
       continue;
     }
     if (now_ms > node.deadline_ms) {
@@ -140,53 +133,17 @@ std::size_t PrefetchScheduler::PopDeadlinesLocked(
       // sheds it if its subscribers really have moved on — and a session
       // still hovering on the tile re-arms a fresh deadline with its next
       // publish.
-      deadline_heap_.pop();
       ++stats_.deadline_misses;
       continue;
     }
-    deadline_heap_.pop();
-    nodes.push_back(node);
-    candidates.push_back(storage::BatchCandidate{node.key,
-                                                 eit->second.priority});
-  }
-  // Candidate order is EDF, so SelectAdjacent's "index 0 always taken"
-  // anchors the run on the most urgent entry and its index-order
-  // tie-breaks prefer nearer deadlines.
-  std::vector<std::size_t> chosen;
-  if (adjacency && candidates.size() > 1) {
-    chosen = batcher_.SelectAdjacent(candidates, budget);
-  } else {
-    for (std::size_t i = 0; i < std::min(budget, candidates.size()); ++i) {
-      chosen.push_back(i);
-    }
-  }
-  std::vector<bool> take(candidates.size(), false);
-  for (std::size_t i : chosen) {
-    take[i] = true;
-    // Pulled forward past strictly nearer-deadline candidates to complete
-    // a spatial run — same bounded-inversion accounting as the utility
-    // path.
-    if (i >= chosen.size()) ++stats_.adjacency_reorders;
-  }
-  std::size_t popped = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (!take[i]) {
-      // Unselected candidates return with their original stamps; their
-      // pending_ entries (and enqueue_ms / deadline_ms) were never
-      // touched, so lazy invalidation still recognizes them as current.
-      deadline_heap_.push(nodes[i]);
-      continue;
-    }
-    auto eit = pending_.find(nodes[i].key);
     if (have_top && eit->second.priority < top_priority) {
       ++stats_.deadline_promotions;
     }
-    batch.push_back(PoppedEntry{nodes[i].key, std::move(eit->second.subs),
+    batch.push_back(PoppedEntry{node.key, std::move(eit->second.subs),
                                 eit->second.enqueue_ms});
     pending_.erase(eit);
     ++popped;
   }
-  return popped;
 }
 
 void PrefetchScheduler::AccrueFairnessLocked(std::size_t budget) {
@@ -216,7 +173,7 @@ void PrefetchScheduler::AccrueFairnessLocked(std::size_t budget) {
   // EDF-saturated streak cannot bank an unbounded burst.
   fairness_credit_ =
       std::min(fairness_credit_ + reserved,
-               static_cast<double>(batcher_.max_tiles()));
+               static_cast<double>(batch_tile_cap_));
 }
 
 std::size_t PrefetchScheduler::FairnessClaimLocked(std::size_t budget) const {
@@ -358,18 +315,9 @@ void PrefetchScheduler::SpawnWorkersLocked() {
 
 void PrefetchScheduler::WorkerLoop() {
   for (;;) {
-    DrainVerdict verdict = DrainBatch();
-    if (verdict == DrainVerdict::kDrained) continue;
+    if (DrainOne()) continue;
     std::lock_guard<std::mutex> lock(mu_);
-    if (verdict == DrainVerdict::kDeferred) {
-      // A partial batch is lingering for more keys. The in-flight fill
-      // that licensed the deferral re-plans the queue when it settles (its
-      // worker loops back into DrainBatch), so this worker can stand down.
-      --workers_;
-      cv_.notify_all();
-      return;
-    }
-    // Re-check under the lock: an entry published between DrainBatch's
+    // Re-check under the lock: an entry published between DrainOne's
     // empty verdict and here would otherwise strand until the next Publish.
     if (pending_.empty() || shutdown_) {
       --workers_;
@@ -422,10 +370,8 @@ void PrefetchScheduler::Publish(std::uint64_t session_id,
     // deadline scheduling is off (sub_deadline stays kNoDeadline and the
     // deadline heap is never touched).
     double sub_deadline = kNoDeadline;
-    if (DeadlineEnabledLocked()) {
-      const double think =
-          think_ms > 0.0 ? think_ms : options_.default_think_ms;
-      if (think > 0.0) sub_deadline = options_.clock->NowMillis() + think;
+    if (DeadlineEnabledLocked() && think_ms > 0.0) {
+      sub_deadline = options_.clock->NowMillis() + think_ms;
     }
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       const PrefetchCandidate& candidate = candidates[i];
@@ -481,42 +427,13 @@ void PrefetchScheduler::Publish(std::uint64_t session_id,
 }
 
 bool PrefetchScheduler::DrainOne() {
-  return DrainBatch() == DrainVerdict::kDrained;
-}
-
-PrefetchScheduler::DrainVerdict PrefetchScheduler::DrainBatch() {
   std::vector<PoppedEntry> batch;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (pending_.empty()) return DrainVerdict::kEmpty;
+    if (pending_.empty()) return false;
     const double now_ms =
         options_.clock != nullptr ? options_.clock->NowMillis() : 0.0;
-    double oldest_ms = now_ms;
-    if (options_.clock != nullptr && options_.batch.max_linger_ms > 0.0 &&
-        pending_.size() < batcher_.max_tiles()) {
-      // The linger decision needs the oldest entry's age; only scanned for
-      // partial batches, so the scan is bounded by one batch's size.
-      // Entries stamped before a clock was wired carry kNoEnqueueStamp —
-      // skipped here, or they would read as infinitely old and force-flush
-      // every partial batch.
-      for (const auto& [key, entry] : pending_) {
-        if (entry.enqueue_ms < 0.0) continue;
-        oldest_ms = std::min(oldest_ms, entry.enqueue_ms);
-      }
-    }
-    // Deferral needs a live fill to re-plan the queue AND a clock to age
-    // the linger out — without one, virtual time is frozen at 0 and a
-    // deferred partial batch would never expire (the header documents a
-    // null clock as "lingering disabled").
-    const bool can_defer = in_flight_fills_ > 0 && options_.clock != nullptr;
-    const std::size_t budget =
-        batcher_.PlanPop(pending_.size(), oldest_ms, now_ms, can_defer);
-    if (budget == 0) {
-      // Lingering for a fuller batch. Safe: in_flight_fills_ > 0, and that
-      // fill's worker re-plans the queue when it settles.
-      ++stats_.batch_deferrals;
-      return DrainVerdict::kDeferred;
-    }
+    const std::size_t budget = std::min(pending_.size(), batch_tile_cap_);
     if (FairnessEnabledLocked()) AccrueFairnessLocked(budget);
     if (DeadlineEnabledLocked()) {
       // Earliest-deadline-first pass: the most urgent above-the-bar
@@ -536,57 +453,7 @@ PrefetchScheduler::DrainVerdict PrefetchScheduler::DrainBatch() {
       // order (or the floor would only ever serve the popular sessions).
       PopFairnessLocked(budget - batch.size(), batch);
     }
-    if (!DeadlineEnabledLocked() && batcher_.adjacency_enabled() &&
-        budget - batch.size() > 1) {
-      // Adjacency-aware pop: collect the valid entries clearing the
-      // priority bar as candidates, let the batcher pick a run-shaped
-      // subset, and RE-PUSH the rest. Their heap nodes carry the stamps
-      // they were popped with, and their pending_ entries were never
-      // touched, so lazy invalidation still recognizes them as current.
-      const std::size_t remaining = budget - batch.size();
-      std::vector<HeapNode> nodes;
-      std::vector<storage::BatchCandidate> candidates;
-      const std::size_t cap = batcher_.CandidateCap(remaining);
-      double bar = 0.0;
-      while (candidates.size() < cap && !heap_.empty()) {
-        HeapNode node = heap_.top();
-        auto eit = pending_.find(node.key);
-        if (eit == pending_.end() || eit->second.stamp != node.stamp) {
-          heap_.pop();  // superseded score or retired entry
-          continue;
-        }
-        if (!candidates.empty() && node.priority < bar) break;
-        heap_.pop();
-        if (candidates.empty()) bar = batcher_.PriorityBar(node.priority);
-        nodes.push_back(node);
-        candidates.push_back(
-            storage::BatchCandidate{node.key, node.priority});
-      }
-      const std::vector<std::size_t> chosen =
-          batcher_.SelectAdjacent(candidates, remaining);
-      std::vector<bool> take(candidates.size(), false);
-      for (std::size_t i : chosen) {
-        take[i] = true;
-        // An index the strict-priority pop would not have reached yet was
-        // pulled forward to complete a run.
-        if (i >= chosen.size()) ++stats_.adjacency_reorders;
-      }
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (!take[i]) {
-          heap_.push(nodes[i]);
-          continue;
-        }
-        auto eit = pending_.find(nodes[i].key);
-        batch.push_back(PoppedEntry{nodes[i].key, std::move(eit->second.subs),
-                                    eit->second.enqueue_ms});
-        pending_.erase(eit);
-      }
-    }
-    // Strict-priority pop. Also the backfill after an adjacency-aware pop:
-    // the bar bounds which entries may be PROMOTED over higher-priority
-    // ones, never how many ride the round trip, so a batch the selection
-    // left partial (too few candidates cleared the bar) tops up here in
-    // plain priority order from the re-pushed and below-bar entries.
+    // Utility order fills the rest of the batch.
     while (batch.size() < budget && !heap_.empty()) {
       HeapNode node = heap_.top();
       heap_.pop();
@@ -598,7 +465,7 @@ PrefetchScheduler::DrainVerdict PrefetchScheduler::DrainBatch() {
                                   eit->second.enqueue_ms});
       pending_.erase(eit);
     }
-    if (batch.empty()) return DrainVerdict::kEmpty;
+    if (batch.empty()) return false;
     for (const auto& popped : batch) {
       for (const auto& sub : popped.subs) {
         auto sit = sessions_.find(sub.session_id);
@@ -759,7 +626,7 @@ PrefetchScheduler::DrainVerdict PrefetchScheduler::DrainBatch() {
     in_flight_fills_ -= batch.size();
     cv_.notify_all();
   }
-  return DrainVerdict::kDrained;
+  return true;
 }
 
 void PrefetchScheduler::CancelSession(std::uint64_t session_id) {
@@ -858,8 +725,6 @@ std::uint64_t RegisterPrefetchSchedulerMetrics(
     sink.AddCounter("fc.prefetch.deliveries", s.deliveries);
     sink.AddCounter("fc.prefetch.fetch_batches", s.fetch_batches);
     sink.AddCounter("fc.prefetch.batched_fills", s.batched_fills);
-    sink.AddCounter("fc.prefetch.batch_deferrals", s.batch_deferrals);
-    sink.AddCounter("fc.prefetch.adjacency_reorders", s.adjacency_reorders);
     sink.AddCounter("fc.prefetch.deadline_promotions", s.deadline_promotions);
     sink.AddCounter("fc.prefetch.deadline_misses", s.deadline_misses);
     sink.AddCounter("fc.prefetch.fairness_picks", s.fairness_picks);

@@ -105,17 +105,16 @@ struct PrefetchSchedulerOptions {
   std::size_t max_in_flight = 4;
 
   /// Batched backend I/O (see storage/batch_fetch.h): each drain round pops
-  /// up to batch.max_batch_tiles of the top pending entries into ONE
+  /// up to storage::BatchTileCap(batch) of the top pending entries into ONE
   /// backend round trip (TileStore::FetchBatch through
   /// SharedTileCache::GetOrFetchSharedBatch). The default profile
   /// (max_batch_tiles = 1) reproduces the per-tile drain exactly.
   storage::BatchProfile batch;
 
-  /// Time source for batch.max_linger_ms (aging pending entries) and for
-  /// deadline arithmetic: the replay harness's SimClock, or a SteadyClock
-  /// (common/clock.h) in real deployments — the scheduler only ever READS
-  /// it. Null disables lingering (partial batches always drain
-  /// immediately) and deadline scheduling.
+  /// Time source for deadline arithmetic and the queue-wait histogram: the
+  /// replay harness's SimClock, or a SteadyClock (common/clock.h) in real
+  /// deployments — the scheduler only ever READS it. Null disables
+  /// deadline scheduling.
   const Clock* clock = nullptr;
 
   /// Nominal decoded tile payload bytes, for converting
@@ -139,11 +138,6 @@ struct PrefetchSchedulerOptions {
   /// (fraction-of-top) bar would re-starve exactly the outvoted sessions
   /// this mode exists to protect.
   double deadline_utility_bar = 0.0;
-
-  /// Fallback think time (ms) for publishes that carry none (think_ms <=
-  /// 0) while deadline_aware is on. 0 leaves such entries deadline-free:
-  /// they drain only through the utility backfill.
-  double default_think_ms = 0.0;
 
   /// Fraction of each drain round's slots reserved for the per-session
   /// weighted deficit-round-robin slice, in [0, 1] (clamped). 0 (the
@@ -195,13 +189,6 @@ struct PrefetchSchedulerStats {
   std::uint64_t fetch_batches = 0;
   /// Fills that rode a round trip carrying more than one tile.
   std::uint64_t batched_fills = 0;
-  /// Drain rounds that deferred a partial batch to linger for more keys.
-  std::uint64_t batch_deferrals = 0;
-  /// Entries that rode a batch ahead of strictly higher-priority entries
-  /// because they completed a spatial run (bounded by
-  /// BatchProfile::adjacency_priority_window; see FetchBatcher::
-  /// SelectAdjacent). 0 whenever the window is 0.
-  std::uint64_t adjacency_reorders = 0;
 
   /// Deadline-aware drains (0 whenever deadline_aware is off). Entries
   /// popped by the earliest-deadline-first pass ahead of a strictly
@@ -230,7 +217,7 @@ struct PrefetchQueueEntry {
   std::size_t sessions = 0;  ///< Distinct subscribed sessions.
   /// Virtual time the entry first became pending; negative
   /// (kNoEnqueueStamp) when published without a clock. Preserved across
-  /// merges and adjacency re-pushes.
+  /// merges.
   double enqueue_ms = -1.0;
   /// Earliest subscription deadline (virtual ms); +infinity when no live
   /// subscription carries one. The default matches that documented
@@ -246,9 +233,7 @@ class PrefetchScheduler {
  public:
   /// Entry::enqueue_ms / PrefetchQueueEntry::enqueue_ms value for entries
   /// published while no clock was wired. A sentinel, NOT virtual time 0:
-  /// the linger scan must skip these instead of treating them as
-  /// infinitely old (which would force-flush every partial batch once a
-  /// clock appears).
+  /// such entries have no queue wait to report.
   static constexpr double kNoEnqueueStamp = -1.0;
 
   /// Subscription/entry deadline for publishes without a think-time
@@ -316,9 +301,9 @@ class PrefetchScheduler {
   /// `think_ms` is the session's estimated think time before its NEXT move
   /// (server::ThinkTimeEstimator is the usual source): with deadline_aware
   /// on, every subscription of this publication carries deadline
-  /// now + think_ms. <= 0 means "no estimate" (options_.default_think_ms
-  /// applies, else the subscriptions are deadline-free). Ignored — at zero
-  /// cost — when deadline scheduling is off.
+  /// now + think_ms. <= 0 means "no estimate": the subscriptions are
+  /// deadline-free. Ignored — at zero cost — when deadline scheduling is
+  /// off.
   ///
   /// `trace_id` (0 = unsampled) tags every subscription of this
   /// publication with the publishing request's trace, so the drain that
@@ -347,14 +332,14 @@ class PrefetchScheduler {
   /// dying delivery targets.
   void Shutdown();
 
-  /// Pops the top pending entries — one with the default BatchProfile, up
-  /// to max_batch_tiles of them when batching is configured — and runs
-  /// their fills synchronously on the calling thread as one backend round
-  /// trip (batched fetch, shared-cache landing, per-subscriber deliveries).
+  /// Pops the top pending entries — one with the default BatchProfile,
+  /// min(pending, storage::BatchTileCap) of them when batching is
+  /// configured — and runs their fills synchronously on the calling thread
+  /// as one backend round trip (batched fetch, shared-cache landing,
+  /// per-subscriber deliveries).
   /// Returns false when nothing was drained. This is the pull-mode hook:
   /// executor workers loop it, tests call it directly for deterministic
-  /// goldens. Pull-mode callers never observe linger deferrals (deferral
-  /// requires another fill in flight).
+  /// goldens.
   bool DrainOne();
 
   /// Pending (not yet popped) entries.
@@ -388,9 +373,8 @@ class PrefetchScheduler {
     /// Shared by the utility and deadline heaps.
     std::uint64_t stamp = 0;
     /// Virtual time the entry first became pending (kNoEnqueueStamp
-    /// without a clock — the linger scan skips those). Merges keep the
-    /// original time — lingering is bounded by the OLDEST waiting
-    /// subscription, not refreshed by new arrivals.
+    /// without a clock). Merges keep the original time, so the queue wait
+    /// is the OLDEST subscription's, not refreshed by new arrivals.
     double enqueue_ms = kNoEnqueueStamp;
     /// Earliest deadline over live subscriptions (kNoDeadline when none
     /// carries one). Recomputed with the priority on every rescore.
@@ -443,11 +427,6 @@ class PrefetchScheduler {
     double deficit = 0.0;
   };
 
-  /// One drain round's outcome. kDeferred: a partial batch chose to linger
-  /// for more keys (only possible while another fill is in flight, whose
-  /// completion re-plans the queue — see storage/batch_fetch.h).
-  enum class DrainVerdict { kEmpty, kDeferred, kDrained };
-
   /// An entry popped into the current drain round's batch.
   struct PoppedEntry {
     tiles::TileKey key;
@@ -456,11 +435,6 @@ class PrefetchScheduler {
     /// histogram (kNoEnqueueStamp when published clockless).
     double enqueue_ms = kNoEnqueueStamp;
   };
-
-  /// The batched drain round behind DrainOne and WorkerLoop: plans a pop
-  /// size with batcher_, pops that many top entries, fetches them in one
-  /// backend round trip, and delivers to still-current subscribers.
-  DrainVerdict DrainBatch();
 
   /// Recomputes the entry's priority and earliest deadline from its live
   /// subscriptions and pushes freshly stamped nodes (both heaps share the
@@ -474,11 +448,10 @@ class PrefetchScheduler {
   }
 
   /// Pops up to `budget` earliest-deadline entries whose priority clears
-  /// the bar into `batch` (adjacency-aware when the window is on),
-  /// updating promotion/miss stats. Caller holds mu_. Returns the number
-  /// popped.
-  std::size_t PopDeadlinesLocked(std::size_t budget, double now_ms,
-                                 std::vector<PoppedEntry>& batch);
+  /// the bar into `batch`, updating promotion/miss stats. Caller holds
+  /// mu_.
+  void PopDeadlinesLocked(std::size_t budget, double now_ms,
+                          std::vector<PoppedEntry>& batch);
 
   /// Whether the per-session fairness layer is active. Caller holds mu_.
   bool FairnessEnabledLocked() const { return options_.fairness_share > 0.0; }
@@ -520,7 +493,8 @@ class PrefetchScheduler {
   Executor* executor_;      ///< Null in pull mode.
   SharedTileCache* shared_;  ///< Null: fills skip the shared-cache landing.
   PrefetchSchedulerOptions options_;
-  storage::FetchBatcher batcher_;  ///< Batch formation policy for drains.
+  /// storage::BatchTileCap of options_.batch: tiles per drain round at most.
+  std::size_t batch_tile_cap_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  ///< Fill/delivery completion, worker exit.

@@ -23,9 +23,6 @@ bool BetterJob(bool a_usable, double a_util, std::uint64_t a_seq,
 StreamScheduler::StreamScheduler(Executor* executor,
                                  StreamSchedulerOptions options)
     : executor_(executor), options_(options), codec_(options.codec) {
-  if (options_.max_pump_chunks == 0) options_.max_pump_chunks = 1;
-  options_.fairness_share =
-      std::clamp(options_.fairness_share, 0.0, 1.0);
   total_tokens_ = static_cast<double>(options_.total_burst_bytes);
   if (options_.metrics != nullptr) {
     ttfu_us_ = options_.metrics->GetHistogram("fc.stream.ttfu_us");
@@ -44,7 +41,6 @@ std::uint64_t StreamScheduler::RegisterSession(std::uint64_t session_id,
   auto state = std::make_unique<SessionState>();
   state->sink = std::move(sink);
   state->limits = limits;
-  if (!(state->limits.weight > 0.0)) state->limits.weight = 1.0;
   state->tokens = static_cast<double>(limits.burst_bytes);
   sessions_[session_id] = std::move(state);
   return session_id;
@@ -98,6 +94,8 @@ void StreamScheduler::CancelSession(std::uint64_t session_id) {
 void StreamScheduler::CancelStaleGenerations(std::uint64_t session_id,
                                              std::uint64_t live_generation) {
   std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(session_id);
+  if (it != sessions_.end()) it->second->live_generation = live_generation;
   for (auto job = jobs_.begin(); job != jobs_.end();) {
     if (job->session_id == session_id && job->generation != live_generation) {
       job = DropLocked(job, &stats_.stale_chunks_dropped);
@@ -107,16 +105,11 @@ void StreamScheduler::CancelStaleGenerations(std::uint64_t session_id,
   }
 }
 
-void StreamScheduler::SetClock(const Clock* clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_.clock = clock;
-}
-
 void StreamScheduler::SubmitTile(std::uint64_t session_id,
                                  const tiles::TileKey& key,
                                  const tiles::TilePtr& tile,
                                  std::uint64_t generation, double confidence,
-                                 double deadline_ms, std::uint64_t trace_id) {
+                                 std::uint64_t trace_id) {
   if (tile == nullptr) return;
 
   // Plan before the lock: one pass over the cells (or a memo hit) prices
@@ -126,9 +119,8 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
   // the all-or-nothing one would (see header notes).
   bool computed = false;
   storage::ProgressivePlan plan = PlanFor(tile, &computed);
-  const double usable_rank = options_.base_utility_weight *
-                             std::max(confidence, 0.0) /
-                             static_cast<double>(plan.full_bytes);
+  const double usable_rank =
+      std::max(confidence, 0.0) / static_cast<double>(plan.full_bytes);
   const std::uint64_t chunks = plan.one_chunk() ? 1 : 2;
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -136,8 +128,11 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
   if (computed) ++stats_.plans_computed;
   stats_.chunks_enqueued += chunks;
   auto it = sessions_.find(session_id);
-  if (shutdown_ || it == sessions_.end() || it->second->unregistering) {
-    // Retired on arrival; counted so the books still balance.
+  if (shutdown_ || it == sessions_.end() || it->second->unregistering ||
+      generation < it->second->live_generation) {
+    // Retired on arrival; counted so the books still balance. An older
+    // generation lands here when it raced the CancelStaleGenerations that
+    // superseded it (PushStream::Accept checks outside this lock).
     stats_.stale_chunks_dropped += chunks;
     return;
   }
@@ -153,7 +148,6 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
   base.bytes = plan.base_bytes;
   base.utility_per_byte = usable_rank;
   base.enqueue_ms = now;
-  base.deadline_ms = deadline_ms;
   base.seq = ++seq_counter_;
   base.trace_id = trace_id;
   base.payload = std::move(plan.coarse);
@@ -168,11 +162,9 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
     refine.usable = false;
     refine.awaiting_base = true;
     refine.bytes = plan.refinement_bytes;
-    refine.utility_per_byte = options_.refine_utility_weight *
-                              std::max(confidence, 0.0) /
+    refine.utility_per_byte = std::max(confidence, 0.0) /
                               static_cast<double>(plan.refinement_bytes);
     refine.enqueue_ms = now;
-    refine.deadline_ms = deadline_ms;
     refine.seq = ++seq_counter_;
     refine.trace_id = trace_id;
     refine.payload = std::move(plan.exact);
@@ -268,11 +260,7 @@ void StreamScheduler::RefillBudgetsLocked(double now_ms) {
 void StreamScheduler::ExpireLocked(double now_ms) {
   if (!(options_.max_chunk_age_ms > 0.0)) return;
   for (auto job = jobs_.begin(); job != jobs_.end();) {
-    // Sentinel-stamped chunks (submitted clockless) are exempt: the stamp
-    // is "unknown age", not virtual time 0, so a late-wired clock cannot
-    // force-flush the backlog.
-    if (job->enqueue_ms >= 0.0 &&
-        now_ms - job->enqueue_ms > options_.max_chunk_age_ms) {
+    if (now_ms - job->enqueue_ms > options_.max_chunk_age_ms) {
       job = DropLocked(job, &stats_.expired_chunks_dropped);
     } else {
       ++job;
@@ -302,87 +290,22 @@ bool StreamScheduler::EligibleLocked(const ChunkJob& job,
   return true;
 }
 
-std::list<StreamScheduler::ChunkJob>::iterator StreamScheduler::SelectLocked(
-    double now_ms) {
-  const bool fairness = options_.fairness_share > 0.0;
-  const bool deadline =
-      options_.deadline_aware && options_.clock != nullptr;
-  for (;;) {
-    auto best = jobs_.end();
-    auto edf = jobs_.end();
-    for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
-      auto session = sessions_.find(it->session_id);
-      if (session == sessions_.end() ||
-          !EligibleLocked(*it, *session->second)) {
-        continue;
-      }
-      if (best == jobs_.end() ||
-          BetterJob(it->usable, it->utility_per_byte, it->seq,
-                    best->usable, best->utility_per_byte, best->seq)) {
-        best = it;
-      }
-      if (deadline && it->deadline_ms < kNoDeadline &&
-          it->utility_per_byte >= options_.deadline_utility_bar) {
-        if (edf == jobs_.end() ||
-            (it->usable != edf->usable ? it->usable
-             : it->deadline_ms != edf->deadline_ms
-                 ? it->deadline_ms < edf->deadline_ms
-                 : it->seq < edf->seq)) {
-          edf = it;
-        }
-      }
+std::list<StreamScheduler::ChunkJob>::iterator
+StreamScheduler::SelectLocked() {
+  auto best = jobs_.end();
+  for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
+    auto session = sessions_.find(it->session_id);
+    if (session == sessions_.end() ||
+        !EligibleLocked(*it, *session->second)) {
+      continue;
     }
-    if (best == jobs_.end()) return best;
-
-    // EDF urgency first: chunks above the bar push earliest-deadline-first
-    // within their class. Expired ones demote back to utility order so
-    // overload cannot consume the urgent budget (PR 7's rule).
-    if (edf != jobs_.end() && edf->usable == best->usable) {
-      if (now_ms >= 0.0 && edf->deadline_ms < now_ms) {
-        ++stats_.deadline_misses;
-        edf->deadline_ms = kNoDeadline;
-        continue;  // rescan without this deadline
-      }
-      ++stats_.deadline_picks;
-      if (edf != best) ++stats_.deadline_promotions;
-      return edf;
+    if (best == jobs_.end() ||
+        BetterJob(it->usable, it->utility_per_byte, it->seq, best->usable,
+                  best->utility_per_byte, best->seq)) {
+      best = it;
     }
-
-    // Fairness slice: every 1/share picks serve the most-underserved-by-
-    // bytes session's best eligible chunk (weight-normalized; credit
-    // banked fractionally, carried over rounds EDF consumed).
-    if (fairness && fairness_credit_ >= 1.0) {
-      auto pick = jobs_.end();
-      double pick_served = 0.0;
-      for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
-        auto session = sessions_.find(it->session_id);
-        if (session == sessions_.end() ||
-            !EligibleLocked(*it, *session->second)) {
-          continue;
-        }
-        double served =
-            session->second->bytes_served / session->second->limits.weight;
-        bool new_session = pick == jobs_.end() || served < pick_served ||
-                           (served == pick_served &&
-                            it->session_id < pick->session_id);
-        bool same_session =
-            pick != jobs_.end() && it->session_id == pick->session_id &&
-            BetterJob(it->usable, it->utility_per_byte, it->seq,
-                      pick->usable, pick->utility_per_byte, pick->seq);
-        if (new_session || same_session) {
-          pick = it;
-          pick_served = served;
-        }
-      }
-      if (pick != jobs_.end()) {
-        fairness_credit_ -= 1.0;
-        ++stats_.fairness_picks;
-        if (pick != best) ++stats_.fairness_promotions;
-        return pick;
-      }
-    }
-    return best;
   }
+  return best;
 }
 
 std::list<StreamScheduler::ChunkJob>::iterator StreamScheduler::DropLocked(
@@ -419,13 +342,8 @@ std::size_t StreamScheduler::Pump() {
       ExpireLocked(now);
     }
     const bool had_work = !jobs_.empty();
-    while (ready.size() < options_.max_pump_chunks) {
-      if (options_.fairness_share > 0.0) {
-        fairness_credit_ =
-            std::min(fairness_credit_ + options_.fairness_share,
-                     static_cast<double>(options_.max_pump_chunks));
-      }
-      auto it = SelectLocked(now);
+    while (ready.size() < kMaxPumpChunks) {
+      auto it = SelectLocked();
       if (it == jobs_.end()) break;
       SessionState* state = sessions_.at(it->session_id).get();
       if (options_.clock != nullptr) {
@@ -436,7 +354,6 @@ std::size_t StreamScheduler::Pump() {
           total_tokens_ -= static_cast<double>(it->bytes);
         }
       }
-      state->bytes_served += static_cast<double>(it->bytes);
       if (it->usable && !it->exact) {
         // The base is on its way: its refinement becomes eligible (and is
         // pushed after it — ready keeps pick order).
@@ -457,9 +374,8 @@ std::size_t StreamScheduler::Pump() {
       }
       if (it->usable) {
         ++stats_.first_usable_pushes;
-        // Submit-to-usable-push wait, on the scheduler's clock. Chunks
-        // submitted clockless carry the sentinel stamp and are skipped.
-        if (ttfu_us_ != nullptr && now >= 0.0 && it->enqueue_ms >= 0.0) {
+        // Submit-to-usable-push wait, on the scheduler's clock.
+        if (ttfu_us_ != nullptr && options_.clock != nullptr) {
           ttfu_us_->Record(static_cast<std::uint64_t>(std::llround(
               std::max(now - it->enqueue_ms, 0.0) * 1000.0)));
         }
@@ -561,7 +477,6 @@ std::vector<StreamChunkInfo> StreamScheduler::SnapshotQueue() const {
     info.bytes = job.bytes;
     info.utility_per_byte = job.utility_per_byte;
     info.enqueue_ms = job.enqueue_ms;
-    info.deadline_ms = job.deadline_ms;
     out.push_back(info);
   }
   return out;
@@ -583,11 +498,6 @@ std::uint64_t RegisterStreamSchedulerMetrics(
     sink.AddCounter("fc.stream.expired_chunks_dropped",
                     s.expired_chunks_dropped);
     sink.AddCounter("fc.stream.budget_stalls", s.budget_stalls);
-    sink.AddCounter("fc.stream.deadline_picks", s.deadline_picks);
-    sink.AddCounter("fc.stream.deadline_promotions", s.deadline_promotions);
-    sink.AddCounter("fc.stream.deadline_misses", s.deadline_misses);
-    sink.AddCounter("fc.stream.fairness_picks", s.fairness_picks);
-    sink.AddCounter("fc.stream.fairness_promotions", s.fairness_promotions);
     sink.AddGauge("fc.stream.queued", static_cast<double>(scheduler->queued()));
   });
 }

@@ -34,13 +34,13 @@
 //  * Utility-per-byte allocation. Every pending USABLE chunk (a tile's
 //    first chunk: the base, or the whole blob in all-or-nothing mode)
 //    outranks every refinement. Within the usable class a chunk's rank is
-//      base_utility_weight x confidence / exact_payload_bytes
+//      confidence / exact_payload_bytes
 //    — the tile's end-state utility density, so the progressive schedule
 //    visits tiles in exactly the order the all-or-nothing schedule would,
 //    just with far fewer bytes before each tile becomes usable (the
 //    conformance property the stream harness enforces). Refinements rank
-//    refine_utility_weight x confidence / refinement_bytes. Ties break by
-//    submission order, so pull-mode pumps are fully deterministic.
+//    confidence / refinement_bytes. Ties break by submission order, so
+//    pull-mode pumps are fully deterministic.
 //  * Byte-rate budgets on the fc::Clock abstraction. Each session has a
 //    token bucket (bytes_per_ms, burst_bytes) and the scheduler has an
 //    optional global egress bucket shared by all sessions — the saturated
@@ -53,16 +53,9 @@
 //    drops its refinement with it.
 //  * Generation supersession and expiry mirror the PrefetchScheduler:
 //    CancelStaleGenerations sheds chunks from publications the user has
-//    moved past; max_chunk_age_ms expires chunks that sat queued too long.
-//    Chunks submitted while no clock is wired carry kNoEnqueueStamp, NOT
-//    stamp 0 — the expiry scan skips them, so wiring a clock late cannot
-//    force-flush the backlog as infinitely old.
-//  * Deadline mode and fairness compose like the fetch-side scheduler:
-//    with deadline_aware on, chunks at or above deadline_utility_bar push
-//    earliest-deadline-first within their class (expired ones are demoted
-//    back to utility order, counted as deadline_misses); with
-//    fairness_share s, a weighted round-robin slice serves the
-//    most-underserved-by-bytes session every 1/s picks.
+//    moved past, and a later submission from an older generation retires
+//    on arrival; max_chunk_age_ms expires chunks that sat queued too long
+//    (it needs a clock, as budgets do).
 //
 // Thread-safety: all methods are thread-safe. One mutex guards the chunk
 // list, the session registry, the buckets, and the counters (the plan memo
@@ -81,7 +74,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -106,14 +98,12 @@ struct StreamSessionLimits {
   /// Bucket capacity (also the initial balance). Chunks larger than this
   /// are sent when the bucket is full, driving it negative.
   std::size_t burst_bytes = 256 * 1024;
-  /// Fairness weight (consulted only while fairness_share > 0).
-  double weight = 1.0;
 };
 
 struct StreamSchedulerOptions {
-  /// Time source for budgets, expiry, and deadlines; the scheduler only
-  /// ever READS it. May be wired late via SetClock — chunks submitted
-  /// before that carry kNoEnqueueStamp and are exempt from expiry.
+  /// Time source for budgets and expiry; the scheduler only ever READS it.
+  /// Null: budgets are unlimited, nothing expires, and chunks carry
+  /// kNoEnqueueStamp.
   const Clock* clock = nullptr;
 
   /// Progressive two-chunk streaming (base + refinement). Off, every tile
@@ -130,30 +120,9 @@ struct StreamSchedulerOptions {
   double total_bytes_per_ms = 0.0;
   std::size_t total_burst_bytes = 1024 * 1024;
 
-  /// Utility weights of the two chunk classes (see the rank formula in the
-  /// header notes). Every usable chunk outranks every refinement
-  /// regardless of these weights.
-  double base_utility_weight = 1.0;
-  double refine_utility_weight = 0.25;
-
   /// Queued chunks older than this (virtual ms) are dropped at pump time
-  /// as expired_chunks_dropped. 0 = never expire. Chunks stamped
-  /// kNoEnqueueStamp (submitted clockless) are exempt.
+  /// as expired_chunks_dropped. 0 = never expire.
   double max_chunk_age_ms = 0.0;
-
-  /// Earliest-deadline-first within each chunk class for chunks whose
-  /// utility-per-byte clears deadline_utility_bar (requires a clock).
-  /// Expired chunks demote back to utility order (deadline_misses).
-  bool deadline_aware = false;
-  double deadline_utility_bar = 0.0;
-
-  /// Fraction of pump picks reserved for the most-underserved-by-bytes
-  /// session (weighted by StreamSessionLimits::weight), in [0, 1]. 0
-  /// disables the fairness layer — pick order is pure class/utility.
-  double fairness_share = 0.0;
-
-  /// Chunks pushed per Pump() round at most (bounds sink work per call).
-  std::size_t max_pump_chunks = 64;
 
   /// Telemetry (optional, zero hot-path cost when null). With `metrics`,
   /// each first-usable push records fc.stream.ttfu_us — submit-to-push
@@ -190,15 +159,6 @@ struct StreamSchedulerStats {
   std::uint64_t expired_chunks_dropped = 0;
   /// Pump rounds that found queued work but pushed nothing for budget.
   std::uint64_t budget_stalls = 0;
-  /// Deadline mode: EDF picks, picks that jumped a strictly
-  /// higher-utility chunk, and chunks reached past their deadline.
-  std::uint64_t deadline_picks = 0;
-  std::uint64_t deadline_promotions = 0;
-  std::uint64_t deadline_misses = 0;
-  /// Fairness slice: picks, and picks that jumped a strictly
-  /// higher-utility chunk.
-  std::uint64_t fairness_picks = 0;
-  std::uint64_t fairness_promotions = 0;
 };
 
 /// A queued chunk, as reported by SnapshotQueue() (push order not implied).
@@ -211,23 +171,19 @@ struct StreamChunkInfo {
   double utility_per_byte = 0.0;
   /// Virtual submit time; kNoEnqueueStamp when submitted clockless.
   double enqueue_ms = -1.0;
-  double deadline_ms = std::numeric_limits<double>::infinity();
 };
 
 /// Process-wide continuous push channel. One instance serves every session
 /// of a SessionManager; server::PushStream is the per-session facade.
 class StreamScheduler {
  public:
-  /// Enqueue stamp of chunks submitted while no clock was wired. A
-  /// sentinel, NOT virtual time 0: the expiry scan skips these instead of
-  /// treating them as infinitely old (which would force-flush the whole
-  /// backlog the moment a clock appears). Same convention as
+  /// Enqueue stamp of chunks submitted to a clockless scheduler. A
+  /// sentinel, NOT virtual time 0. Same convention as
   /// PrefetchScheduler::kNoEnqueueStamp.
   static constexpr double kNoEnqueueStamp = -1.0;
 
-  /// Deadline for submissions without one: never urgent.
-  static constexpr double kNoDeadline =
-      std::numeric_limits<double>::infinity();
+  /// Chunks pushed per Pump() round at most (bounds sink work per call).
+  static constexpr std::size_t kMaxPumpChunks = 64;
 
   /// Most payload bytes (Tile::SizeBytes) the plan memo holds.
   static constexpr std::size_t kPlanMemoBytes = 16ull << 20;
@@ -271,32 +227,28 @@ class StreamScheduler {
 
   /// Drops the session's queued chunks from generations other than
   /// `live_generation` — the push-side supersession a new publication
-  /// triggers. Does not wait for in-flight pushes (their receivers
-  /// generation-check anyway, see CacheManager::AcceptPrefetched).
+  /// triggers — and records `live_generation`, so later submissions from
+  /// older generations retire on arrival. Does not wait for in-flight
+  /// pushes (their receivers generation-check anyway, see
+  /// CacheManager::AcceptPrefetched).
   void CancelStaleGenerations(std::uint64_t session_id,
                               std::uint64_t live_generation);
 
-  /// Wires (or replaces) the time source. Chunks already queued keep their
-  /// stamps — including the clockless sentinel, which stays exempt from
-  /// expiry. Budgets start metering from the next pump.
-  void SetClock(const Clock* clock);
-
   /// Plans `tile`'s chunks per the progressive codec (one whole chunk in
   /// all-or-nothing mode), or reuses the memoized plan of this live tile
-  /// object, and queues them for `session_id`. `confidence`
-  /// feeds the utility rank; `deadline_ms` is an absolute virtual time
-  /// (kNoDeadline = none). Submissions to an unknown or unregistering
-  /// session, or after Shutdown, are retired on arrival: counted as
-  /// submitted and enqueued, then dropped as stale. With an executor,
-  /// submission kicks the self-pump. `trace_id` (0 = unsampled) attributes
-  /// the resulting chunk pushes to the publishing request's trace.
+  /// object, and queues them for `session_id`. `confidence` feeds the
+  /// utility rank. Submissions to an unknown or unregistering session,
+  /// from a generation older than the session's live one, or after
+  /// Shutdown, are retired on arrival: counted as submitted and enqueued,
+  /// then dropped as stale. With an executor, submission kicks the
+  /// self-pump. `trace_id` (0 = unsampled) attributes the resulting chunk
+  /// pushes to the publishing request's trace.
   void SubmitTile(std::uint64_t session_id, const tiles::TileKey& key,
                   const tiles::TilePtr& tile, std::uint64_t generation,
-                  double confidence, double deadline_ms = kNoDeadline,
-                  std::uint64_t trace_id = 0);
+                  double confidence, std::uint64_t trace_id = 0);
 
   /// One bounded pump round: refills buckets from the clock, expires stale
-  /// chunks, then pushes up to max_pump_chunks budget-eligible chunks in
+  /// chunks, then pushes up to kMaxPumpChunks budget-eligible chunks in
   /// class/utility order. Returns the number pushed. This is the pull-mode
   /// hook; safe to call concurrently with the self-pump.
   std::size_t Pump();
@@ -333,7 +285,6 @@ class StreamScheduler {
     std::size_t bytes = 0;
     double utility_per_byte = 0.0;
     double enqueue_ms = kNoEnqueueStamp;
-    double deadline_ms = kNoDeadline;
     std::uint64_t seq = 0;  ///< Submission order; deterministic tie-break.
     std::uint64_t trace_id = 0;  ///< Publishing request's trace (0 = off).
     tiles::TilePtr payload;  ///< Decoded at this chunk's fidelity.
@@ -346,10 +297,11 @@ class StreamScheduler {
     /// larger than the burst (sent at full bucket).
     double tokens = 0.0;
     /// Virtual time of the last refill; kNoEnqueueStamp before the first
-    /// metered pump (no retroactive credit when a clock appears late).
+    /// metered pump.
     double last_refill_ms = kNoEnqueueStamp;
-    /// Cumulative pushed bytes / weight drives the fairness slice.
-    double bytes_served = 0.0;
+    /// The last CancelStaleGenerations generation; submissions from older
+    /// generations retire on arrival.
+    std::uint64_t live_generation = 0;
     std::size_t in_flight = 0;  ///< Pushes handed to the sink, not settled.
     bool unregistering = false;
   };
@@ -390,17 +342,16 @@ class StreamScheduler {
   /// clock. Caller holds mu_.
   void RefillBudgetsLocked(double now_ms);
 
-  /// Drops queued chunks older than max_chunk_age_ms (sentinel-stamped
-  /// chunks exempt). Caller holds mu_.
+  /// Drops queued chunks older than max_chunk_age_ms. Caller holds mu_.
   void ExpireLocked(double now_ms);
 
   /// Whether `job` may be pushed right now (session live, base pushed,
   /// both buckets can cover it). Caller holds mu_.
   bool EligibleLocked(const ChunkJob& job, const SessionState& state) const;
 
-  /// Selects the next chunk to push per the class/deadline/fairness/
-  /// utility order, or jobs_.end(). Caller holds mu_.
-  std::list<ChunkJob>::iterator SelectLocked(double now_ms);
+  /// Selects the best eligible chunk by class, then utility, then
+  /// submission order, or jobs_.end(). Caller holds mu_.
+  std::list<ChunkJob>::iterator SelectLocked();
 
   /// Removes `it` and, when it gates a refinement that can now never
   /// apply, that refinement too. `counter` classifies the drop. Caller
@@ -423,9 +374,6 @@ class StreamScheduler {
   std::uint64_t seq_counter_ = 0;
   double total_tokens_ = 0.0;
   double total_last_refill_ms_ = kNoEnqueueStamp;
-  /// Banked fairness picks (fractional): every pick adds fairness_share,
-  /// a served fairness pick subtracts 1. Capped at one pump round.
-  double fairness_credit_ = 0.0;
   bool pump_armed_ = false;  ///< A self-pump task is queued or running.
   std::size_t in_flight_pushes_ = 0;
   bool shutdown_ = false;

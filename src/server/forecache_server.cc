@@ -192,11 +192,7 @@ Result<ServedRequest> ForeCacheServer::HandleRequest(
       // carry can possibly complete, shedding the previous generation's
       // queued chunks. The trace id rides along so sampled requests' chunk
       // pushes record stream.push spans downstream.
-      stream_->BeginGeneration(
-          generation, plan,
-          think_ms > 0.0 ? time_->NowMillis() + think_ms
-                         : core::StreamScheduler::kNoDeadline,
-          trace_ctx.trace_id);
+      stream_->BeginGeneration(generation, plan, trace_ctx.trace_id);
     }
     scheduler_->Publish(scheduler_session_, generation, std::move(plan),
                         think_ms, trace_ctx.trace_id);

@@ -25,11 +25,10 @@ PushStream::~PushStream() { scheduler_->UnregisterSession(stream_session_); }
 
 void PushStream::BeginGeneration(
     std::uint64_t generation, const std::vector<core::PrefetchCandidate>& plan,
-    double deadline_ms, std::uint64_t trace_id) {
+    std::uint64_t trace_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     generation_ = generation;
-    deadline_ms_ = deadline_ms;
     trace_id_ = trace_id;
     confidences_.clear();
     confidences_.reserve(plan.size());
@@ -43,7 +42,6 @@ void PushStream::BeginGeneration(
 void PushStream::Accept(const tiles::TileKey& key, const tiles::TilePtr& tile,
                         std::uint64_t generation) {
   double confidence = 0.0;
-  double deadline_ms = core::StreamScheduler::kNoDeadline;
   std::uint64_t trace_id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -53,12 +51,11 @@ void PushStream::Accept(const tiles::TileKey& key, const tiles::TilePtr& tile,
     }
     auto it = confidences_.find(key);
     if (it != confidences_.end()) confidence = it->second;
-    deadline_ms = deadline_ms_;
     trace_id = trace_id_;
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
   scheduler_->SubmitTile(stream_session_, key, tile, generation, confidence,
-                         deadline_ms, trace_id);
+                         trace_id);
 }
 
 void PushStream::Cancel() { scheduler_->CancelSession(stream_session_); }

@@ -95,10 +95,9 @@ SessionManager::SessionManager(storage::TileStore* store, SimClock* clock,
   // fills through a queue of its own.
   if (options_.use_prefetch_scheduler && executor_ != nullptr &&
       shared_cache_ != nullptr) {
-    // Batch lingering and deadlines age against the same time base the
-    // servers measure on — the wall clock in a real deployment, else the
-    // virtual clock the stores charge — unless the caller wired an
-    // explicit one.
+    // Deadlines age against the same time base the servers measure on —
+    // the wall clock in a real deployment, else the virtual clock the
+    // stores charge — unless the caller wired an explicit one.
     core::PrefetchSchedulerOptions scheduler_options =
         options_.prefetch_scheduler;
     if (scheduler_options.clock == nullptr) {

@@ -101,9 +101,8 @@ struct SessionManagerOptions {
   ///
   /// Batched backend I/O rides here too: set prefetch_scheduler.batch
   /// (storage::BatchProfile) to let each drain round pop the top-k pending
-  /// fills into one backend round trip — the manager wires its SimClock
-  /// into the scheduler so batch.max_linger_ms ages against virtual time.
-  /// The default profile (max_batch_tiles = 1) keeps the per-tile drain.
+  /// fills into one backend round trip. The default profile
+  /// (max_batch_tiles = 1) keeps the per-tile drain.
   ///
   /// Deadline-aware draining: set prefetch_scheduler.deadline_aware to
   /// bound per-session staleness under saturation. Every session's server
@@ -122,8 +121,8 @@ struct SessionManagerOptions {
   /// order bit-identical to the shares-less scheduler.
   ///
   /// Real deployments: set server.wall_clock (and leave
-  /// prefetch_scheduler.clock null) to run think-time gaps, deadlines, and
-  /// linger aging against monotonic wall time instead of the SimClock.
+  /// prefetch_scheduler.clock null) to run think-time gaps and deadlines
+  /// against monotonic wall time instead of the SimClock.
   bool use_prefetch_scheduler = true;
   core::PrefetchSchedulerOptions prefetch_scheduler;
 
@@ -131,9 +130,10 @@ struct SessionManagerOptions {
   /// fills detour through a process-wide StreamScheduler that splits them
   /// into progressive chunks and pushes them to each session under
   /// server.push_stream's byte budget, coarse-usable first
-  /// (core/stream_scheduler.h). The manager wires the same clock the
-  /// prefetch scheduler ages against. Off (the default), fills land in the
-  /// regions whole — bit-identical to the streaming-less serving core.
+  /// (core/stream_scheduler.h), in utility-per-byte order. The manager
+  /// wires the same clock the prefetch scheduler reads, which meters the
+  /// byte budgets. Off (the default), fills land in the regions whole —
+  /// bit-identical to the streaming-less serving core.
   bool use_push_streaming = false;
   core::StreamSchedulerOptions stream_scheduler;
 

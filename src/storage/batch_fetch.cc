@@ -1,85 +1,16 @@
 #include "storage/batch_fetch.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <limits>
 
 namespace fc::storage {
 
-FetchBatcher::FetchBatcher(BatchProfile profile, std::size_t nominal_tile_bytes)
-    : profile_(profile) {
-  max_tiles_ = std::max<std::size_t>(profile_.max_batch_tiles, 1);
-  if (profile_.max_batch_bytes > 0 && nominal_tile_bytes > 0) {
-    // Floor division: a full batch of nominal tiles stays within the byte
-    // bound. A bound smaller than one tile still allows single-tile trips
-    // (byte budgets cap amortization, they cannot stop fetching).
-    std::size_t by_bytes =
-        std::max<std::size_t>(profile_.max_batch_bytes / nominal_tile_bytes, 1);
-    max_tiles_ = std::min(max_tiles_, by_bytes);
-  }
-}
-
-std::size_t FetchBatcher::PlanPop(std::size_t depth, double oldest_enqueue_ms,
-                                  double now_ms, bool can_defer) const {
-  if (depth == 0) return 0;
-  if (depth >= max_tiles_) return max_tiles_;
-  // Partial batch. Linger only while another fill guarantees a re-plan,
-  // and only until the oldest entry has waited its bound out.
-  if (can_defer && profile_.max_linger_ms > 0.0 &&
-      now_ms - oldest_enqueue_ms < profile_.max_linger_ms) {
-    return 0;
-  }
-  return depth;
-}
-
-double FetchBatcher::PriorityBar(double top_priority) const {
-  const double window =
-      std::clamp(profile_.adjacency_priority_window, 0.0, 1.0);
-  return top_priority * (1.0 - window);
-}
-
-std::size_t FetchBatcher::CandidateCap(std::size_t budget) const {
-  // 4x the batch gives run completion real alternatives without turning
-  // the pop into a queue scan; the bar usually cuts it off first.
-  return budget * 4;
-}
-
-std::vector<std::size_t> FetchBatcher::SelectAdjacent(
-    const std::vector<BatchCandidate>& candidates, std::size_t budget) const {
-  std::vector<std::size_t> selected;
-  if (candidates.empty() || budget == 0) return selected;
-  selected.reserve(std::min(budget, candidates.size()));
-  std::vector<std::uint64_t> codes(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    codes[i] = tiles::MortonCode(candidates[i].key);
-  }
-  std::vector<bool> taken(candidates.size(), false);
-  // The top entry anchors the batch: the adjacency window may reorder what
-  // rides ALONG with it, never displace it.
-  selected.push_back(0);
-  taken[0] = true;
-  while (selected.size() < budget && selected.size() < candidates.size()) {
-    std::size_t best = candidates.size();
-    std::uint64_t best_gap = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (taken[i]) continue;
-      std::uint64_t gap = std::numeric_limits<std::uint64_t>::max();
-      for (std::size_t s : selected) {
-        const std::uint64_t lo = std::min(codes[i], codes[s]);
-        const std::uint64_t hi = std::max(codes[i], codes[s]);
-        gap = std::min(gap, hi - lo);
-      }
-      // Strict < keeps ties on the earlier (higher-priority) index.
-      if (gap < best_gap) {
-        best_gap = gap;
-        best = i;
-      }
-    }
-    if (best == candidates.size()) break;
-    taken[best] = true;
-    selected.push_back(best);
-  }
-  return selected;
+std::size_t BatchTileCap(const BatchProfile& profile,
+                         std::size_t nominal_tile_bytes) {
+  const std::size_t cap = std::max<std::size_t>(profile.max_batch_tiles, 1);
+  if (profile.max_batch_bytes == 0 || nominal_tile_bytes == 0) return cap;
+  // Byte budgets cap amortization; they cannot stop fetching.
+  return std::min(cap, std::max<std::size_t>(
+                           profile.max_batch_bytes / nominal_tile_bytes, 1));
 }
 
 }  // namespace fc::storage

@@ -1,5 +1,5 @@
-// Batched backend I/O planning: how many queued tile fetches should ride
-// one backend round trip, and when a partial batch should wait for more.
+// Batched backend I/O planning: how many queued tile fetches may ride one
+// backend round trip.
 //
 // The paper's dominant cost is the backend round trip (a SciDB tile query
 // measured ~984 ms, most of it fixed per-query overhead). One process
@@ -7,26 +7,20 @@
 // the PrefetchScheduler's priority queue — yet issuing them one query per
 // tile pays the fixed overhead once per tile. Khameleon's server-side
 // scheduler and Kyrix's tile server both show the fix: form few large
-// backend requests from the globally ordered demand. This header is that
-// policy layer: a BatchProfile describes what the backend can amortize,
-// and a FetchBatcher turns queue state into a pop size for one
-// TileStore::FetchBatch round trip.
+// backend requests from the globally ordered demand. A BatchProfile
+// describes what the backend can amortize, and BatchTileCap turns it into
+// the per-round tile cap; each drain round pops min(queue depth, cap) of
+// the top pending entries into one TileStore::FetchBatch round trip.
 //
 // The mechanism (multi-key fetch) lives on TileStore::FetchBatch; the
 // landing (multi-owner cache admission) on SharedTileCache::
 // GetOrFetchSharedBatch; the call site in PrefetchScheduler's drain loop,
 // which already sees the global priority order. See docs/backend-io.md.
-//
-// Thread-safety: FetchBatcher is immutable after construction; call it
-// from any thread.
 
 #ifndef FORECACHE_STORAGE_BATCH_FETCH_H_
 #define FORECACHE_STORAGE_BATCH_FETCH_H_
 
 #include <cstddef>
-#include <vector>
-
-#include "tiles/tile_key.h"
 
 namespace fc::storage {
 
@@ -41,97 +35,19 @@ struct BatchProfile {
   std::size_t max_batch_tiles = 1;
 
   /// Upper bound on decoded payload bytes per round trip (0 = unbounded).
-  /// Sized against the backend's response buffer; the planner converts it
+  /// Sized against the backend's response buffer; BatchTileCap converts it
   /// into a tile cap via the pyramid's nominal tile size.
   std::size_t max_batch_bytes = 0;
-
-  /// How long (virtual SimClock milliseconds) a PARTIAL batch may wait for
-  /// more keys before draining anyway. 0 drains immediately. Lingering is
-  /// only ever allowed while another fill is in flight, so a lingering
-  /// queue is always re-examined when that fill completes — the planner
-  /// can defer, never deadlock.
-  double max_linger_ms = 0.0;
-
-  /// Bounded priority inversion for spatially coherent batches. 0 (the
-  /// default) pops in strict priority order. A window w in (0, 1] lets
-  /// batch formation choose among every queued entry whose priority is at
-  /// least (1 - w) x the top entry's priority — all "close enough to the
-  /// bar" — preferring entries that COMPLETE a spatial run (nearest on the
-  /// Morton curve to what the batch already holds) over strictly higher
-  /// priority. A run-shaped batch is what the range planner
-  /// (storage/range_plan.h) turns into few merged-extent scans or vectored
-  /// reads, so a small inversion here multiplies downstream. Entries below
-  /// the bar are never popped early, which bounds the inversion: nothing
-  /// yields its slot to an entry more than w of its priority away.
-  double adjacency_priority_window = 0.0;
 };
 
-/// One pending queue entry offered to adjacency-aware batch formation,
-/// in strict priority order (index 0 = top of queue).
-struct BatchCandidate {
-  tiles::TileKey key;
-  double priority = 0.0;
-};
-
-/// Turns (queue depth, oldest entry age, in-flight state) into "pop this
-/// many entries into one round trip". Stateless beyond its profile.
-class FetchBatcher {
- public:
-  /// `nominal_tile_bytes` converts max_batch_bytes into a tile cap
-  /// (ceil-free: a batch never exceeds the byte bound assuming nominal
-  /// payloads). 0 leaves the byte bound unapplied.
-  explicit FetchBatcher(BatchProfile profile,
-                        std::size_t nominal_tile_bytes = 0);
-
-  const BatchProfile& profile() const { return profile_; }
-
-  /// Effective per-round-trip tile cap after the byte bound. Always >= 1.
-  std::size_t max_tiles() const { return max_tiles_; }
-
-  /// Plans one drain round over a queue of `depth` pending tiles whose
-  /// oldest entry was enqueued at `oldest_enqueue_ms` (virtual time; pass
-  /// now_ms when unknown). Returns how many entries to pop now:
-  ///  * 0 when the queue is empty — nothing to do;
-  ///  * 0 when the batch would be partial, `can_defer` is true, and the
-  ///    oldest entry has not yet lingered max_linger_ms — wait for more;
-  ///  * otherwise min(depth, max_tiles()).
-  /// Callers must pass can_defer = false when no other fill is in flight,
-  /// guaranteeing progress (a deferred queue is always re-planned by a
-  /// completing fill).
-  std::size_t PlanPop(std::size_t depth, double oldest_enqueue_ms,
-                      double now_ms, bool can_defer) const;
-
-  /// True when batch formation should collect candidates and call
-  /// SelectAdjacent instead of popping in strict priority order: an
-  /// adjacency window is configured and round trips can carry > 1 tile.
-  bool adjacency_enabled() const {
-    return profile_.adjacency_priority_window > 0.0 && max_tiles_ > 1;
-  }
-
-  /// The lowest priority allowed to displace a strict-priority pop, given
-  /// the queue's top priority: (1 - window) x top, window clamped to [0, 1].
-  double PriorityBar(double top_priority) const;
-
-  /// How many queue entries (those clearing the bar) are worth collecting
-  /// as candidates for a batch of `budget`: a small multiple, so the
-  /// selection scan stays O(batch^2) regardless of queue depth.
-  std::size_t CandidateCap(std::size_t budget) const;
-
-  /// Picks up to `budget` of `candidates` (ALL of which must already clear
-  /// the priority bar; index 0 is the top of the queue and is always
-  /// taken). Greedy run completion: repeatedly take the candidate nearest
-  /// on the Morton curve to anything already selected — cross-level
-  /// distances are astronomical under MortonCode's level separation, so
-  /// runs naturally stay within one zoom level — breaking ties toward the
-  /// higher-priority (earlier) index. Returns selected indices into
-  /// `candidates`; unselected entries stay queued for the next round.
-  std::vector<std::size_t> SelectAdjacent(
-      const std::vector<BatchCandidate>& candidates, std::size_t budget) const;
-
- private:
-  BatchProfile profile_;
-  std::size_t max_tiles_;
-};
+/// The per-round-trip tile cap of `profile`, always >= 1: max_batch_tiles,
+/// lowered to the number of `nominal_tile_bytes` tiles that fit in
+/// max_batch_bytes (floor division, so a full batch of nominal tiles stays
+/// within the byte bound; a bound smaller than one tile still allows
+/// single-tile trips). `nominal_tile_bytes` 0 leaves the byte bound
+/// unapplied.
+std::size_t BatchTileCap(const BatchProfile& profile,
+                         std::size_t nominal_tile_bytes = 0);
 
 }  // namespace fc::storage
 

@@ -1,4 +1,4 @@
-// Batched backend I/O tests: the FetchBatcher planner, FetchBatch on every
+// Batched backend I/O tests: the per-round tile cap, FetchBatch on every
 // store backend (loop fallback, simulated DBMS amortization, disk coalesced
 // pass, batch-aware single flight), the query/tile counter split, and the
 // shared cache's multi-owner batch landing (GetOrFetchSharedBatch).
@@ -11,6 +11,7 @@
 #include <mutex>
 #include <thread>
 
+#include "core/prefetch_scheduler.h"
 #include "core/shared_tile_cache.h"
 #include "storage/batch_fetch.h"
 #include "storage/tile_store.h"
@@ -47,56 +48,59 @@ namespace fc::storage {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FetchBatcher planner
+// Per-round tile cap
 
-TEST(FetchBatcherTest, PlanPopGoldens) {
+TEST(BatchTileCapTest, PopGoldens) {
   BatchProfile profile;
   profile.max_batch_tiles = 8;
-  FetchBatcher batcher(profile);
-  EXPECT_EQ(batcher.max_tiles(), 8u);
+  EXPECT_EQ(BatchTileCap(profile), 8u);
 
+  // A drain round pops min(queue depth, cap) of the top entries into one
+  // round trip.
+  auto pyramid = SmallPyramid();
+  MemoryTileStore store(pyramid);
+  core::PrefetchSchedulerOptions options;
+  options.batch = profile;
+  core::PrefetchScheduler scheduler(&store, /*executor=*/nullptr,
+                                    /*shared=*/nullptr, options);
+  const auto id = scheduler.RegisterSession(
+      1, [](const tiles::TileKey&, const tiles::TilePtr&, std::uint64_t) {});
   // Empty queue: nothing to pop.
-  EXPECT_EQ(batcher.PlanPop(0, 0.0, 0.0, false), 0u);
-  EXPECT_EQ(batcher.PlanPop(0, 0.0, 0.0, true), 0u);
+  EXPECT_FALSE(scheduler.DrainOne());
+  EXPECT_EQ(store.query_count(), 0u);
+
+  const auto keys = pyramid->spec().AllKeys();
+  ASSERT_GE(keys.size(), 11u);
+  std::vector<core::PrefetchCandidate> candidates;
+  for (std::size_t i = 0; i < 11; ++i) {
+    candidates.push_back({keys[i], 1.0 - 0.01 * static_cast<double>(i)});
+  }
+  scheduler.Publish(id, 1, std::move(candidates));
   // Deep queue: one full batch.
-  EXPECT_EQ(batcher.PlanPop(20, 0.0, 0.0, false), 8u);
-  EXPECT_EQ(batcher.PlanPop(8, 0.0, 0.0, true), 8u);
-  // Partial batch without lingering configured: drain what is there.
-  EXPECT_EQ(batcher.PlanPop(3, 0.0, 0.0, true), 3u);
-  EXPECT_EQ(batcher.PlanPop(3, 0.0, 0.0, false), 3u);
+  ASSERT_TRUE(scheduler.DrainOne());
+  EXPECT_EQ(store.query_count(), 1u);
+  EXPECT_EQ(store.fetch_count(), 8u);
+  // Partial batch: drain what is there.
+  ASSERT_TRUE(scheduler.DrainOne());
+  EXPECT_EQ(store.query_count(), 2u);
+  EXPECT_EQ(store.fetch_count(), 11u);
+  EXPECT_FALSE(scheduler.DrainOne());
 }
 
-TEST(FetchBatcherTest, LingerDefersPartialBatchesOnlyWhileSafe) {
-  BatchProfile profile;
-  profile.max_batch_tiles = 8;
-  profile.max_linger_ms = 50.0;
-  FetchBatcher batcher(profile);
-
-  // Young partial batch + another fill in flight: wait for more keys.
-  EXPECT_EQ(batcher.PlanPop(3, /*oldest=*/100.0, /*now=*/120.0, true), 0u);
-  // Same age but nothing else in flight: deferring could strand the queue,
-  // so the planner must flush.
-  EXPECT_EQ(batcher.PlanPop(3, 100.0, 120.0, false), 3u);
-  // Linger expired: flush even though deferring would be safe.
-  EXPECT_EQ(batcher.PlanPop(3, 100.0, 151.0, true), 3u);
-  // A full batch never lingers.
-  EXPECT_EQ(batcher.PlanPop(9, 100.0, 120.0, true), 8u);
-}
-
-TEST(FetchBatcherTest, ByteBoundCapsTiles) {
+TEST(BatchTileCapTest, ByteBoundCapsTiles) {
   BatchProfile profile;
   profile.max_batch_tiles = 16;
   profile.max_batch_bytes = 3000;
   // 1000-byte nominal tiles: 3 fit.
-  EXPECT_EQ(FetchBatcher(profile, 1000).max_tiles(), 3u);
+  EXPECT_EQ(BatchTileCap(profile, 1000), 3u);
   // No nominal size: the byte bound cannot be applied.
-  EXPECT_EQ(FetchBatcher(profile, 0).max_tiles(), 16u);
+  EXPECT_EQ(BatchTileCap(profile, 0), 16u);
   // Bound smaller than one tile still allows single-tile trips.
-  EXPECT_EQ(FetchBatcher(profile, 5000).max_tiles(), 1u);
+  EXPECT_EQ(BatchTileCap(profile, 5000), 1u);
   // max_batch_tiles = 0 is treated as 1 (batching disabled).
   BatchProfile zero;
   zero.max_batch_tiles = 0;
-  EXPECT_EQ(FetchBatcher(zero).max_tiles(), 1u);
+  EXPECT_EQ(BatchTileCap(zero), 1u);
 }
 
 // ---------------------------------------------------------------------------

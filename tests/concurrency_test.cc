@@ -636,7 +636,6 @@ void RunTeardownUnderInFlightMergedFills(bool deadline_aware) {
     // scheduler down before any session dies; deadlines only reorder
     // drains, they add no timer with its own lifetime.
     options.prefetch_scheduler.deadline_aware = true;
-    options.prefetch_scheduler.default_think_ms = 0.5;
     options.server.think_time.min_ms = 0.5;
   }
 

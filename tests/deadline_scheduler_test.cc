@@ -180,9 +180,9 @@ TEST(DeadlineSchedulerTest, ExpiredEntriesCountAsMisses) {
   EXPECT_EQ(delivered.size(), 1u);  // still delivered: miss, not drop
 }
 
-TEST(DeadlineSchedulerTest, NoEstimateFallsBackToDefaultThinkOrUtility) {
-  // think_ms <= 0 with no default: the entry is deadline-free and drains
-  // via utility order even in deadline mode.
+TEST(DeadlineSchedulerTest, NoEstimateDrainsInUtilityOrder) {
+  // think_ms <= 0: the entry is deadline-free and drains via utility order
+  // even in deadline mode.
   DeadlineHarness h(/*deadline_aware=*/true);
   std::vector<tiles::TileKey> delivered;
   const auto s1 = Register(*h.scheduler, 1, &delivered);
@@ -205,9 +205,9 @@ TEST(DeadlineSchedulerTest, NoEstimateFallsBackToDefaultThinkOrUtility) {
 // Clockless sentinel (the force-flush regression)
 
 TEST(DeadlineSchedulerTest, ClocklessPublishCarriesSentinelNotZeroAge) {
-  // Without a clock the entry must NOT claim enqueue time 0 — a later
-  // linger scan would read it as infinitely old and force-flush every
-  // partial batch. The sentinel is negative and skipped by that scan.
+  // Without a clock the entry must NOT claim enqueue time 0, which reads
+  // as a real (and the oldest possible) virtual time. The sentinel is
+  // negative.
   auto pyramid = SmallPyramid();
   storage::MemoryTileStore store(pyramid);
   PrefetchSchedulerOptions options;  // no clock
@@ -486,11 +486,8 @@ TEST(DeadlineSchedulerStressTest, ConcurrentDeadlineDrainsAndTeardown) {
   PrefetchSchedulerOptions scheduler_options;
   scheduler_options.max_in_flight = 3;
   scheduler_options.batch.max_batch_tiles = 4;
-  scheduler_options.batch.max_linger_ms = 5.0;
-  scheduler_options.batch.adjacency_priority_window = 0.5;
   scheduler_options.clock = &clock;
   scheduler_options.deadline_aware = true;
-  scheduler_options.default_think_ms = 8.0;
   PrefetchScheduler scheduler(&single_flight, &executor, &shared,
                               scheduler_options);
 
@@ -526,7 +523,7 @@ TEST(DeadlineSchedulerStressTest, ConcurrentDeadlineDrainsAndTeardown) {
                                  : 1.0 + rng.UniformDouble() * 20.0;
         scheduler.Publish(ids[s], static_cast<std::uint64_t>(p) + 1,
                           std::move(list), think);
-        clock.AdvanceMillis(1.0);  // ages lingering batches AND deadlines
+        clock.AdvanceMillis(1.0);  // ages deadlines
         if (p % 9 == 8) scheduler.CancelSession(ids[s]);
       }
     });

@@ -348,10 +348,8 @@ TEST(FairnessShareStressTest, ConcurrentDrainsWithSessionChurn) {
   PrefetchSchedulerOptions scheduler_options;
   scheduler_options.max_in_flight = 3;
   scheduler_options.batch.max_batch_tiles = 4;
-  scheduler_options.batch.max_linger_ms = 5.0;
   scheduler_options.clock = &clock;
   scheduler_options.deadline_aware = true;
-  scheduler_options.default_think_ms = 8.0;
   scheduler_options.fairness_share = 0.25;
   PrefetchScheduler scheduler(&single_flight, &executor, &shared,
                               scheduler_options);
@@ -385,7 +383,7 @@ TEST(FairnessShareStressTest, ConcurrentDrainsWithSessionChurn) {
                                  : 1.0 + rng.UniformDouble() * 20.0;
         scheduler.Publish(id, static_cast<std::uint64_t>(p) + 1,
                           std::move(list), think);
-        clock.AdvanceMillis(1.0);  // ages linger AND deadlines
+        clock.AdvanceMillis(1.0);  // ages deadlines
         if (p % 9 == 8) scheduler.CancelSession(id);
         if (p % 11 == 10) {
           // Session churn mid-saturation: this user leaves (retiring its

@@ -576,8 +576,8 @@ TEST(PrefetchSchedulerPropertyTest, AccountingBalancesUnderConcurrentPublishers)
 }
 
 // ---------------------------------------------------------------------------
-// TSan stress: concurrent publishers + BATCHED executor drains + lingering
-// + cancellations + shutdown while fills are in flight. Run in the CI TSan
+// TSan stress: concurrent publishers + BATCHED executor drains +
+// cancellations + shutdown while fills are in flight. Run in the CI TSan
 // job; the accounting invariant must survive an abrupt teardown too.
 
 TEST(PrefetchSchedulerBatchTest, ConcurrentBatchedDrainAndTeardownStress) {
@@ -598,7 +598,6 @@ TEST(PrefetchSchedulerBatchTest, ConcurrentBatchedDrainAndTeardownStress) {
   PrefetchSchedulerOptions scheduler_options;
   scheduler_options.max_in_flight = 3;
   scheduler_options.batch.max_batch_tiles = 4;
-  scheduler_options.batch.max_linger_ms = 5.0;  // exercise deferrals
   scheduler_options.clock = &clock;
   PrefetchScheduler scheduler(&single_flight, &executor, &shared,
                               scheduler_options);
@@ -630,7 +629,7 @@ TEST(PrefetchSchedulerBatchTest, ConcurrentBatchedDrainAndTeardownStress) {
         }
         scheduler.Publish(ids[s], static_cast<std::uint64_t>(p) + 1,
                           std::move(list));
-        clock.AdvanceMillis(1.0);  // ages pending entries past the linger
+        clock.AdvanceMillis(1.0);  // ages pending entries
         if (p % 9 == 8) scheduler.CancelSession(ids[s]);
       }
     });

@@ -1,8 +1,8 @@
 // Range-coalesced batched I/O tests: the run planners (tile runs + byte
 // runs), merged-extent pricing on SimulatedDbmsStore, the packed-extent
-// vectored read path on DiskTileStore, adjacency-aware batch formation in
-// the PrefetchScheduler, randomized coalesced-vs-per-key equivalence, and
-// TSan-covered concurrent batched drains over the packed disk store.
+// vectored read path on DiskTileStore, randomized coalesced-vs-per-key
+// equivalence, and TSan-covered concurrent batched drains over the packed
+// disk store.
 
 #include <gtest/gtest.h>
 
@@ -559,162 +559,11 @@ namespace fc::core {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Adjacency-aware batch formation in the scheduler
-
-TEST(SchedulerAdjacencyTest, WindowPullsRunCompletersIntoTheBatch) {
-  auto pyramid = SmallPyramid();
-  storage::MemoryTileStore store(pyramid);
-  PrefetchSchedulerOptions options;
-  options.batch.max_batch_tiles = 4;
-  options.batch.adjacency_priority_window = 0.5;
-  PrefetchScheduler scheduler(&store, /*executor=*/nullptr, /*shared=*/nullptr,
-                              options);
-
-  std::vector<tiles::TileKey> delivered;
-  const auto id = scheduler.RegisterSession(
-      1, [&delivered](const tiles::TileKey& key, const tiles::TilePtr& tile,
-                      std::uint64_t) {
-        ASSERT_NE(tile, nullptr);
-        delivered.push_back(key);
-      });
-
-  // Priority order alone would pop {anchor, far, near...}; the adjacency
-  // window (bar = 0.5 x 1.0) lets the three anchor-adjacent tiles displace
-  // the far one, which stays queued for the next round.
-  scheduler.Publish(id, 1,
-                    {{{2, 0, 0}, 1.0},     // anchor (always batched)
-                     {{2, 3, 3}, 0.9},     // far: clears the bar, loses ties
-                     {{2, 1, 0}, 0.8},
-                     {{2, 0, 1}, 0.7},
-                     {{2, 1, 1}, 0.6}});
-  ASSERT_TRUE(scheduler.DrainOne());
-  ASSERT_EQ(delivered.size(), 4u);
-  const std::vector<tiles::TileKey> quad = {
-      {2, 0, 0}, {2, 1, 0}, {2, 0, 1}, {2, 1, 1}};
-  for (const auto& key : quad) {
-    EXPECT_NE(std::find(delivered.begin(), delivered.end(), key),
-              delivered.end())
-        << key.ToString();
-  }
-  EXPECT_EQ(scheduler.pending(), 1u);  // the far tile waits, not dropped
-
-  ASSERT_TRUE(scheduler.DrainOne());
-  EXPECT_EQ(delivered.size(), 5u);
-  EXPECT_EQ(delivered.back(), (tiles::TileKey{2, 3, 3}));
-
-  auto stats = scheduler.Stats();
-  EXPECT_GE(stats.adjacency_reorders, 1u);
-  EXPECT_EQ(stats.fills_issued + stats.dedup_saved_fetches,
-            stats.predictions_published);
-  scheduler.Shutdown();
-}
-
-TEST(SchedulerAdjacencyTest, RepushedCandidateKeepsEnqueueStamp) {
-  // Regression: an adjacency candidate the selection passes over is
-  // re-pushed for the next round — with its ORIGINAL enqueue time, not
-  // re-stamped at the re-push. A reset stamp would silently restart the
-  // entry's linger age (and, in deadline mode, its deadline bookkeeping).
-  auto pyramid = SmallPyramid();
-  storage::MemoryTileStore store(pyramid);
-  SimClock clock;
-  PrefetchSchedulerOptions options;
-  options.batch.max_batch_tiles = 4;
-  options.batch.adjacency_priority_window = 0.5;
-  options.clock = &clock;
-  PrefetchScheduler scheduler(&store, /*executor=*/nullptr, /*shared=*/nullptr,
-                              options);
-  const auto id = scheduler.RegisterSession(
-      1, [](const tiles::TileKey&, const tiles::TilePtr&, std::uint64_t) {});
-
-  clock.AdvanceMillis(7.0);
-  scheduler.Publish(id, 1,
-                    {{{2, 0, 0}, 1.0},     // anchor
-                     {{2, 3, 3}, 0.9},     // far: collected, then re-pushed
-                     {{2, 1, 0}, 0.8},
-                     {{2, 0, 1}, 0.7},
-                     {{2, 1, 1}, 0.6}});
-  clock.AdvanceMillis(23.0);
-  ASSERT_TRUE(scheduler.DrainOne());
-
-  auto queue = scheduler.SnapshotQueue();
-  ASSERT_EQ(queue.size(), 1u);
-  EXPECT_EQ(queue[0].key, (tiles::TileKey{2, 3, 3}));
-  EXPECT_DOUBLE_EQ(queue[0].enqueue_ms, 7.0);  // publish time, not 30.0
-  scheduler.Shutdown();
-}
-
-TEST(SchedulerAdjacencyTest, DeadlineRepushKeepsDeadlineStamp) {
-  // Same regression through the deadline-mode pop: the unselected
-  // earliest-deadline candidate returns to the deadline heap with its
-  // original deadline and enqueue time intact.
-  auto pyramid = SmallPyramid();
-  storage::MemoryTileStore store(pyramid);
-  SimClock clock;
-  PrefetchSchedulerOptions options;
-  options.batch.max_batch_tiles = 4;
-  options.batch.adjacency_priority_window = 0.5;
-  options.clock = &clock;
-  options.deadline_aware = true;
-  PrefetchScheduler scheduler(&store, /*executor=*/nullptr, /*shared=*/nullptr,
-                              options);
-  const auto id = scheduler.RegisterSession(
-      1, [](const tiles::TileKey&, const tiles::TilePtr&, std::uint64_t) {});
-
-  clock.AdvanceMillis(7.0);
-  scheduler.Publish(id, 1,
-                    {{{2, 0, 0}, 1.0},
-                     {{2, 3, 3}, 0.9},
-                     {{2, 1, 0}, 0.8},
-                     {{2, 0, 1}, 0.7},
-                     {{2, 1, 1}, 0.6}},
-                    /*think_ms=*/50.0);
-  clock.AdvanceMillis(23.0);
-  ASSERT_TRUE(scheduler.DrainOne());
-
-  auto queue = scheduler.SnapshotQueue();
-  ASSERT_EQ(queue.size(), 1u);
-  EXPECT_EQ(queue[0].key, (tiles::TileKey{2, 3, 3}));
-  EXPECT_DOUBLE_EQ(queue[0].enqueue_ms, 7.0);
-  EXPECT_DOUBLE_EQ(queue[0].deadline_ms, 57.0);  // publish + think, unmoved
-
-  // The survivor drains next round despite its clock-relative age.
-  ASSERT_TRUE(scheduler.DrainOne());
-  auto stats = scheduler.Stats();
-  EXPECT_EQ(stats.fills_issued + stats.dedup_saved_fetches,
-            stats.predictions_published);
-  scheduler.Shutdown();
-}
-
-TEST(SchedulerAdjacencyTest, ZeroWindowKeepsStrictPriorityOrder) {
-  auto pyramid = SmallPyramid();
-  storage::MemoryTileStore store(pyramid);
-  PrefetchSchedulerOptions options;
-  options.batch.max_batch_tiles = 2;
-  PrefetchScheduler scheduler(&store, nullptr, nullptr, options);
-
-  std::vector<tiles::TileKey> delivered;
-  const auto id = scheduler.RegisterSession(
-      1, [&delivered](const tiles::TileKey& key, const tiles::TilePtr&,
-                      std::uint64_t) { delivered.push_back(key); });
-  scheduler.Publish(id, 1,
-                    {{{2, 0, 0}, 1.0}, {{2, 3, 3}, 0.9}, {{2, 1, 0}, 0.8}});
-  ASSERT_TRUE(scheduler.DrainOne());
-  // Without a window the batch is the top-2 by priority — adjacency plays
-  // no part, and nothing is counted as reordered.
-  ASSERT_EQ(delivered.size(), 2u);
-  EXPECT_NE(std::find(delivered.begin(), delivered.end(),
-                      (tiles::TileKey{2, 3, 3})),
-            delivered.end());
-  EXPECT_EQ(scheduler.Stats().adjacency_reorders, 0u);
-  scheduler.Shutdown();
-}
-
-// ---------------------------------------------------------------------------
 // TSan stress: concurrent publishers + batched executor drains through the
-// PACKED DISK STORE's vectored read path, with adjacency-aware popping and
-// the accounting invariant checked after an abrupt teardown.
+// PACKED DISK STORE's vectored read path, with the accounting invariant
+// checked after an abrupt teardown.
 
-TEST(SchedulerAdjacencyTest, ConcurrentBatchedDrainOverPackedDiskStore) {
+TEST(SchedulerBatchTest, ConcurrentBatchedDrainOverPackedDiskStore) {
   constexpr int kPublishers = 4;
   constexpr int kPublishesPerSession = 25;
 
@@ -734,7 +583,6 @@ TEST(SchedulerAdjacencyTest, ConcurrentBatchedDrainOverPackedDiskStore) {
   PrefetchSchedulerOptions options;
   options.max_in_flight = 3;
   options.batch.max_batch_tiles = 4;
-  options.batch.adjacency_priority_window = 0.5;
   PrefetchScheduler scheduler(&single_flight, &executor, &shared, options);
 
   const auto keys = pyramid->spec().AllKeys();

@@ -2,15 +2,17 @@
 // (core/stream_scheduler.h + server/push_stream.h).
 //
 // Deterministic pull-mode goldens pin the scheduling order (class before
-// utility, byte budgets, supersession, expiry, deadlines, fairness) and
-// the chunk books on a SimClock; a randomized property checks the progressive schedule is
+// utility, byte budgets, supersession, expiry) and the chunk books on a
+// SimClock; randomized properties check that Flush is a stable sort by
+// class then utility per byte, and that the progressive schedule is
 // observationally equivalent to the all-or-nothing one (same final tile
-// bits, first-usable chunk never later); and two executor-mode stress
-// tests (session churn mid-stream, manager teardown under in-flight
-// pushes) run under TSan in CI.
+// bits, first-usable chunk never later); and executor-mode stress tests
+// (session churn mid-stream, manager teardown under in-flight pushes) run
+// under TSan in CI.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -20,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -66,10 +69,12 @@ StreamScheduler::ChunkSink Record(std::vector<Delivery>* log,
   };
 }
 
-/// An 8x8 single-attribute tile with Gaussian cells (seeded, reproducible).
+/// A single-attribute tile with Gaussian cells (seeded, reproducible),
+/// 8x8 unless shaped otherwise.
 tiles::TilePtr GaussianTile(const tiles::TileKey& key, std::uint64_t seed,
-                            double sigma = 100.0) {
-  auto tile = tiles::Tile::Make(key, 8, 8, {"v"});
+                            double sigma = 100.0, std::int64_t width = 8,
+                            std::int64_t height = 8) {
+  auto tile = tiles::Tile::Make(key, width, height, {"v"});
   EXPECT_TRUE(tile.ok());
   Rng rng(seed);
   for (auto& v : tile->MutableAttrData(0)) v = rng.Gaussian(0, sigma);
@@ -253,6 +258,37 @@ TEST(StreamSchedulerTest, StaleGenerationsShedQueuedPairs) {
   }
 }
 
+// A submission from a generation the session has moved past — a fill that
+// passed PushStream::Accept's generation check just before BeginGeneration
+// superseded it — retires on arrival instead of queueing chunks that would
+// spend the budget and then be rejected at the region's generation gate.
+TEST(StreamSchedulerTest, SupersededGenerationRetiresOnArrival) {
+  StreamSchedulerOptions options;
+  options.codec.progressive_base_step = 8.0;
+  StreamScheduler scheduler(nullptr, options);
+  std::vector<Delivery> log;
+  const std::uint64_t session =
+      scheduler.RegisterSession(3, {}, Record(&log, 3));
+
+  scheduler.CancelStaleGenerations(session, /*live_generation=*/2);
+  scheduler.SubmitTile(session, {1, 0, 0}, GaussianTile({1, 0, 0}, 1), 1, 0.9);
+  EXPECT_EQ(scheduler.queued(), 0u);
+  // The live generation still queues.
+  scheduler.SubmitTile(session, {1, 1, 0}, GaussianTile({1, 1, 0}, 2), 2, 0.5);
+  EXPECT_EQ(scheduler.queued(), 2u);
+  EXPECT_EQ(scheduler.Flush(), 2u);
+
+  const auto stats = scheduler.Stats();
+  EXPECT_EQ(stats.tiles_submitted, 2u);
+  EXPECT_EQ(stats.chunks_enqueued, 4u);
+  EXPECT_EQ(stats.stale_chunks_dropped, 2u);
+  EXPECT_EQ(stats.chunks_pushed + stats.stale_chunks_dropped +
+                stats.expired_chunks_dropped,
+            stats.chunks_enqueued);
+  ASSERT_EQ(log.size(), 2u);
+  for (const auto& delivery : log) EXPECT_EQ(delivery.generation, 2u);
+}
+
 // Submissions the scheduler cannot take — to an unknown session, or after
 // Shutdown — are retired on arrival: counted as submitted and enqueued and
 // dropped as stale, so chunks_pushed + stale + expired == chunks_enqueued
@@ -284,37 +320,32 @@ TEST(StreamSchedulerTest, RejectedSubmissionsKeepTheBooksBalanced) {
   EXPECT_EQ(log.size(), 2u);
 }
 
-// ---------------------------------------------------------------------------
-// Clockless-sentinel regression (the kNoEnqueueStamp fix): chunks submitted
-// before a clock is wired must NOT be stamped "time 0" — wiring a clock
-// late would otherwise make the whole backlog infinitely old and the
-// expiry scan would force-flush it.
+// Expiry: a chunk queued longer than max_chunk_age_ms is dropped at pump
+// time, and the refinement gated on it goes with it.
 
-TEST(StreamSchedulerTest, LateClockCannotExpireSentinelStampedChunks) {
+TEST(StreamSchedulerTest, ClockStampedBaseExpiresWithItsRefinement) {
+  SimClock clock;
+  clock.AdvanceMillis(10'000.0);
   StreamSchedulerOptions options;
+  options.clock = &clock;
   options.codec.progressive_base_step = 8.0;
   options.max_chunk_age_ms = 50.0;
-  StreamScheduler scheduler(nullptr, options);  // no clock yet
+  StreamScheduler scheduler(nullptr, options);
   std::vector<Delivery> log;
   const std::uint64_t session =
       scheduler.RegisterSession(9, {}, Record(&log, 9));
 
+  // At the age cap, not past it: both chunks still push.
   scheduler.SubmitTile(session, {1, 0, 0}, GaussianTile({1, 0, 0}, 5), 1, 0.9);
   for (const auto& chunk : scheduler.SnapshotQueue()) {
-    EXPECT_EQ(chunk.enqueue_ms, StreamScheduler::kNoEnqueueStamp);
+    EXPECT_EQ(chunk.enqueue_ms, 10'000.0);
   }
-
-  // Wire the clock LATE, already deep into virtual time. The sentinel
-  // chunks are of unknown age, not age 10000: nothing may expire.
-  SimClock clock;
-  clock.AdvanceMillis(10'000.0);
-  scheduler.SetClock(&clock);
+  clock.AdvanceMillis(50.0);
   EXPECT_EQ(scheduler.Flush(), 2u);
   EXPECT_EQ(scheduler.Stats().expired_chunks_dropped, 0u);
   EXPECT_EQ(log.size(), 2u);
 
-  // Control: a chunk stamped by the live clock DOES expire past the age
-  // cap — and its gated refinement is dropped with it.
+  // Past the cap: the base expires and its gated refinement with it.
   scheduler.SubmitTile(session, {1, 1, 0}, GaussianTile({1, 1, 0}, 6), 1, 0.9);
   clock.AdvanceMillis(51.0);
   EXPECT_EQ(scheduler.Flush(), 0u);
@@ -324,110 +355,83 @@ TEST(StreamSchedulerTest, LateClockCannotExpireSentinelStampedChunks) {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline mode and fairness compose with the class/utility order the same
-// way they do in the fetch-side scheduler.
+// The pick order as a property: with unlimited budgets, Flush delivers a
+// stable sort of the submissions — every usable chunk before every
+// refinement, each class by confidence per byte of its chunk, ties in
+// submission order — whichever sessions submitted them. Chunk sizes come
+// from the codec's byte path, so the ranks are checked against the wire
+// format, not against the scheduler's own plan.
 
-TEST(StreamSchedulerTest, DeadlineModeServesUrgentChunksFirst) {
-  SimClock clock;
-  StreamSchedulerOptions options;
-  options.clock = &clock;
-  options.codec.progressive_base_step = 8.0;
-  options.deadline_aware = true;
-  StreamScheduler scheduler(nullptr, options);
-  std::vector<Delivery> log;
-  const std::uint64_t session =
-      scheduler.RegisterSession(2, {}, Record(&log, 2));
+TEST(StreamSchedulerPropertyTest, FlushIsAStableSortByClassThenUtilityPerByte) {
+  constexpr std::uint64_t kSessions = 4;
+  constexpr int kTiles = 48;
+  // A few shapes and cell seeds: byte sizes differ between tiles, and
+  // repeat often enough (with the coarse confidences) to produce ties.
+  constexpr std::int64_t kShapes[][2] = {{8, 8}, {4, 8}, {8, 2}};
+  for (const bool progressive : {true, false}) {
+    for (std::uint64_t seed : {911u, 912u, 913u, 914u}) {
+      Rng rng(seed);
+      StreamSchedulerOptions options;
+      options.progressive = progressive;
+      options.codec.progressive_base_step = 8.0;
+      StreamScheduler scheduler(nullptr, options);
+      const storage::TileCodec codec(options.codec);
+      std::vector<Delivery> log;
+      std::uint64_t ids[kSessions];
+      for (std::uint64_t s = 0; s < kSessions; ++s) {
+        ids[s] = scheduler.RegisterSession(s + 1, {}, Record(&log, s + 1));
+      }
 
-  // High-utility tile without a deadline vs low-utility tile due at 5ms:
-  // urgency outranks utility within each class.
-  const tiles::TileKey calm{1, 0, 0}, urgent{1, 1, 0};
-  scheduler.SubmitTile(session, calm, GaussianTile(calm, 1), 1, 0.9);
-  scheduler.SubmitTile(session, urgent, GaussianTile(urgent, 2), 1, 0.1,
-                       /*deadline_ms=*/5.0);
-  EXPECT_EQ(scheduler.Flush(), 4u);
-  ASSERT_EQ(log.size(), 4u);
-  EXPECT_EQ(log[0].key, urgent);
-  EXPECT_FALSE(log[0].exact);
-  EXPECT_EQ(log[1].key, calm);
-  EXPECT_FALSE(log[1].exact);
-  EXPECT_EQ(log[2].key, urgent);  // the refinement inherits the deadline
-  EXPECT_TRUE(log[2].exact);
-  EXPECT_EQ(log[3].key, calm);
-  auto stats = scheduler.Stats();
-  EXPECT_GE(stats.deadline_picks, 2u);
-  EXPECT_GE(stats.deadline_promotions, 2u);
-  EXPECT_EQ(stats.deadline_misses, 0u);
-}
+      struct Chunk {
+        double rank = 0.0;
+        std::uint64_t session = 0;
+        tiles::TileKey key;
+        bool exact = false;
+      };
+      std::vector<Chunk> usable, refinements;
+      for (int i = 0; i < kTiles; ++i) {
+        const tiles::TileKey key{3, i % 8, i / 8};
+        const auto& shape = kShapes[rng.UniformUint32(3)];
+        const auto tile = GaussianTile(key, 1 + rng.UniformUint32(2), 100.0,
+                                       shape[0], shape[1]);
+        const double confidence = 0.2 * rng.UniformInt(1, 4);
+        const std::uint64_t s = rng.UniformUint32(kSessions);
+        scheduler.SubmitTile(ids[s], key, tile, 1, confidence);
 
-TEST(StreamSchedulerTest, ExpiredDeadlinesDemoteBackToUtilityOrder) {
-  SimClock clock;
-  clock.AdvanceMillis(10.0);
-  StreamSchedulerOptions options;
-  options.clock = &clock;
-  options.codec.progressive_base_step = 8.0;
-  options.deadline_aware = true;
-  StreamScheduler scheduler(nullptr, options);
-  std::vector<Delivery> log;
-  const std::uint64_t session =
-      scheduler.RegisterSession(2, {}, Record(&log, 2));
+        const std::string refinement =
+            progressive ? codec.EncodeProgressive(*tile).refinement : "";
+        usable.push_back(
+            {confidence / static_cast<double>(codec.Encode(*tile).size()),
+             s + 1, key, refinement.empty()});
+        if (!refinement.empty()) {
+          refinements.push_back(
+              {confidence / static_cast<double>(refinement.size()), s + 1,
+               key, true});
+        }
+      }
+      const auto by_rank = [](const Chunk& a, const Chunk& b) {
+        return a.rank > b.rank;
+      };
+      std::stable_sort(usable.begin(), usable.end(), by_rank);
+      std::stable_sort(refinements.begin(), refinements.end(), by_rank);
+      std::vector<Chunk> expected = usable;
+      expected.insert(expected.end(), refinements.begin(), refinements.end());
+      if (progressive) ASSERT_FALSE(refinements.empty());
 
-  // The "urgent" tile's deadline (5ms) already passed at now=10: it must
-  // NOT jump the queue — overload cannot consume the urgency budget.
-  const tiles::TileKey calm{1, 0, 0}, late{1, 1, 0};
-  scheduler.SubmitTile(session, calm, GaussianTile(calm, 1), 1, 0.9);
-  scheduler.SubmitTile(session, late, GaussianTile(late, 2), 1, 0.1,
-                       /*deadline_ms=*/5.0);
-  EXPECT_EQ(scheduler.Flush(), 4u);
-  ASSERT_EQ(log.size(), 4u);
-  EXPECT_EQ(log[0].key, calm);  // pure utility order
-  EXPECT_EQ(log[1].key, late);
-  EXPECT_GE(scheduler.Stats().deadline_misses, 1u);
-  EXPECT_EQ(scheduler.Stats().deadline_picks, 0u);
-}
-
-TEST(StreamSchedulerTest, FairnessShareServesUnderservedSession) {
-  auto run = [](double share) {
-    StreamSchedulerOptions options;
-    options.codec.progressive_base_step = 8.0;
-    options.fairness_share = share;
-    StreamScheduler scheduler(nullptr, options);
-    std::vector<Delivery> log;
-    const std::uint64_t rich =
-        scheduler.RegisterSession(1, {}, Record(&log, 1));
-    const std::uint64_t poor =
-        scheduler.RegisterSession(2, {}, Record(&log, 2));
-    for (int i = 0; i < 3; ++i) {
-      tiles::TileKey key{1, i, 0};
-      scheduler.SubmitTile(rich, key, GaussianTile(key, 10 + i), 1,
-                           0.9 - 0.1 * i);
-      tiles::TileKey poor_key{1, i, 1};
-      scheduler.SubmitTile(poor, poor_key, GaussianTile(poor_key, 20 + i), 1,
-                           0.1);
+      EXPECT_EQ(scheduler.Flush(), expected.size());
+      ASSERT_EQ(log.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(log[i].session, expected[i].session)
+            << "seed " << seed << " pick " << i;
+        EXPECT_EQ(log[i].key, expected[i].key)
+            << "seed " << seed << " pick " << i;
+        EXPECT_EQ(log[i].exact, expected[i].exact)
+            << "seed " << seed << " pick " << i;
+      }
     }
-    EXPECT_EQ(scheduler.Flush(), 12u);
-    return std::make_pair(log, scheduler.Stats());
-  };
-
-  // Control: utility order alone starves the low-confidence session's
-  // bases behind all three of the winner's.
-  auto [control, control_stats] = run(0.0);
-  ASSERT_GE(control.size(), 3u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(control[i].session, 1u);
-  EXPECT_EQ(control_stats.fairness_picks, 0u);
-
-  // A 50% share interleaves: the underserved-by-bytes session gets every
-  // other pick even though it always loses the utility vote.
-  auto [shared, shared_stats] = run(0.5);
-  ASSERT_GE(shared.size(), 4u);
-  EXPECT_EQ(shared[0].session, 1u);
-  EXPECT_EQ(shared[1].session, 2u);
-  EXPECT_EQ(shared[2].session, 1u);
-  EXPECT_EQ(shared[3].session, 2u);
-  EXPECT_GT(shared_stats.fairness_picks, 0u);
-  EXPECT_GT(shared_stats.fairness_promotions, 0u);
+  }
 }
 
-// ---------------------------------------------------------------------------
 // ---------------------------------------------------------------------------
 // Plan memo: each live tile object is planned once, whatever the number of
 // submissions and sessions, and identity never outlives the tile.
