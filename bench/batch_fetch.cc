@@ -45,7 +45,6 @@ struct RunResult {
   std::uint64_t round_trips = 0;    ///< Backend queries (query_count).
   std::uint64_t tiles_fetched = 0;  ///< Tiles those queries carried.
   core::PrefetchSchedulerStats scheduler;
-  core::SharedTileCacheStats cache;
   bool books_balance = true;
 };
 
@@ -147,9 +146,6 @@ RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
         result.scheduler.fills_issued + result.scheduler.dedup_saved_fetches ==
         result.scheduler.predictions_published;
   }
-  if (const auto* cache = manager.shared_cache()) {
-    result.cache = cache->Stats();
-  }
   return result;
 }
 
@@ -194,7 +190,8 @@ int main() {
                     std::to_string(run->tiles_fetched),
                     std::to_string(run->scheduler.fetch_batches),
                     eval::TablePrinter::Num(run->p99_latency_ms, 1),
-                    std::to_string(run->cache.fetch_rounds_saved)});
+                    std::to_string(run->scheduler.fills_issued -
+                                   run->scheduler.fetch_batches)});
 
       auto row = JsonValue::Object();
       row.Set("sessions", sessions);
@@ -210,9 +207,6 @@ int main() {
       row.Set("dedup_saved_fetches", run->scheduler.dedup_saved_fetches);
       row.Set("fetch_batches", run->scheduler.fetch_batches);
       row.Set("batched_fills", run->scheduler.batched_fills);
-      row.Set("cache_batches_issued", run->cache.batches_issued);
-      row.Set("cache_batched_tiles", run->cache.batched_tiles);
-      row.Set("cache_fetch_rounds_saved", run->cache.fetch_rounds_saved);
       row.Set("books_balance", run->books_balance);
       results.Push(std::move(row));
     }

@@ -194,7 +194,7 @@ RunResult RunSaturation(std::size_t num_sessions, bool deadline_aware,
     session->id = scheduler.RegisterSession(
         i + 1,
         [session, &clock](const tiles::TileKey& key, const tiles::TilePtr&,
-                          std::uint64_t) {
+                          std::uint64_t, double, std::uint64_t) {
           session->stats.CloseDelivered(key, clock.NowMillis());
         });
   }

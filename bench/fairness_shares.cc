@@ -229,6 +229,7 @@ RunResult RunSaturation(std::size_t num_sessions, const ModeSpec& mode,
     session->id = scheduler.RegisterSession(
         i + 1, [session, &clock, &mix, i](const tiles::TileKey& key,
                                           const tiles::TilePtr&,
+                                          std::uint64_t, double,
                                           std::uint64_t) {
           mix(i);
           mix(static_cast<std::uint64_t>(tiles::TileKeyHash{}(key)));

@@ -127,7 +127,6 @@ tiles::TileKey Level5(std::size_t index) {
 /// One published tile waiting to become usable client-side.
 struct Outstanding {
   double publish_ms = 0.0;
-  double confidence = 0.0;
   bool usable = false;  ///< First chunk (or the whole blob) arrived.
   bool exact = false;   ///< Exact fidelity arrived.
 };
@@ -274,13 +273,10 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
     session->fetch_id = scheduler.RegisterSession(
         i + 1,
         [session, &clock, &mix, &mark_usable, &mark_exact,
-         route_through_stream, &stream, i](const tiles::TileKey& key,
-                                           const tiles::TilePtr& tile,
-                                           std::uint64_t generation) {
+         route_through_stream, &stream, i](
+            const tiles::TileKey& key, const tiles::TilePtr& tile,
+            std::uint64_t generation, double confidence, std::uint64_t) {
           if (route_through_stream) {
-            auto it = session->open.find(key);
-            const double confidence =
-                it == session->open.end() ? 0.0 : it->second.confidence;
             stream->SubmitTile(session->stream_id, key, tile, generation,
                                confidence);
             return;
@@ -305,7 +301,7 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
       const auto key = Level5(session.base_index +
                               (session.cursor + j) % kKeysPerSession);
       const double confidence = 0.9 - 0.08 * static_cast<double>(j);
-      session.open.emplace(key, Outstanding{now, confidence});
+      session.open.emplace(key, Outstanding{now});
       wave.push_back({key, confidence});
     }
     session.cursor = (session.cursor + kWaveKeys) % kKeysPerSession;

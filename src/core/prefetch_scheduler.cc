@@ -52,23 +52,17 @@ PrefetchScheduler::~PrefetchScheduler() { Shutdown(); }
 
 std::uint64_t PrefetchScheduler::RegisterSession(std::uint64_t session_id,
                                                  Delivery deliver) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (session_id == 0 || sessions_.count(session_id) > 0) {
-    session_id = next_auto_id_++;
-  }
   auto state = std::make_unique<SessionState>();
   state->deliver = std::move(deliver);
-  sessions_.emplace(session_id, std::move(state));
-  return session_id;
+  std::lock_guard<std::mutex> lock(mu_);
+  return sessions_.Add(session_id, std::move(state));
 }
 
 void PrefetchScheduler::SetSessionWeight(std::uint64_t session_id,
                                          double weight) {
   if (!(weight > 0.0)) return;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  it->second->weight = weight;
+  if (SessionState* state = sessions_.Find(session_id)) state->weight = weight;
 }
 
 void PrefetchScheduler::RescoreLocked(const tiles::TileKey& key, Entry& entry) {
@@ -296,9 +290,6 @@ void PrefetchScheduler::InvalidateLocked(SessionState& state,
       RescoreLocked(key, eit->second);  // the merged priority decays
     }
   }
-  if (shared_ != nullptr && !state.pending_keys.empty()) {
-    shared_->NoteStaleDrops(state.pending_keys.size());
-  }
   state.pending_keys.clear();
 }
 
@@ -350,9 +341,8 @@ void PrefetchScheduler::Publish(std::uint64_t session_id,
   SessionState* state = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) return;  // unknown session: nothing published
-    state = it->second.get();
+    state = sessions_.Find(session_id);
+    if (state == nullptr) return;  // unknown session: nothing published
     // Supersede the previous publication before anything else: its
     // unfilled predictions are about a position the user has moved past.
     InvalidateLocked(*state, session_id);
@@ -362,7 +352,6 @@ void PrefetchScheduler::Publish(std::uint64_t session_id,
       stats_.predictions_published += candidates.size();
       stats_.dedup_saved_fetches += candidates.size();
       stats_.stale_drops += candidates.size();
-      if (shared_ != nullptr) shared_->NoteStaleDrops(candidates.size());
       return;
     }
     // Every subscription of this publication shares one deadline: the
@@ -417,7 +406,8 @@ void PrefetchScheduler::Publish(std::uint64_t session_id,
     if (resident[i] == nullptr) continue;
     // Safe outside the lock: sessions are single-threaded by contract, so
     // nothing unregisters `state` while its own Publish is running.
-    state->deliver(candidates[i].key, resident[i], generation);
+    state->deliver(candidates[i].key, resident[i], generation,
+                   candidates[i].confidence, trace_id);
     ++delivered;
   }
   if (delivered > 0) {
@@ -468,9 +458,9 @@ bool PrefetchScheduler::DrainOne() {
     if (batch.empty()) return false;
     for (const auto& popped : batch) {
       for (const auto& sub : popped.subs) {
-        auto sit = sessions_.find(sub.session_id);
-        if (sit == sessions_.end()) continue;
-        auto& keys = sit->second->pending_keys;
+        SessionState* session = sessions_.Find(sub.session_id);
+        if (session == nullptr) continue;
+        auto& keys = session->pending_keys;
         auto kit = std::find(keys.begin(), keys.end(), popped.key);
         if (kit != keys.end()) keys.erase(kit);
         if (FairnessEnabledLocked()) {
@@ -478,10 +468,10 @@ bool PrefetchScheduler::DrainOne() {
           // whichever pass popped it. Floored just below zero so a
           // popular session cannot amass unbounded debt and then be
           // locked out for an era once its co-subscribers drop away.
-          sit->second->deficit = std::max(sit->second->deficit - 1.0, -1.0);
+          session->deficit = std::max(session->deficit - 1.0, -1.0);
         }
         // Pins the session (and its Delivery) until this fill settles.
-        ++sit->second->in_flight;
+        ++session->in_flight;
       }
     }
     in_flight_fills_ += batch.size();
@@ -568,12 +558,12 @@ bool PrefetchScheduler::DrainOne() {
   }
 
   // Classify each retirement and collect still-current delivery targets.
-  struct Delivery {
+  struct Target {
     SessionState* session;
     std::size_t index;  ///< Into batch/outcomes.
-    std::uint64_t generation;
+    const Subscription* sub;
   };
-  std::vector<Delivery> targets;
+  std::vector<Target> targets;
   {
     std::lock_guard<std::mutex> lock(mu_);
     std::size_t fetch_attempts = 0;
@@ -592,11 +582,10 @@ bool PrefetchScheduler::DrainOne() {
       }
       if (!outcomes[i].ok) continue;
       for (const auto& sub : subs) {
-        auto sit = sessions_.find(sub.session_id);
-        if (sit == sessions_.end()) continue;
-        SessionState& session = *sit->second;
-        if (!session.unregistering && session.generation == sub.generation) {
-          targets.push_back(Delivery{&session, i, sub.generation});
+        SessionState* session = sessions_.Find(sub.session_id);
+        if (session != nullptr && !session->unregistering &&
+            session->generation == sub.generation) {
+          targets.push_back(Target{session, i, &sub});
         }
       }
     }
@@ -610,16 +599,18 @@ bool PrefetchScheduler::DrainOne() {
   // alive until the settle step below, even for skipped targets.
   for (const auto& target : targets) {
     target.session->deliver(batch[target.index].key,
-                            outcomes[target.index].tile, target.generation);
+                            outcomes[target.index].tile,
+                            target.sub->generation, target.sub->confidence,
+                            target.sub->trace_id);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.deliveries += targets.size();
     for (const auto& popped : batch) {
       for (const auto& sub : popped.subs) {
-        auto sit = sessions_.find(sub.session_id);
-        if (sit != sessions_.end() && sit->second->in_flight > 0) {
-          --sit->second->in_flight;
+        SessionState* session = sessions_.Find(sub.session_id);
+        if (session != nullptr && session->in_flight > 0) {
+          --session->in_flight;
         }
       }
     }
@@ -631,30 +622,21 @@ bool PrefetchScheduler::DrainOne() {
 
 void PrefetchScheduler::CancelSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  SessionState& state = *it->second;
-  InvalidateLocked(state, session_id);
-  cv_.wait(lock, [&state] { return state.in_flight == 0; });
+  sessions_.Cancel(lock, cv_, session_id, [&](SessionState& state) {
+    InvalidateLocked(state, session_id);
+  });
 }
 
 void PrefetchScheduler::UnregisterSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  SessionState& state = *it->second;
-  state.unregistering = true;  // in-flight fills skip delivery from now on
-  InvalidateLocked(state, session_id);
-  cv_.wait(lock, [&state] { return state.in_flight == 0; });
-  sessions_.erase(session_id);
+  sessions_.Unregister(lock, cv_, session_id, [&](SessionState& state) {
+    InvalidateLocked(state, session_id);
+  });
 }
 
 void PrefetchScheduler::WaitForSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  SessionState& state = *it->second;
-  cv_.wait(lock, [&state] {
+  sessions_.WaitUntil(lock, cv_, session_id, [](const SessionState& state) {
     return state.pending_keys.empty() && state.in_flight == 0;
   });
 }

@@ -62,9 +62,10 @@
 //   fills_issued + dedup_saved_fetches == predictions_published.
 //
 // Thread-safety: all methods are thread-safe. One mutex guards the queue,
-// the session registry, and the counters; DBMS fetches and region
-// deliveries run outside it. Lock order is scheduler mutex -> cache shard
-// mutex; the scheduler never calls back into itself from a delivery.
+// the session registry (core/session_registry.h), and the counters; DBMS
+// fetches and region deliveries run outside it, pinning their sessions.
+// Lock order is scheduler mutex -> cache shard mutex; the scheduler never
+// calls back into itself from a delivery.
 
 #ifndef FORECACHE_CORE_PREFETCH_SCHEDULER_H_
 #define FORECACHE_CORE_PREFETCH_SCHEDULER_H_
@@ -84,6 +85,7 @@
 #include "common/metrics.h"
 #include "common/sim_clock.h"
 #include "common/trace.h"
+#include "core/session_registry.h"
 #include "core/shared_tile_cache.h"
 #include "storage/batch_fetch.h"
 #include "storage/tile_store.h"
@@ -241,15 +243,17 @@ class PrefetchScheduler {
   static constexpr double kNoDeadline =
       std::numeric_limits<double>::infinity();
 
-  /// Called when a fill completes for a still-current subscription: the
-  /// tile, and the publish generation the subscription was made under (the
-  /// receiver re-checks it against its own current fill — see
-  /// CacheManager::AcceptPrefetched). Invoked WITHOUT the scheduler lock,
-  /// possibly from an executor thread; must not call back into the
-  /// scheduler.
+  /// Called when a fill completes for a still-current subscription, and
+  /// at Publish for a tile already resident: the tile, and the
+  /// subscription's publish generation (the receiver re-checks it against
+  /// its own current fill — see CacheManager::AcceptPrefetched),
+  /// confidence and trace id (0 = unsampled) — the facts a receiver that
+  /// streams the tile on (StreamScheduler::SubmitTile) ranks and traces it
+  /// by. Invoked WITHOUT the scheduler lock, possibly from an executor
+  /// thread; must not call back into the scheduler.
   using Delivery = std::function<void(
       const tiles::TileKey& key, const tiles::TilePtr& tile,
-      std::uint64_t generation)>;
+      std::uint64_t generation, double confidence, std::uint64_t trace_id)>;
 
   /// `store` is the fetch path for fills (the SessionManager passes its
   /// single-flight-wrapped store) and must outlive the scheduler, as must
@@ -281,6 +285,8 @@ class PrefetchScheduler {
   /// Drops the session's pending subscriptions (counted as stale), waits
   /// for any in-flight deliveries to it to settle, and forgets it. After
   /// return its Delivery is never invoked again. No-op for unknown ids.
+  /// Concurrent unregisters of one session all return once it is
+  /// forgotten.
   void UnregisterSession(std::uint64_t session_id);
 
   /// Sets the session's fairness weight (default 1.0 at registration).
@@ -405,16 +411,14 @@ class PrefetchScheduler {
     }
   };
 
-  struct SessionState {
+  /// A registered session. Its pins (SessionPins::in_flight) count the
+  /// subscriptions attached to fills currently executing.
+  struct SessionState : SessionPins {
     Delivery deliver;
     std::uint64_t generation = 0;  ///< Latest published generation.
     /// Keys this session is subscribed to that are still pending (popping
     /// a key removes it here), so invalidation is O(own subscriptions).
     std::vector<tiles::TileKey> pending_keys;
-    /// Subscriptions attached to fills currently executing. The session
-    /// may not be erased (and its Delivery not destroyed) while nonzero.
-    std::size_t in_flight = 0;
-    bool unregistering = false;
     /// Fairness share weight (SetSessionWeight; consulted only while
     /// fairness_share > 0).
     double weight = 1.0;
@@ -504,8 +508,7 @@ class PrefetchScheduler {
   /// scheduling is enabled and only with finite-deadline entries. Shares
   /// the lazy-invalidation stamps.
   std::priority_queue<DeadlineNode> deadline_heap_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<SessionState>> sessions_;
-  std::uint64_t next_auto_id_ = 1ull << 48;  ///< Clear of SessionManager ids.
+  SessionRegistry<SessionState> sessions_;
   std::uint64_t stamp_counter_ = 0;
   /// Banked fairness slots (fractional): each round adds budget x
   /// fairness_share, each served fairness slot subtracts 1. Capped at one

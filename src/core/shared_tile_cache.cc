@@ -461,52 +461,6 @@ Result<tiles::TilePtr> SharedTileCache::GetOrFetch(const tiles::TileKey& key,
   return tile;
 }
 
-tiles::TilePtr SharedTileCache::PrepareSharedFetch(
-    const tiles::TileKey& key, const std::vector<CacheAccess>& subscribers,
-    CacheAccess* merged) {
-  double aggregate = 0.0;
-  for (const auto& subscriber : subscribers) aggregate += subscriber.confidence;
-  // The fill is anonymous (owner 0: a tile serving many sessions is charged
-  // to no one's quota) and carries the aggregate confidence, capped to the
-  // [0, 1] domain of a single access, for priority admission.
-  *merged = CacheAccess{0, std::min(1.0, aggregate)};
-  Shard& shard = ShardFor(key);
-  if (subscribers.size() > 1) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Lookup below records one access; each further subscriber's intent is
-    // just as real, so the frequency model sees the full group — a tile
-    // many sessions predict is warm by consensus before it ever lands.
-    for (std::size_t i = 1; i < subscribers.size(); ++i) {
-      shard.admission->RecordAccess(KeyHash(key));
-    }
-    shard.counters.merged_predictions += subscribers.size();
-  }
-  return Lookup(key, *merged);
-}
-
-Result<SharedTileCache::SharedFetch> SharedTileCache::GetOrFetchShared(
-    const tiles::TileKey& key, storage::TileStore* store,
-    const std::vector<CacheAccess>& subscribers) {
-  CacheAccess merged;
-  SharedFetch out;
-  out.tile = PrepareSharedFetch(key, subscribers, &merged);
-  if (out.tile != nullptr) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.counters.dedup_saved_fetches += subscribers.size();
-    return out;
-  }
-  FC_ASSIGN_OR_RETURN(out.tile, store->Fetch(key));
-  out.fetched = true;
-  Insert(key, out.tile, merged);
-  if (subscribers.size() > 1) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.counters.dedup_saved_fetches += subscribers.size() - 1;
-  }
-  return out;
-}
-
 std::vector<Result<SharedTileCache::SharedFetch>>
 SharedTileCache::GetOrFetchSharedBatch(const std::vector<SharedBatchItem>& items,
                                        storage::TileStore* store) {
@@ -515,13 +469,30 @@ SharedTileCache::GetOrFetchSharedBatch(const std::vector<SharedBatchItem>& items
   std::vector<CacheAccess> merged(items.size());
   std::vector<std::size_t> misses;  // indices into items
   for (std::size_t i = 0; i < items.size(); ++i) {
-    SharedFetch hit;
-    hit.tile = PrepareSharedFetch(items[i].key, items[i].subscribers, &merged[i]);
-    if (hit.tile != nullptr) {
-      Shard& shard = ShardFor(items[i].key);
+    const tiles::TileKey& key = items[i].key;
+    const std::vector<CacheAccess>& subscribers = items[i].subscribers;
+    double aggregate = 0.0;
+    for (const auto& subscriber : subscribers) {
+      aggregate += subscriber.confidence;
+    }
+    // The fill is anonymous (owner 0: a tile serving many sessions is
+    // charged to no one's quota) and carries the aggregate confidence,
+    // capped to the [0, 1] domain of a single access, for priority
+    // admission.
+    merged[i] = CacheAccess{0, std::min(1.0, aggregate)};
+    if (subscribers.size() > 1) {
+      Shard& shard = ShardFor(key);
       std::lock_guard<std::mutex> lock(shard.mu);
-      shard.counters.dedup_saved_fetches += items[i].subscribers.size();
-      out[i] = std::move(hit);
+      // Lookup below records one access; each further subscriber's intent
+      // is just as real, so the frequency model sees the full group — a
+      // tile many sessions predict is warm by consensus before it ever
+      // lands.
+      for (std::size_t s = 1; s < subscribers.size(); ++s) {
+        shard.admission->RecordAccess(KeyHash(key));
+      }
+    }
+    if (auto tile = Lookup(key, merged[i])) {
+      out[i] = SharedFetch{std::move(tile), /*fetched=*/false};
     } else {
       misses.push_back(i);
     }
@@ -534,9 +505,6 @@ SharedTileCache::GetOrFetchSharedBatch(const std::vector<SharedBatchItem>& items
   keys.reserve(misses.size());
   for (std::size_t i : misses) keys.push_back(items[i].key);
   auto fetched = store->FetchBatch(keys);
-  batches_issued_.fetch_add(1, std::memory_order_relaxed);
-  batched_tiles_.fetch_add(misses.size(), std::memory_order_relaxed);
-  fetch_rounds_saved_.fetch_add(misses.size() - 1, std::memory_order_relaxed);
 
   for (std::size_t j = 0; j < misses.size(); ++j) {
     const std::size_t i = misses[j];
@@ -544,22 +512,11 @@ SharedTileCache::GetOrFetchSharedBatch(const std::vector<SharedBatchItem>& items
       out[i] = fetched[j].status();
       continue;
     }
-    SharedFetch landed;
-    landed.tile = std::move(*fetched[j]);
-    landed.fetched = true;
+    SharedFetch landed{std::move(*fetched[j]), /*fetched=*/true};
     Insert(items[i].key, landed.tile, merged[i]);
-    if (items[i].subscribers.size() > 1) {
-      Shard& shard = ShardFor(items[i].key);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.counters.dedup_saved_fetches += items[i].subscribers.size() - 1;
-    }
     out[i] = std::move(landed);
   }
   return out;
-}
-
-void SharedTileCache::NoteStaleDrops(std::uint64_t n) {
-  stale_drops_.fetch_add(n, std::memory_order_relaxed);
 }
 
 bool SharedTileCache::Contains(const tiles::TileKey& key) const {
@@ -637,15 +594,9 @@ SharedTileCacheStats SharedTileCache::Stats() const {
     stats.admission_rejects += c.admission_rejects;
     stats.priority_admits += c.priority_admits;
     stats.quota_evictions += c.quota_evictions;
-    stats.merged_predictions += c.merged_predictions;
-    stats.dedup_saved_fetches += c.dedup_saved_fetches;
     stats.l1_bytes_resident += shard->l1_bytes;
     stats.l2_bytes_resident += shard->l2_bytes;
   }
-  stats.stale_drops = stale_drops_.load(std::memory_order_relaxed);
-  stats.batches_issued = batches_issued_.load(std::memory_order_relaxed);
-  stats.batched_tiles = batched_tiles_.load(std::memory_order_relaxed);
-  stats.fetch_rounds_saved = fetch_rounds_saved_.load(std::memory_order_relaxed);
   stats.hits = stats.l1_hits + stats.l2_hits;
   stats.promotions = stats.l2_hits;
   stats.bytes_resident = stats.l1_bytes_resident + stats.l2_bytes_resident;
@@ -671,12 +622,6 @@ std::uint64_t RegisterSharedTileCacheMetrics(
     sink.AddCounter("fc.cache.admission_rejects", s.admission_rejects);
     sink.AddCounter("fc.cache.priority_admits", s.priority_admits);
     sink.AddCounter("fc.cache.quota_evictions", s.quota_evictions);
-    sink.AddCounter("fc.cache.merged_predictions", s.merged_predictions);
-    sink.AddCounter("fc.cache.dedup_saved_fetches", s.dedup_saved_fetches);
-    sink.AddCounter("fc.cache.stale_drops", s.stale_drops);
-    sink.AddCounter("fc.cache.batches_issued", s.batches_issued);
-    sink.AddCounter("fc.cache.batched_tiles", s.batched_tiles);
-    sink.AddCounter("fc.cache.fetch_rounds_saved", s.fetch_rounds_saved);
     sink.AddGauge("fc.cache.l1_bytes_resident",
                   static_cast<double>(s.l1_bytes_resident));
     sink.AddGauge("fc.cache.l2_bytes_resident",

@@ -43,7 +43,6 @@
 #ifndef FORECACHE_CORE_SHARED_TILE_CACHE_H_
 #define FORECACHE_CORE_SHARED_TILE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -137,27 +136,6 @@ struct SharedTileCacheStats {
   /// (they demote to L2 like any other displacement when the tier exists).
   std::uint64_t quota_evictions = 0;
 
-  /// Multi-owner fill accounting (the cross-session PrefetchScheduler's
-  /// merged fills — see core/prefetch_scheduler.h). Subscriber interests
-  /// that arrived through merged (multi-subscriber) fills.
-  std::uint64_t merged_predictions = 0;
-  /// Subscriber fetch intents satisfied without their own backing-store
-  /// query: the tile was resident, or one fetch served the whole group.
-  std::uint64_t dedup_saved_fetches = 0;
-  /// Scheduler subscriptions invalidated (superseded predictions) before
-  /// their fill ran. Fed by PrefetchScheduler via NoteStaleDrops().
-  std::uint64_t stale_drops = 0;
-
-  /// Batched backend I/O (GetOrFetchSharedBatch). Backend round trips that
-  /// carried the misses of a whole batch (one FetchBatch call each).
-  std::uint64_t batches_issued = 0;
-  /// Tiles fetched through those round trips (sums each batch's misses).
-  std::uint64_t batched_tiles = 0;
-  /// Round trips amortized away: for every batch, the per-tile path would
-  /// have issued one query per missing tile — batched_tiles -
-  /// batches_issued of them never happened.
-  std::uint64_t fetch_rounds_saved = 0;
-
   std::uint64_t l1_bytes_resident = 0;
   std::uint64_t l2_bytes_resident = 0;
   std::uint64_t bytes_resident = 0;  ///< Both tiers.
@@ -201,41 +179,29 @@ class SharedTileCache {
     bool fetched = false;  ///< True when the backing store was queried.
   };
 
-  /// Multi-owner cache-through fetch for the cross-session prefetch
-  /// scheduler: one fill serves every subscriber. Each subscriber's intent
-  /// feeds the admission frequency model (a tile many sessions predict is
-  /// warm by consensus), the fill itself runs as an anonymous access whose
-  /// confidence is the capped SUM of subscriber confidences — so priority
-  /// admission judges the aggregate, not any single session — and the
-  /// resulting L1 entry is unowned (exempt from per-session quotas: a tile
-  /// serving many sessions is charged to none of them). Thread-safe.
-  Result<SharedFetch> GetOrFetchShared(
-      const tiles::TileKey& key, storage::TileStore* store,
-      const std::vector<CacheAccess>& subscribers);
-
   /// One tile of a batched multi-owner fetch: the key and every scheduler
-  /// subscription riding it (see GetOrFetchShared for what subscribers do).
+  /// subscription riding it.
   struct SharedBatchItem {
     tiles::TileKey key;
     std::vector<CacheAccess> subscribers;
   };
 
-  /// Batched multi-owner cache-through fetch: the per-tile admission,
-  /// frequency, and quota accounting of GetOrFetchShared for every item,
-  /// but all cache misses travel in ONE TileStore::FetchBatch round trip —
-  /// the backend's fixed per-query cost is paid once per batch instead of
-  /// once per missing tile. Keys must be distinct. Returns one result per
-  /// item, parallel to `items`; a failed slot fails alone. Each fetched
-  /// tile lands once (anonymous owner, aggregate-confidence priority
-  /// admission), exactly as the per-tile path would have landed it.
-  /// Thread-safe; counts batches_issued/batched_tiles/fetch_rounds_saved.
+  /// Multi-owner cache-through fetch for the cross-session prefetch
+  /// scheduler: one fill serves every subscriber of an item. Each
+  /// subscriber's intent feeds the admission frequency model (a tile many
+  /// sessions predict is warm by consensus), the fill itself runs as an
+  /// anonymous access whose confidence is the capped SUM of subscriber
+  /// confidences — so priority admission judges the aggregate, not any
+  /// single session — and the resulting L1 entry is unowned (exempt from
+  /// per-session quotas: a tile serving many sessions is charged to none
+  /// of them). All cache misses travel in ONE TileStore::FetchBatch round
+  /// trip — the backend's fixed per-query cost is paid once per batch
+  /// instead of once per missing tile. Keys must be distinct. Returns one
+  /// result per item, parallel to `items`; a failed slot fails alone. The
+  /// PrefetchScheduler counts the merges, dedups and round trips
+  /// (PrefetchSchedulerStats). Thread-safe.
   std::vector<Result<SharedFetch>> GetOrFetchSharedBatch(
       const std::vector<SharedBatchItem>& items, storage::TileStore* store);
-
-  /// Scheduler feedback: counts `n` superseded-prediction drops into
-  /// Stats().stale_drops, so one cache snapshot describes the whole shared
-  /// prefetch path. Thread-safe (plain atomic; no shard invariant).
-  void NoteStaleDrops(std::uint64_t n);
 
   /// Lookup in either tier without stats, promotion, frequency, or recency
   /// effects. Thread-safe (single shard lock).
@@ -304,8 +270,6 @@ class SharedTileCache {
     std::uint64_t admission_rejects = 0;
     std::uint64_t priority_admits = 0;
     std::uint64_t quota_evictions = 0;
-    std::uint64_t merged_predictions = 0;
-    std::uint64_t dedup_saved_fetches = 0;
   };
 
   struct Shard {
@@ -402,24 +366,8 @@ class SharedTileCache {
   /// Drops one L2 victim. Caller holds shard.mu; shard.l2 must be nonempty.
   void EvictFromL2(Shard& shard);
 
-  /// The shard-locked pre-fetch step shared by GetOrFetchShared and the
-  /// batch variant: feeds every extra subscriber's intent to the admission
-  /// sketch, counts merged_predictions, computes the merged anonymous
-  /// access, and probes the cache. Returns the resident tile (or null).
-  tiles::TilePtr PrepareSharedFetch(const tiles::TileKey& key,
-                                    const std::vector<CacheAccess>& subscribers,
-                                    CacheAccess* merged);
-
   SharedTileCacheOptions options_;
   storage::TileCodec codec_;
-  /// Scheduler-fed (NoteStaleDrops): not shard-keyed, so a plain atomic
-  /// rather than a per-shard counter; carries no cross-counter invariant.
-  std::atomic<std::uint64_t> stale_drops_{0};
-  /// Batch round-trip accounting: a batch spans shards, so these are
-  /// process-wide atomics like stale_drops_ (no shard invariant).
-  std::atomic<std::uint64_t> batches_issued_{0};
-  std::atomic<std::uint64_t> batched_tiles_{0};
-  std::atomic<std::uint64_t> fetch_rounds_saved_{0};
   std::size_t shard_l1_bytes_;
   std::size_t shard_l2_bytes_;
   std::size_t shard_quota_bytes_;  ///< 0 when quotas are disabled.

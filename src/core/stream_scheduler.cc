@@ -34,48 +34,29 @@ StreamScheduler::~StreamScheduler() { Shutdown(); }
 std::uint64_t StreamScheduler::RegisterSession(std::uint64_t session_id,
                                                StreamSessionLimits limits,
                                                ChunkSink sink) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (session_id == 0 || sessions_.count(session_id) > 0) {
-    session_id = next_auto_id_++;
-  }
   auto state = std::make_unique<SessionState>();
   state->sink = std::move(sink);
   state->limits = limits;
   state->tokens = static_cast<double>(limits.burst_bytes);
-  sessions_[session_id] = std::move(state);
-  return session_id;
+  std::lock_guard<std::mutex> lock(mu_);
+  return sessions_.Add(session_id, std::move(state));
 }
 
 void StreamScheduler::UnregisterSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  if (it->second->unregistering) {
-    // A concurrent unregister owns the teardown; return once it is done.
-    cv_.wait(lock, [&] {
-      auto found = sessions_.find(session_id);
-      return found == sessions_.end() || !found->second->unregistering;
-    });
-    return;
-  }
-  SessionState* state = it->second.get();
-  state->unregistering = true;
-  for (auto job = jobs_.begin(); job != jobs_.end();) {
-    if (job->session_id == session_id) {
-      job = DropLocked(job, &stats_.stale_chunks_dropped);
-    } else {
-      ++job;
-    }
-  }
-  // Only this call erases the session, so `state` outlives the wait.
-  cv_.wait(lock, [&] { return state->in_flight == 0; });
-  sessions_.erase(session_id);
-  cv_.notify_all();  // cancels and unregisters waiting on this session
+  sessions_.Unregister(lock, cv_, session_id, [&](SessionState&) {
+    DropSessionLocked(session_id);
+  });
 }
 
 void StreamScheduler::CancelSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (sessions_.count(session_id) == 0) return;
+  sessions_.Cancel(lock, cv_, session_id, [&](SessionState&) {
+    DropSessionLocked(session_id);
+  });
+}
+
+void StreamScheduler::DropSessionLocked(std::uint64_t session_id) {
   for (auto job = jobs_.begin(); job != jobs_.end();) {
     if (job->session_id == session_id) {
       job = DropLocked(job, &stats_.stale_chunks_dropped);
@@ -83,19 +64,14 @@ void StreamScheduler::CancelSession(std::uint64_t session_id) {
       ++job;
     }
   }
-  // Looked up afresh on every wake: a concurrent UnregisterSession may
-  // erase the session meanwhile.
-  cv_.wait(lock, [&] {
-    auto found = sessions_.find(session_id);
-    return found == sessions_.end() || found->second->in_flight == 0;
-  });
 }
 
 void StreamScheduler::CancelStaleGenerations(std::uint64_t session_id,
                                              std::uint64_t live_generation) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it != sessions_.end()) it->second->live_generation = live_generation;
+  if (SessionState* state = sessions_.Find(session_id)) {
+    state->live_generation = live_generation;
+  }
   for (auto job = jobs_.begin(); job != jobs_.end();) {
     if (job->session_id == session_id && job->generation != live_generation) {
       job = DropLocked(job, &stats_.stale_chunks_dropped);
@@ -127,12 +103,13 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
   ++stats_.tiles_submitted;
   if (computed) ++stats_.plans_computed;
   stats_.chunks_enqueued += chunks;
-  auto it = sessions_.find(session_id);
-  if (shutdown_ || it == sessions_.end() || it->second->unregistering ||
-      generation < it->second->live_generation) {
+  const SessionState* state = sessions_.Find(session_id);
+  if (shutdown_ || state == nullptr || state->unregistering ||
+      generation < state->live_generation) {
     // Retired on arrival; counted so the books still balance. An older
-    // generation lands here when it raced the CancelStaleGenerations that
-    // superseded it (PushStream::Accept checks outside this lock).
+    // generation lands here when its fill was delivered just before the
+    // CancelStaleGenerations that superseded it (the prefetch scheduler
+    // checks the generation under its own lock, then delivers outside it).
     stats_.stale_chunks_dropped += chunks;
     return;
   }
@@ -294,11 +271,8 @@ std::list<StreamScheduler::ChunkJob>::iterator
 StreamScheduler::SelectLocked() {
   auto best = jobs_.end();
   for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
-    auto session = sessions_.find(it->session_id);
-    if (session == sessions_.end() ||
-        !EligibleLocked(*it, *session->second)) {
-      continue;
-    }
+    const SessionState* session = sessions_.Find(it->session_id);
+    if (session == nullptr || !EligibleLocked(*it, *session)) continue;
     if (best == jobs_.end() ||
         BetterJob(it->usable, it->utility_per_byte, it->seq, best->usable,
                   best->utility_per_byte, best->seq)) {
@@ -345,7 +319,7 @@ std::size_t StreamScheduler::Pump() {
     while (ready.size() < kMaxPumpChunks) {
       auto it = SelectLocked();
       if (it == jobs_.end()) break;
-      SessionState* state = sessions_.at(it->session_id).get();
+      SessionState* state = sessions_.Find(it->session_id);
       if (options_.clock != nullptr) {
         if (state->limits.bytes_per_ms > 0.0) {
           state->tokens -= static_cast<double>(it->bytes);

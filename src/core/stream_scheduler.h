@@ -58,11 +58,12 @@
 //    (it needs a clock, as budgets do).
 //
 // Thread-safety: all methods are thread-safe. One mutex guards the chunk
-// list, the session registry, the buckets, and the counters (the plan memo
-// has a mutex of its own); chunks are planned from the tile before either
-// lock (no bytes in-process) and sink invocations happen outside them,
-// pinned by per-session in-flight counts (a session is never erased
-// mid-push). Sinks must not call back into the scheduler.
+// list, the session registry (core/session_registry.h), the buckets, and
+// the counters (the plan memo has a mutex of its own); chunks are planned
+// from the tile before either lock (no bytes in-process) and sink
+// invocations happen outside them, pinned by per-session in-flight counts
+// (a session is never erased mid-push). Sinks must not call back into the
+// scheduler.
 //
 // With an Executor the scheduler pumps itself whenever work is submitted;
 // with none it is in PULL MODE and the owner drives it via Pump()/Flush()
@@ -84,6 +85,7 @@
 #include "common/executor.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "core/session_registry.h"
 #include "storage/tile_codec.h"
 #include "tiles/tile.h"
 #include "tiles/tile_key.h"
@@ -174,7 +176,9 @@ struct StreamChunkInfo {
 };
 
 /// Process-wide continuous push channel. One instance serves every session
-/// of a SessionManager; server::PushStream is the per-session facade.
+/// of a SessionManager: each ForeCacheServer registers its session and
+/// submits the fills its PrefetchScheduler deliveries carry, with each
+/// subscription's confidence and trace id.
 class StreamScheduler {
  public:
   /// Enqueue stamp of chunks submitted to a clockless scheduler. A
@@ -290,7 +294,9 @@ class StreamScheduler {
     tiles::TilePtr payload;  ///< Decoded at this chunk's fidelity.
   };
 
-  struct SessionState {
+  /// A registered session. Its pins (SessionPins::in_flight) count the
+  /// pushes handed to its sink and not yet settled.
+  struct SessionState : SessionPins {
     ChunkSink sink;
     StreamSessionLimits limits;
     /// Token bucket balance. Starts full; may go negative for chunks
@@ -302,8 +308,6 @@ class StreamScheduler {
     /// The last CancelStaleGenerations generation; submissions from older
     /// generations retire on arrival.
     std::uint64_t live_generation = 0;
-    std::size_t in_flight = 0;  ///< Pushes handed to the sink, not settled.
-    bool unregistering = false;
   };
 
   /// A chunk picked for push this round, pinned for delivery outside the
@@ -359,6 +363,10 @@ class StreamScheduler {
   std::list<ChunkJob>::iterator DropLocked(std::list<ChunkJob>::iterator it,
                                            std::uint64_t* counter);
 
+  /// Drops every queued chunk of `session_id` as stale: the teardown drop
+  /// step. Caller holds mu_.
+  void DropSessionLocked(std::uint64_t session_id);
+
   /// Arms one self-pump task if queued work exists. Caller holds mu_.
   void SpawnPumpLocked();
 
@@ -369,8 +377,7 @@ class StreamScheduler {
   mutable std::mutex mu_;
   std::condition_variable cv_;  ///< Push settlement, pump exit.
   std::list<ChunkJob> jobs_;    ///< Submission order.
-  std::unordered_map<std::uint64_t, std::unique_ptr<SessionState>> sessions_;
-  std::uint64_t next_auto_id_ = 1ull << 48;  ///< Clear of SessionManager ids.
+  SessionRegistry<SessionState> sessions_;
   std::uint64_t seq_counter_ = 0;
   double total_tokens_ = 0.0;
   double total_last_refill_ms_ = kNoEnqueueStamp;

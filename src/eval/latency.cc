@@ -53,7 +53,7 @@ Result<LatencyReport> ReplayLatencyForUser(const sim::Study& study,
                                     /*shared=*/nullptr);
   const std::uint64_t session = scheduler.RegisterSession(
       1, [&cache](const tiles::TileKey& key, const tiles::TilePtr& tile,
-                  std::uint64_t generation) {
+                  std::uint64_t generation, double, std::uint64_t) {
         cache.AcceptPrefetched(key, tile, generation);
       });
   std::uint64_t generation = 0;

@@ -48,16 +48,13 @@ ForeCacheServer::ForeCacheServer(storage::TileStore* store,
   }
   if (stream_scheduler_ != nullptr) {
     // Streaming path: completed fills detour through the push channel,
-    // which re-delivers them chunk by chunk under the byte budget. Built
-    // BEFORE the scheduler registration below so a fill completing
-    // immediately already finds the stream.
-    stream_ = std::make_unique<PushStream>(
-        stream_scheduler_, options_.cache.session_id, options_.push_stream,
+    // which re-delivers them chunk by chunk. Both fidelities land through
+    // the same generation-gated door: a coarse base makes the tile usable
+    // now, its refinement replaces it with the exact payload.
+    stream_session_ = stream_scheduler_->RegisterSession(
+        options_.cache.session_id, core::StreamSessionLimits{},
         [this](const tiles::TileKey& key, const tiles::TilePtr& tile,
                bool /*exact*/, std::uint64_t generation) {
-          // Both fidelities land through the same generation-gated door: a
-          // coarse base makes the tile usable now, its refinement replaces
-          // it with the exact payload.
           cache_manager_.AcceptPrefetched(key, tile, generation);
         });
   }
@@ -66,9 +63,11 @@ ForeCacheServer::ForeCacheServer(storage::TileStore* store,
   scheduler_session_ = scheduler_->RegisterSession(
       options_.cache.session_id,
       [this](const tiles::TileKey& key, const tiles::TilePtr& tile,
-             std::uint64_t generation) {
-        if (stream_ != nullptr) {
-          stream_->Accept(key, tile, generation);
+             std::uint64_t generation, double confidence,
+             std::uint64_t trace_id) {
+        if (stream_scheduler_ != nullptr) {
+          stream_scheduler_->SubmitTile(stream_session_, key, tile,
+                                        generation, confidence, trace_id);
         } else {
           cache_manager_.AcceptPrefetched(key, tile, generation);
         }
@@ -80,9 +79,11 @@ ForeCacheServer::~ForeCacheServer() {
   // After this, the scheduler never invokes the delivery callback again,
   // so cache_manager_ (destroyed next) cannot be touched by a late fill.
   scheduler_->UnregisterSession(scheduler_session_);
-  // The stream unregisters last: fills stopped arriving above, and its
-  // destructor waits out in-flight chunk pushes before cache_manager_ dies.
-  stream_.reset();
+  // The stream unregisters last: fills stopped arriving above, and the
+  // unregister waits out in-flight chunk pushes before cache_manager_ dies.
+  if (stream_scheduler_ != nullptr) {
+    stream_scheduler_->UnregisterSession(stream_session_);
+  }
 }
 
 void ForeCacheServer::StartSession() {
@@ -111,7 +112,9 @@ void ForeCacheServer::CancelAndWaitForPrefetch() {
   // Then shed the push queue: chunks for the abandoned region are dead
   // weight on the channel (in-flight pushes settle against the closed
   // gate).
-  if (stream_ != nullptr) stream_->Cancel();
+  if (stream_scheduler_ != nullptr) {
+    stream_scheduler_->CancelSession(stream_session_);
+  }
 }
 
 Result<ServedRequest> ForeCacheServer::HandleRequest(
@@ -187,12 +190,11 @@ Result<ServedRequest> ForeCacheServer::HandleRequest(
     // is on (keyed to the phase the engine inferred for the position these
     // predictions fan out from).
     const double think_ms = think_time_.EstimateMs(served.prediction.phase);
-    if (stream_ != nullptr) {
+    if (stream_scheduler_ != nullptr) {
       // Arm the push channel for this generation before the fills it will
-      // carry can possibly complete, shedding the previous generation's
-      // queued chunks. The trace id rides along so sampled requests' chunk
-      // pushes record stream.push spans downstream.
-      stream_->BeginGeneration(generation, plan, trace_ctx.trace_id);
+      // carry can possibly complete: shed the previous generation's queued
+      // chunks, and retire its late fills on arrival.
+      stream_scheduler_->CancelStaleGenerations(stream_session_, generation);
     }
     scheduler_->Publish(scheduler_session_, generation, std::move(plan),
                         think_ms, trace_ctx.trace_id);

@@ -43,7 +43,6 @@
 #include "core/prefetch_scheduler.h"
 #include "core/shared_tile_cache.h"
 #include "core/stream_scheduler.h"
-#include "server/push_stream.h"
 #include "server/think_time.h"
 #include "storage/tile_store.h"
 
@@ -62,9 +61,6 @@ struct ServerOptions {
   /// estimate rides along at negligible cost even when the scheduler
   /// ignores it (deadline_aware off).
   ThinkTimeOptions think_time;
-  /// Per-session push budget for the continuous streaming path (consulted
-  /// only when a StreamScheduler is wired — see the constructor).
-  PushStreamOptions push_stream;
   /// Real-time deployment mode: a monotonic wall clock (common/clock.h)
   /// the server reads instead of the virtual SimClock. When set, the
   /// SimClock constructor argument may be null — request latencies and
@@ -106,10 +102,12 @@ class ForeCacheServer {
   /// `executor` and `shared`: `executor` (optional) drains it in the
   /// background, and without one HandleRequest drains it inline. `shared`
   /// (optional) layers the session cache over a process-wide tile cache.
-  /// `stream_scheduler` (optional, requires `scheduler`) routes completed
-  /// fills through a per-session PushStream — progressive chunks under
-  /// options.push_stream's byte budget — instead of landing them in the
-  /// region whole. All must outlive the server.
+  /// `stream_scheduler` (optional, requires `scheduler`) streams completed
+  /// fills into the region as progressive chunks instead of landing them
+  /// whole: the session registers with it under options.cache.session_id
+  /// with the default (unlimited) StreamSessionLimits, and each delivery
+  /// is submitted with its subscription's generation, confidence and trace
+  /// id. All must outlive the server.
   ForeCacheServer(storage::TileStore* store, core::PredictionEngine* engine,
                   SimClock* clock, ServerOptions options = {},
                   Executor* executor = nullptr,
@@ -152,9 +150,6 @@ class ForeCacheServer {
   /// This session's think-time tracker (reset by StartSession).
   const ThinkTimeEstimator& think_time() const { return think_time_; }
 
-  /// This session's push stream; null unless streaming is wired.
-  const PushStream* push_stream() const { return stream_.get(); }
-
  private:
   /// Closes the region gate, retires this session's queued predictions and
   /// waits out its in-flight fills (session reset/teardown: the region is
@@ -178,11 +173,10 @@ class ForeCacheServer {
   core::StreamScheduler* stream_scheduler_;
   /// This session's registration with scheduler_.
   std::uint64_t scheduler_session_ = 0;
-  /// The per-session push channel (non-null iff a process-wide scheduler
-  /// and stream_scheduler_ were both wired). Created before the scheduler
-  /// registration so the delivery callback can route through it, destroyed
-  /// after unregistration so late fills cannot touch a dead stream.
-  std::unique_ptr<PushStream> stream_;
+  /// This session's registration with stream_scheduler_. Made before the
+  /// scheduler registration so a fill completing immediately can stream,
+  /// and dropped after unregistration so no late fill submits to it.
+  std::uint64_t stream_session_ = 0;
   core::CacheManager cache_manager_;
   std::vector<double> latency_log_;
   ThinkTimeEstimator think_time_;

@@ -128,12 +128,13 @@ struct SessionManagerOptions {
 
   /// Continuous push streaming (requires the prefetch scheduler): completed
   /// fills detour through a process-wide StreamScheduler that splits them
-  /// into progressive chunks and pushes them to each session under
-  /// server.push_stream's byte budget, coarse-usable first
-  /// (core/stream_scheduler.h), in utility-per-byte order. The manager
-  /// wires the same clock the prefetch scheduler reads, which meters the
-  /// byte budgets. Off (the default), fills land in the regions whole —
-  /// bit-identical to the streaming-less serving core.
+  /// into progressive chunks and pushes them to each session, coarse-usable
+  /// first (core/stream_scheduler.h), in utility-per-byte order. Sessions
+  /// register with the default StreamSessionLimits (no per-session byte
+  /// budget), so the only budget is stream_scheduler's global egress
+  /// bucket, metered on the clock the prefetch scheduler reads. Off (the
+  /// default), fills land in the regions whole — bit-identical to the
+  /// streaming-less serving core.
   bool use_push_streaming = false;
   core::StreamSchedulerOptions stream_scheduler;
 
@@ -246,8 +247,8 @@ class SessionManager {
   std::unique_ptr<storage::SingleFlightTileStore> single_flight_;
   std::unique_ptr<core::PrefetchScheduler> prefetch_scheduler_;
   /// Shut down after the prefetch scheduler (fills feed it) and declared
-  /// before sessions_ so per-session PushStreams can still unregister
-  /// during session destruction.
+  /// before sessions_ so each server can still unregister its stream
+  /// session during session destruction.
   std::unique_ptr<core::StreamScheduler> stream_scheduler_;
 
   /// Snapshot-source ids this manager registered with options_.metrics;

@@ -436,6 +436,30 @@ TEST(PriorityAdmissionTest, HighConfidencePrefetchBypassesFilter) {
   EXPECT_EQ(stats.admission_attempts, stats.insertions + stats.admission_rejects);
 }
 
+// A merged prefetch fill (GetOrFetchSharedBatch) counts every subscriber's
+// intent in the frequency sketch, not just the one its probe records: three
+// subscribers make a cold tile warmer than a twice-touched victim, while
+// their summed confidence (0.6) stays below priority_confidence, so the
+// filter itself decides.
+TEST(PriorityAdmissionTest, MergedFillSubscribersEachWarmTheSketch) {
+  auto pyramid = SmallPyramid();
+  storage::MemoryTileStore store(pyramid);
+  const tiles::TileKey victim{1, 0, 0}, candidate{1, 1, 0};
+  auto fill = [&](std::vector<CacheAccess> subscribers) {
+    SharedTileCache cache(TinyLfuCache(1));  // full with one tile
+    EXPECT_TRUE(cache.GetOrFetch(victim, &store).ok());
+    EXPECT_NE(cache.Lookup(victim), nullptr);  // sketch count 2
+    auto results = cache.GetOrFetchSharedBatch(
+        {{candidate, std::move(subscribers)}}, &store);
+    EXPECT_TRUE(results[0].ok() && (*results[0]).fetched);
+    return cache.Contains(candidate);
+  };
+  // 1 probe + 2 further subscribers = count 3 > 2: admitted.
+  EXPECT_TRUE(fill({{1, 0.2}, {2, 0.2}, {3, 0.2}}));
+  // The probe alone = count 1: bounced.
+  EXPECT_FALSE(fill({{1, 0.2}}));
+}
+
 TEST(PriorityAdmissionTest, PriorityStillRespectsQuota) {
   auto pyramid = SmallPyramid();
   storage::MemoryTileStore store(pyramid);

@@ -294,7 +294,7 @@ class PullModeFill {
       : manager_(manager), scheduler_(store, /*executor=*/nullptr, nullptr) {
     session_ = scheduler_.RegisterSession(
         1, [manager](const tiles::TileKey& key, const tiles::TilePtr& tile,
-                     std::uint64_t generation) {
+                     std::uint64_t generation, double, std::uint64_t) {
           manager->AcceptPrefetched(key, tile, generation);
         });
   }

@@ -78,7 +78,7 @@ std::uint64_t Register(PrefetchScheduler& scheduler, std::uint64_t id,
                        std::vector<tiles::TileKey>* out) {
   return scheduler.RegisterSession(
       id, [out](const tiles::TileKey& key, const tiles::TilePtr& tile,
-                std::uint64_t) {
+                std::uint64_t, double, std::uint64_t) {
         ASSERT_NE(tile, nullptr);
         out->push_back(key);
       });
@@ -361,7 +361,8 @@ StarvationResult RunStarvationSim(bool deadline_aware) {
       Hot session;
       session.id = scheduler.RegisterSession(
           static_cast<std::uint64_t>(hot.size()) + 10,
-          [](const tiles::TileKey&, const tiles::TilePtr&, std::uint64_t) {});
+          [](const tiles::TileKey&, const tiles::TilePtr&, std::uint64_t,
+             double, std::uint64_t) {});
       session.group = g;
       session.next_move_ms = rng.UniformDouble() * kHotThinkMs;
       hot.push_back(session);
@@ -378,7 +379,7 @@ StarvationResult RunStarvationSim(bool deadline_aware) {
   double outvoted_next_move = 0.0;
   const auto outvoted_id = scheduler.RegisterSession(
       1, [&](const tiles::TileKey& key, const tiles::TilePtr& tile,
-             std::uint64_t) {
+             std::uint64_t, double, std::uint64_t) {
         ASSERT_NE(tile, nullptr);
         auto it = outstanding.find(key);
         if (it == outstanding.end()) return;
@@ -498,7 +499,7 @@ TEST(DeadlineSchedulerStressTest, ConcurrentDeadlineDrainsAndTeardown) {
     ids[s] = scheduler.RegisterSession(
         static_cast<std::uint64_t>(s) + 1,
         [&delivered](const tiles::TileKey&, const tiles::TilePtr& tile,
-                     std::uint64_t) {
+                     std::uint64_t, double, std::uint64_t) {
           EXPECT_NE(tile, nullptr);
           delivered.fetch_add(1);
         });

@@ -81,7 +81,7 @@ std::uint64_t Register(PrefetchScheduler& scheduler, std::uint64_t id,
                        std::vector<tiles::TileKey>* out) {
   return scheduler.RegisterSession(
       id, [out](const tiles::TileKey& key, const tiles::TilePtr& tile,
-                std::uint64_t) {
+                std::uint64_t, double, std::uint64_t) {
         ASSERT_NE(tile, nullptr);
         out->push_back(key);
       });
@@ -275,7 +275,7 @@ TEST(FairnessSharePropertyTest, LongRunFillFractionsMatchWeightShares) {
     session.id = scheduler.RegisterSession(
         static_cast<std::uint64_t>(s) + 1,
         [&session](const tiles::TileKey&, const tiles::TilePtr& tile,
-                   std::uint64_t) {
+                   std::uint64_t, double, std::uint64_t) {
           ASSERT_NE(tile, nullptr);
           ++session.fills;
         });
@@ -357,8 +357,8 @@ TEST(FairnessShareStressTest, ConcurrentDrainsWithSessionChurn) {
   const auto keys = pyramid->spec().AllKeys();
   std::atomic<std::uint64_t> delivered{0};
   const auto deliver = [&delivered](const tiles::TileKey&,
-                                    const tiles::TilePtr& tile,
-                                    std::uint64_t) {
+                                    const tiles::TilePtr& tile, std::uint64_t,
+                                    double, std::uint64_t) {
     EXPECT_NE(tile, nullptr);
     delivered.fetch_add(1);
   };

@@ -592,7 +592,7 @@ TEST(SchedulerBatchTest, ConcurrentBatchedDrainOverPackedDiskStore) {
     ids[s] = scheduler.RegisterSession(
         static_cast<std::uint64_t>(s) + 1,
         [&delivered](const tiles::TileKey&, const tiles::TilePtr& tile,
-                     std::uint64_t) {
+                     std::uint64_t, double, std::uint64_t) {
           EXPECT_NE(tile, nullptr);
           delivered.fetch_add(1);
         });

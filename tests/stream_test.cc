@@ -1,5 +1,5 @@
 // Stream-conformance harness for the continuous push channel
-// (core/stream_scheduler.h + server/push_stream.h).
+// (core/stream_scheduler.h, fed by server/forecache_server.h).
 //
 // Deterministic pull-mode goldens pin the scheduling order (class before
 // utility, byte budgets, supersession, expiry) and the chunk books on a
@@ -258,8 +258,8 @@ TEST(StreamSchedulerTest, StaleGenerationsShedQueuedPairs) {
   }
 }
 
-// A submission from a generation the session has moved past — a fill that
-// passed PushStream::Accept's generation check just before BeginGeneration
+// A submission from a generation the session has moved past — a fill the
+// prefetch scheduler delivered just before CancelStaleGenerations
 // superseded it — retires on arrival instead of queueing chunks that would
 // spend the budget and then be rejected at the region's generation gate.
 TEST(StreamSchedulerTest, SupersededGenerationRetiresOnArrival) {
@@ -968,16 +968,9 @@ TEST(PushStreamIntegrationTest, StreamingPreservesReplayHitSequence) {
         auto stats = manager.stream_scheduler()->Stats();
         EXPECT_GT(stats.tiles_submitted, 0u);
         EXPECT_EQ(stats.first_usable_pushes, stats.tiles_submitted);
-      }
-      // The session's stream saw both fidelities.
-      auto server = manager.ServerFor("u1");
-      EXPECT_TRUE(server.ok());
-      if (server.ok() && (*server)->push_stream() != nullptr) {
-        auto counters = (*server)->push_stream()->counters();
-        EXPECT_GT(counters.base_delivered, 0u);
-        EXPECT_GT(counters.exact_delivered, 0u);
-      } else {
-        ADD_FAILURE() << "streaming server has no push stream";
+        // The one session's stream pushed both fidelities.
+        EXPECT_GT(stats.base_chunks_pushed, 0u);
+        EXPECT_GT(stats.exact_chunks_pushed, 0u);
       }
     } else {
       EXPECT_EQ(manager.stream_scheduler(), nullptr);
