@@ -247,10 +247,8 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
   for (std::size_t i = 0; i < num_sessions; ++i) {
     Session* session = sessions[i].get();
     if (route_through_stream) {
-      core::StreamSessionLimits limits;  // per-session unlimited: the
-      limits.bytes_per_ms = 0.0;         // global egress is the resource
       session->stream_id = stream->RegisterSession(
-          i + 1, limits,
+          i + 1,
           [session, &clock, &mix, &mark_usable, &mark_exact, i](
               const tiles::TileKey& key, const tiles::TilePtr&, bool exact,
               std::uint64_t) {
@@ -261,9 +259,8 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
             if (exact) mark_exact(*session, key);
           });
     } else if (mode.control) {
-      core::StreamSessionLimits limits;
       session->stream_id = stream->RegisterSession(
-          i + 1, limits,
+          i + 1,
           [](const tiles::TileKey&, const tiles::TilePtr&, bool,
              std::uint64_t) { std::abort(); });  // must never fire
     }

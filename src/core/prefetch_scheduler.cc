@@ -641,12 +641,6 @@ void PrefetchScheduler::WaitForSession(std::uint64_t session_id) {
   });
 }
 
-void PrefetchScheduler::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock,
-           [this] { return pending_.empty() && in_flight_fills_ == 0; });
-}
-
 void PrefetchScheduler::Shutdown() {
   std::unique_lock<std::mutex> lock(mu_);
   shutdown_ = true;

@@ -261,9 +261,9 @@ class PrefetchScheduler {
   ///
   /// `executor` null puts the scheduler in PULL MODE: Publish only queues,
   /// and the owner drives fills via DrainOne() — deterministic, used by
-  /// tests and single-threaded embeddings. WaitForSession/Drain must not be
-  /// used to wait out a non-empty queue in pull mode (nothing would drain
-  /// it). `shared` null skips the shared-cache landing: fills fetch from
+  /// tests and single-threaded embeddings. WaitForSession must not be used
+  /// to wait out a non-empty queue in pull mode (nothing would drain it).
+  /// `shared` null skips the shared-cache landing: fills fetch from
   /// `store` and deliver to subscribers only.
   PrefetchScheduler(storage::TileStore* store, Executor* executor,
                     SharedTileCache* shared,
@@ -327,9 +327,6 @@ class PrefetchScheduler {
   /// filled — the "think time is over, region is full" point. Requires a
   /// live executor (see pull mode above).
   void WaitForSession(std::uint64_t session_id);
-
-  /// Blocks until the whole queue is empty and no fill is in flight.
-  void Drain();
 
   /// Stops accepting work: retires every pending subscription as stale and
   /// joins in-flight fills. Publishes after shutdown retire immediately.

@@ -32,12 +32,9 @@ StreamScheduler::StreamScheduler(Executor* executor,
 StreamScheduler::~StreamScheduler() { Shutdown(); }
 
 std::uint64_t StreamScheduler::RegisterSession(std::uint64_t session_id,
-                                               StreamSessionLimits limits,
                                                ChunkSink sink) {
   auto state = std::make_unique<SessionState>();
   state->sink = std::move(sink);
-  state->limits = limits;
-  state->tokens = static_cast<double>(limits.burst_bytes);
   std::lock_guard<std::mutex> lock(mu_);
   return sessions_.Add(session_id, std::move(state));
 }
@@ -210,28 +207,16 @@ void StreamScheduler::MemoizeLocked(const tiles::TilePtr& tile,
   memo_.emplace(tile.get(), std::move(entry));
 }
 
-void StreamScheduler::RefillBudgetsLocked(double now_ms) {
-  if (options_.total_bytes_per_ms > 0.0) {
-    if (total_last_refill_ms_ < 0.0) total_last_refill_ms_ = now_ms;
-    double earned =
-        (now_ms - total_last_refill_ms_) * options_.total_bytes_per_ms;
-    if (earned > 0.0) {
-      total_tokens_ =
-          std::min(static_cast<double>(options_.total_burst_bytes),
-                   total_tokens_ + earned);
-    }
-    total_last_refill_ms_ = now_ms;
+void StreamScheduler::RefillBudgetLocked(double now_ms) {
+  if (!(options_.total_bytes_per_ms > 0.0)) return;
+  if (total_last_refill_ms_ < 0.0) total_last_refill_ms_ = now_ms;
+  double earned =
+      (now_ms - total_last_refill_ms_) * options_.total_bytes_per_ms;
+  if (earned > 0.0) {
+    total_tokens_ = std::min(static_cast<double>(options_.total_burst_bytes),
+                             total_tokens_ + earned);
   }
-  for (auto& [id, state] : sessions_) {
-    if (!(state->limits.bytes_per_ms > 0.0)) continue;
-    if (state->last_refill_ms < 0.0) state->last_refill_ms = now_ms;
-    double earned = (now_ms - state->last_refill_ms) * state->limits.bytes_per_ms;
-    if (earned > 0.0) {
-      state->tokens = std::min(static_cast<double>(state->limits.burst_bytes),
-                               state->tokens + earned);
-    }
-    state->last_refill_ms = now_ms;
-  }
+  total_last_refill_ms_ = now_ms;
 }
 
 void StreamScheduler::ExpireLocked(double now_ms) {
@@ -248,23 +233,15 @@ void StreamScheduler::ExpireLocked(double now_ms) {
 bool StreamScheduler::EligibleLocked(const ChunkJob& job,
                                      const SessionState& state) const {
   if (state.unregistering || job.awaiting_base) return false;
-  if (options_.clock == nullptr) return true;  // budgets need a time source
+  // Unmetered without a rate, or without the time source it needs.
+  if (options_.clock == nullptr || !(options_.total_bytes_per_ms > 0.0)) {
+    return true;
+  }
   const double bytes = static_cast<double>(job.bytes);
-  if (state.limits.bytes_per_ms > 0.0) {
-    const double burst = static_cast<double>(state.limits.burst_bytes);
-    // An oversized chunk (bytes > burst) goes out at a full bucket,
-    // driving the balance negative — it stalls but never deadlocks.
-    if (state.tokens < bytes && !(bytes > burst && state.tokens >= burst)) {
-      return false;
-    }
-  }
-  if (options_.total_bytes_per_ms > 0.0) {
-    const double burst = static_cast<double>(options_.total_burst_bytes);
-    if (total_tokens_ < bytes && !(bytes > burst && total_tokens_ >= burst)) {
-      return false;
-    }
-  }
-  return true;
+  const double burst = static_cast<double>(options_.total_burst_bytes);
+  // An oversized chunk (bytes > burst) goes out at a full bucket, driving
+  // the balance negative — it stalls but never deadlocks.
+  return total_tokens_ >= bytes || (bytes > burst && total_tokens_ >= burst);
 }
 
 std::list<StreamScheduler::ChunkJob>::iterator
@@ -312,7 +289,7 @@ std::size_t StreamScheduler::Pump() {
                            ? options_.clock->NowMillis()
                            : kNoEnqueueStamp;
     if (options_.clock != nullptr) {
-      RefillBudgetsLocked(now);
+      RefillBudgetLocked(now);
       ExpireLocked(now);
     }
     const bool had_work = !jobs_.empty();
@@ -320,13 +297,8 @@ std::size_t StreamScheduler::Pump() {
       auto it = SelectLocked();
       if (it == jobs_.end()) break;
       SessionState* state = sessions_.Find(it->session_id);
-      if (options_.clock != nullptr) {
-        if (state->limits.bytes_per_ms > 0.0) {
-          state->tokens -= static_cast<double>(it->bytes);
-        }
-        if (options_.total_bytes_per_ms > 0.0) {
-          total_tokens_ -= static_cast<double>(it->bytes);
-        }
+      if (options_.clock != nullptr && options_.total_bytes_per_ms > 0.0) {
+        total_tokens_ -= static_cast<double>(it->bytes);
       }
       if (it->usable && !it->exact) {
         // The base is on its way: its refinement becomes eligible (and is

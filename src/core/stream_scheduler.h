@@ -9,9 +9,9 @@
 // completed by the PrefetchScheduler are submitted here as they land (not
 // once per request), split by the progressive codec into a small coarse
 // BASE chunk plus an exact REFINEMENT chunk (storage/tile_codec.h), and
-// pushed to sessions under explicit byte-rate budgets. Chunks are planned
+// pushed to sessions under an explicit byte-rate budget. Chunks are planned
 // from the tile (TileCodec::PlanProgressive): their exact wire sizes drive
-// ranks and budgets and their decoded payloads go to the sinks, but no
+// ranks and the budget and their decoded payloads go to the sinks, but no
 // bytes are produced in-process — the byte path is the wire format, and
 // the plan matches it bit for bit. Each tile object is planned once:
 //
@@ -41,13 +41,13 @@
 //    conformance property the stream harness enforces). Refinements rank
 //    confidence / refinement_bytes. Ties break by submission order, so
 //    pull-mode pumps are fully deterministic.
-//  * Byte-rate budgets on the fc::Clock abstraction. Each session has a
-//    token bucket (bytes_per_ms, burst_bytes) and the scheduler has an
-//    optional global egress bucket shared by all sessions — the saturated
-//    resource the utility order allocates. A chunk larger than a full
-//    bucket is sent when the bucket is full, driving it negative, so
-//    oversized tiles stall but never deadlock. Without a clock (or with
-//    rate 0) budgets are unlimited.
+//  * A byte-rate budget on the fc::Clock abstraction: one global egress
+//    token bucket (total_bytes_per_ms, total_burst_bytes) shared by all
+//    sessions — the server's outbound channel, the saturated resource the
+//    utility order allocates. A chunk larger than a full bucket is sent
+//    when the bucket is full, driving it negative, so oversized tiles
+//    stall but never deadlock. Without a clock (or with rate 0) the budget
+//    is unlimited.
 //  * Base-before-refinement: a refinement is ineligible until its base
 //    chunk has been pushed, and dropping a base (supersession, expiry)
 //    drops its refinement with it.
@@ -55,10 +55,10 @@
 //    CancelStaleGenerations sheds chunks from publications the user has
 //    moved past, and a later submission from an older generation retires
 //    on arrival; max_chunk_age_ms expires chunks that sat queued too long
-//    (it needs a clock, as budgets do).
+//    (it needs a clock, as the budget does).
 //
 // Thread-safety: all methods are thread-safe. One mutex guards the chunk
-// list, the session registry (core/session_registry.h), the buckets, and
+// list, the session registry (core/session_registry.h), the bucket, and
 // the counters (the plan memo has a mutex of its own); chunks are planned
 // from the tile before either lock (no bytes in-process) and sink
 // invocations happen outside them, pinned by per-session in-flight counts
@@ -92,19 +92,9 @@
 
 namespace fc::core {
 
-/// Per-session push budget: a token bucket on the scheduler's clock.
-struct StreamSessionLimits {
-  /// Sustained push rate. 0 = unlimited (also the behavior while no clock
-  /// is wired — budgets need a time source).
-  double bytes_per_ms = 0.0;
-  /// Bucket capacity (also the initial balance). Chunks larger than this
-  /// are sent when the bucket is full, driving it negative.
-  std::size_t burst_bytes = 256 * 1024;
-};
-
 struct StreamSchedulerOptions {
-  /// Time source for budgets and expiry; the scheduler only ever READS it.
-  /// Null: budgets are unlimited, nothing expires, and chunks carry
+  /// Time source for the budget and expiry; the scheduler only ever READS
+  /// it. Null: the budget is unlimited, nothing expires, and chunks carry
   /// kNoEnqueueStamp.
   const Clock* clock = nullptr;
 
@@ -118,7 +108,9 @@ struct StreamSchedulerOptions {
   storage::TileCodecOptions codec;
 
   /// Global egress bucket shared by every session (the server's outbound
-  /// channel). 0 = unlimited.
+  /// channel): sustained rate, 0 = unlimited, and capacity (also the
+  /// initial balance). Chunks larger than the capacity are sent when the
+  /// bucket is full, driving it negative.
   double total_bytes_per_ms = 0.0;
   std::size_t total_burst_bytes = 1024 * 1024;
 
@@ -216,8 +208,7 @@ class StreamScheduler {
   /// Registers a session. `session_id` is the caller's stable nonzero
   /// identity; 0 — or a collision — auto-assigns a fresh one. Returns the
   /// effective id, which all other per-session calls take.
-  std::uint64_t RegisterSession(std::uint64_t session_id,
-                                StreamSessionLimits limits, ChunkSink sink);
+  std::uint64_t RegisterSession(std::uint64_t session_id, ChunkSink sink);
 
   /// Drops the session's queued chunks (stale), waits for its in-flight
   /// pushes to settle, and forgets it. After return its sink is never
@@ -251,15 +242,15 @@ class StreamScheduler {
                   const tiles::TilePtr& tile, std::uint64_t generation,
                   double confidence, std::uint64_t trace_id = 0);
 
-  /// One bounded pump round: refills buckets from the clock, expires stale
+  /// One bounded pump round: refills the bucket from the clock, expires stale
   /// chunks, then pushes up to kMaxPumpChunks budget-eligible chunks in
   /// class/utility order. Returns the number pushed. This is the pull-mode
   /// hook; safe to call concurrently with the self-pump.
   std::size_t Pump();
 
   /// Pumps until no further progress (budget-blocked or empty). Returns
-  /// total chunks pushed. With rate limits and a frozen clock this returns
-  /// once the buckets run dry — it never busy-waits.
+  /// total chunks pushed. With a rate limit and a frozen clock this returns
+  /// once the bucket runs dry — it never busy-waits.
   std::size_t Flush();
 
   /// Stops accepting work: drops every queued chunk and joins in-flight
@@ -298,13 +289,6 @@ class StreamScheduler {
   /// pushes handed to its sink and not yet settled.
   struct SessionState : SessionPins {
     ChunkSink sink;
-    StreamSessionLimits limits;
-    /// Token bucket balance. Starts full; may go negative for chunks
-    /// larger than the burst (sent at full bucket).
-    double tokens = 0.0;
-    /// Virtual time of the last refill; kNoEnqueueStamp before the first
-    /// metered pump.
-    double last_refill_ms = kNoEnqueueStamp;
     /// The last CancelStaleGenerations generation; submissions from older
     /// generations retire on arrival.
     std::uint64_t live_generation = 0;
@@ -342,15 +326,14 @@ class StreamScheduler {
   /// Caller holds memo_mu_.
   void MemoizeLocked(const tiles::TilePtr& tile, PlanMemoEntry entry);
 
-  /// Refills one session's bucket (and lazily the global bucket) from the
-  /// clock. Caller holds mu_.
-  void RefillBudgetsLocked(double now_ms);
+  /// Refills the global bucket from the clock. Caller holds mu_.
+  void RefillBudgetLocked(double now_ms);
 
   /// Drops queued chunks older than max_chunk_age_ms. Caller holds mu_.
   void ExpireLocked(double now_ms);
 
   /// Whether `job` may be pushed right now (session live, base pushed,
-  /// both buckets can cover it). Caller holds mu_.
+  /// the bucket can cover it). Caller holds mu_.
   bool EligibleLocked(const ChunkJob& job, const SessionState& state) const;
 
   /// Selects the best eligible chunk by class, then utility, then
@@ -379,7 +362,11 @@ class StreamScheduler {
   std::list<ChunkJob> jobs_;    ///< Submission order.
   SessionRegistry<SessionState> sessions_;
   std::uint64_t seq_counter_ = 0;
+  /// Global bucket balance. Starts full; may go negative for chunks
+  /// larger than the burst (sent at full bucket).
   double total_tokens_ = 0.0;
+  /// Virtual time of the last refill; kNoEnqueueStamp before the first
+  /// metered pump.
   double total_last_refill_ms_ = kNoEnqueueStamp;
   bool pump_armed_ = false;  ///< A self-pump task is queued or running.
   std::size_t in_flight_pushes_ = 0;

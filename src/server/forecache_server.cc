@@ -22,6 +22,7 @@ ForeCacheServer::ForeCacheServer(storage::TileStore* store,
                 ? options.wall_clock
                 : static_cast<const Clock*>(clock)),
       options_(options),
+      cache_hit_service_ms_(array::CalibratedPaperCosts().cache_hit_ms),
       own_scheduler_(scheduler == nullptr
                          ? std::make_unique<core::PrefetchScheduler>(
                                store, executor, shared)
@@ -30,13 +31,7 @@ ForeCacheServer::ForeCacheServer(storage::TileStore* store,
       drain_inline_(scheduler == nullptr && executor == nullptr),
       stream_scheduler_(scheduler != nullptr ? stream_scheduler : nullptr),
       cache_manager_(store, options.cache, shared),
-      think_time_([&options, this] {
-        // The no-argument Observe() overload defaults to the server's own
-        // time base so embedders never have to wire the clock twice.
-        ThinkTimeOptions tt = options.think_time;
-        if (tt.clock == nullptr) tt.clock = time_;
-        return tt;
-      }()) {
+      think_time_(options.think_time) {
   FC_CHECK_MSG(engine_ != nullptr || !options_.prefetching_enabled,
                "prefetching requires a prediction engine");
   FC_CHECK_MSG(time_ != nullptr,
@@ -52,7 +47,7 @@ ForeCacheServer::ForeCacheServer(storage::TileStore* store,
     // the same generation-gated door: a coarse base makes the tile usable
     // now, its refinement replaces it with the exact payload.
     stream_session_ = stream_scheduler_->RegisterSession(
-        options_.cache.session_id, core::StreamSessionLimits{},
+        options_.cache.session_id,
         [this](const tiles::TileKey& key, const tiles::TilePtr& tile,
                bool /*exact*/, std::uint64_t generation) {
           cache_manager_.AcceptPrefetched(key, tile, generation);
@@ -150,9 +145,9 @@ Result<ServedRequest> ForeCacheServer::HandleRequest(
   served.tile = outcome.tile;
   served.cache_hit = outcome.cache_hit;
   if (outcome.cache_hit) {
-    if (sim) clock_->AdvanceMillis(options_.cache_hit_service_ms);
+    if (sim) clock_->AdvanceMillis(cache_hit_service_ms_);
     served.latency_ms =
-        sim ? options_.cache_hit_service_ms : time_->NowMillis() - t0_ms;
+        sim ? cache_hit_service_ms_ : time_->NowMillis() - t0_ms;
   } else {
     served.latency_ms =
         sim ? static_cast<double>(clock_->NowMicros() - t0) / 1000.0

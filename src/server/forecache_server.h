@@ -50,8 +50,6 @@ namespace fc::server {
 
 struct ServerOptions {
   core::CacheManagerOptions cache;
-  /// Middleware service time on a cache hit (paper: 19.5 ms measured).
-  double cache_hit_service_ms = 19.5;
   /// When false, the prediction engine is bypassed entirely — the
   /// "traditional system" baseline of section 5.5.
   bool prefetching_enabled = true;
@@ -104,10 +102,9 @@ class ForeCacheServer {
   /// (optional) layers the session cache over a process-wide tile cache.
   /// `stream_scheduler` (optional, requires `scheduler`) streams completed
   /// fills into the region as progressive chunks instead of landing them
-  /// whole: the session registers with it under options.cache.session_id
-  /// with the default (unlimited) StreamSessionLimits, and each delivery
-  /// is submitted with its subscription's generation, confidence and trace
-  /// id. All must outlive the server.
+  /// whole: the session registers with it under options.cache.session_id,
+  /// and each delivery is submitted with its subscription's generation,
+  /// confidence and trace id. All must outlive the server.
   ForeCacheServer(storage::TileStore* store, core::PredictionEngine* engine,
                   SimClock* clock, ServerOptions options = {},
                   Executor* executor = nullptr,
@@ -163,6 +160,9 @@ class ForeCacheServer {
   /// options_.wall_clock when set, else clock_. Never null.
   const Clock* time_;
   ServerOptions options_;
+  /// Middleware service time charged on a simulated cache hit: the paper's
+  /// measured 19.5 ms (section 5.5), from the calibrated cost model.
+  const double cache_hit_service_ms_;
   /// This session's own queue; null when a process-wide one was passed in.
   std::unique_ptr<core::PrefetchScheduler> own_scheduler_;
   /// The queue fills go through: the process-wide one or own_scheduler_.

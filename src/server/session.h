@@ -129,12 +129,11 @@ struct SessionManagerOptions {
   /// Continuous push streaming (requires the prefetch scheduler): completed
   /// fills detour through a process-wide StreamScheduler that splits them
   /// into progressive chunks and pushes them to each session, coarse-usable
-  /// first (core/stream_scheduler.h), in utility-per-byte order. Sessions
-  /// register with the default StreamSessionLimits (no per-session byte
-  /// budget), so the only budget is stream_scheduler's global egress
-  /// bucket, metered on the clock the prefetch scheduler reads. Off (the
-  /// default), fills land in the regions whole — bit-identical to the
-  /// streaming-less serving core.
+  /// first (core/stream_scheduler.h), in utility-per-byte order. The only
+  /// byte budget is stream_scheduler's global egress bucket, metered on
+  /// the clock the prefetch scheduler reads. Off (the default), fills land
+  /// in the regions whole — bit-identical to the streaming-less serving
+  /// core.
   bool use_push_streaming = false;
   core::StreamSchedulerOptions stream_scheduler;
 

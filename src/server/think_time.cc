@@ -27,11 +27,6 @@ void ThinkTimeEstimator::Observe(double now_ms) {
   ++samples_;
 }
 
-void ThinkTimeEstimator::Observe() {
-  if (options_.clock == nullptr) return;
-  Observe(options_.clock->NowMillis());
-}
-
 double ThinkTimeEstimator::EstimateMs(core::AnalysisPhase phase) const {
   double estimate;
   if (samples_ < options_.warmup_samples) {

@@ -4,8 +4,9 @@
 // The PrefetchScheduler's deadline mode (core/prefetch_scheduler.h) needs
 // to know how long this session's user typically pauses between moves —
 // that pause is the window a prefetch must land inside to be worth
-// anything. The server observes the session's inter-request gaps on the
-// virtual clock and keeps an EWMA; until enough gaps have been seen, a
+// anything. The server passes each request's arrival time on its own time
+// base (virtual or wall; the estimator reads no clock) and the estimator
+// keeps an EWMA of the gaps; until enough gaps have been seen, a
 // per-phase prior answers instead, seeded from the sim layer's phase model
 // (sim/think_time.h — wired across the layering boundary as plain numbers
 // because the server does not link against the sim layer).
@@ -19,18 +20,11 @@
 #include <array>
 #include <cstddef>
 
-#include "common/clock.h"
 #include "core/request.h"
 
 namespace fc::server {
 
 struct ThinkTimeOptions {
-  /// Time base the no-argument Observe() overload reads. Any Clock works —
-  /// SimClock in replay, SteadyClock in a real deployment — because the
-  /// estimator only consumes gaps between readings. Null is fine as long
-  /// as callers stick to Observe(now_ms) and supply their own timestamps.
-  const Clock* clock = nullptr;
-
   /// Weight of the newest observed gap in the EWMA.
   double ewma_alpha = 0.3;
 
@@ -63,11 +57,6 @@ class ThinkTimeEstimator {
   /// the previous request (clamped into [min_ms, max_ms]) feeds the EWMA.
   /// The first observation only anchors the gap measurement.
   void Observe(double now_ms);
-
-  /// Records a request arriving now, as read from options.clock. No-op
-  /// when no clock was wired (the estimator keeps answering from priors
-  /// rather than feeding garbage gaps into the EWMA).
-  void Observe();
 
   /// Expected think time before the next move, given the phase the
   /// prediction engine inferred for the session's current position: the

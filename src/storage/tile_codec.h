@@ -9,9 +9,9 @@
 //   | per-attribute payload (encoding-specific, see below)
 //   | u64 XXH64 (seed 0) checksum over every preceding byte
 //
-// Format v2 blobs (tile files and packed extents written by earlier builds)
-// are still read: they differ only in the trailer, an FNV-1a checksum over
-// the same bytes. Version 1 is rejected as "unsupported tile version".
+// Format v2 blobs (in packed extents written by earlier builds) are still
+// read: they differ only in the trailer, an FNV-1a checksum over the same
+// bytes. Version 1 is rejected as "unsupported tile version".
 //
 // Payloads:
 //   kRawF64      — width*height f64 per attribute; lossless, bit-exact.

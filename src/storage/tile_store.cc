@@ -1,6 +1,7 @@
 #include "storage/tile_store.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,7 +13,6 @@
 #include <fstream>
 
 #include "common/logging.h"
-#include "common/string_utils.h"
 #include "storage/tile_codec.h"
 
 namespace fc::storage {
@@ -203,31 +203,19 @@ bool ReadPod(const std::string& bytes, std::size_t* pos, T* v) {
   return true;
 }
 
-// Every on-disk write publishes via write-temp-then-rename: a reader that
-// opens the destination path sees either the complete old file or the
-// complete new one, never a truncated in-place rewrite — and an already
-// open fd (the packed extent snapshot) keeps reading its original inode.
-// The counter keeps concurrent writers of one path off each other's temp.
+// The extent is published via write-temp-then-rename: a reader that opens
+// the path sees either the complete old file or the complete new one,
+// never a truncated in-place rewrite — and an already open fd (the packed
+// extent snapshot) keeps reading its original inode. The counter keeps
+// concurrent repacks of one path off each other's temp.
 std::string TempPathFor(const std::string& path) {
   static std::atomic<std::uint64_t> counter{0};
   return path + ".tmp" +
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
-Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = TempPathFor(path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open for writing: " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) return Status::IoError("write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("rename " + tmp + " -> " + path + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
+Status NotPacked(const tiles::TileKey& key) {
+  return Status::NotFound("no packed tile " + key.ToString());
 }
 
 }  // namespace
@@ -261,18 +249,13 @@ Result<std::unique_ptr<DiskTileStore>> DiskTileStore::Open(
       std::lock_guard<std::mutex> lock(store->io_mu_);
       store->packed_ = *packed;
     } else {
-      // A bad extent only loses the fast path; per-tile files still serve.
+      // The store serves nothing until a SavePyramid rebuilds over it.
       FC_LOG_WARNING << "ignoring unreadable packed extent "
                      << store->PackedExtentPath() << ": "
                      << packed.status().ToString();
     }
   }
   return store;
-}
-
-std::string DiskTileStore::PathFor(const tiles::TileKey& key) const {
-  return StrFormat("%s/tile_%d_%lld_%lld.fctl", directory_.c_str(), key.level,
-                   static_cast<long long>(key.x), static_cast<long long>(key.y));
 }
 
 std::string DiskTileStore::PackedExtentPath() const {
@@ -284,28 +267,7 @@ bool DiskTileStore::packed_loaded() const {
   return packed_ != nullptr;
 }
 
-Status DiskTileStore::Save(const tiles::Tile& tile) {
-  FC_RETURN_IF_ERROR(
-      WriteFileAtomic(PathFor(tile.key()), codec_.Encode(tile)));
-  {
-    // The packed slot (if any) now holds older bytes than this file.
-    std::lock_guard<std::mutex> lock(io_mu_);
-    if (packed_ && packed_->index.count(tile.key()) > 0) {
-      stale_packed_.insert(tile.key());
-    }
-  }
-  return Status::OK();
-}
-
 Status DiskTileStore::SavePyramid(const tiles::TilePyramid& pyramid) {
-  for (const auto& key : pyramid.spec().AllKeys()) {
-    FC_ASSIGN_OR_RETURN(auto tile, pyramid.GetTile(key));
-    FC_RETURN_IF_ERROR(Save(*tile));
-  }
-  return BuildPackedExtent(pyramid);
-}
-
-Status DiskTileStore::BuildPackedExtent(const tiles::TilePyramid& pyramid) {
   std::vector<tiles::TileKey> keys = pyramid.spec().AllKeys();
   std::sort(keys.begin(), keys.end(),
             [](const tiles::TileKey& a, const tiles::TileKey& b) {
@@ -366,14 +328,32 @@ Status DiskTileStore::BuildPackedExtent(const tiles::TilePyramid& pyramid) {
   }
   std::lock_guard<std::mutex> lock(io_mu_);
   packed_ = std::move(packed);
-  stale_packed_.clear();
   return Status::OK();
 }
 
 Result<std::shared_ptr<const DiskTileStore::PackedExtent>>
-DiskTileStore::LoadPackedExtent() const {
+DiskTileStore::LoadPackedExtent() {
   const std::string path = PackedExtentPath();
-  FC_ASSIGN_OR_RETURN(auto header, ReadFile(path));
+  auto packed = std::make_shared<PackedExtent>();
+  packed->fd = ::open(path.c_str(), O_RDONLY);
+  if (packed->fd < 0) {
+    return Status::IoError("cannot open packed extent " + path + ": " +
+                           std::strerror(errno));
+  }
+  // Only the header and the index are read; every count and offset in them
+  // is checked against the size of the file this fd reads.
+  struct stat st;
+  if (::fstat(packed->fd, &st) != 0) {
+    return Status::IoError("cannot stat packed extent " + path + ": " +
+                           std::strerror(errno));
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  if (size < kPackedHeaderBytes) {
+    return Status::Corruption("packed extent truncated: " + path);
+  }
+  std::string header(kPackedHeaderBytes, '\0');
+  FC_RETURN_IF_ERROR(PreadInto(packed->fd, 0, header.data(), header.size(),
+                               /*metered=*/false));
   std::size_t pos = 0;
   std::uint32_t magic = 0, version = 0;
   std::uint64_t count = 0;
@@ -383,31 +363,32 @@ DiskTileStore::LoadPackedExtent() const {
   if (!ReadPod(header, &pos, &version) || version != kPackedVersion) {
     return Status::Corruption("packed extent has unknown version: " + path);
   }
-  if (!ReadPod(header, &pos, &count)) {
-    return Status::Corruption("packed extent truncated: " + path);
+  // Bounded by the file size before anything is sized from it: a forged
+  // count must not reach reserve().
+  if (!ReadPod(header, &pos, &count) ||
+      count > (size - kPackedHeaderBytes) / kPackedEntryBytes) {
+    return Status::Corruption("packed extent index truncated: " + path);
   }
-  auto packed = std::make_shared<PackedExtent>();
+  std::string index(count * kPackedEntryBytes, '\0');
+  FC_RETURN_IF_ERROR(PreadInto(packed->fd, kPackedHeaderBytes, index.data(),
+                               index.size(), /*metered=*/false));
+  pos = 0;
   packed->entries.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     std::int32_t level = 0;
     std::int64_t x = 0, y = 0;
     PackedEntry e;
-    if (!ReadPod(header, &pos, &level) || !ReadPod(header, &pos, &x) ||
-        !ReadPod(header, &pos, &y) || !ReadPod(header, &pos, &e.offset) ||
-        !ReadPod(header, &pos, &e.length)) {
+    if (!ReadPod(index, &pos, &level) || !ReadPod(index, &pos, &x) ||
+        !ReadPod(index, &pos, &y) || !ReadPod(index, &pos, &e.offset) ||
+        !ReadPod(index, &pos, &e.length)) {
       return Status::Corruption("packed extent index truncated: " + path);
     }
     e.key = tiles::TileKey{static_cast<int>(level), x, y};
-    if (e.offset + e.length > header.size()) {
+    if (e.offset > size || e.length > size - e.offset) {
       return Status::Corruption("packed extent blob out of bounds: " + path);
     }
     packed->index.emplace(e.key, packed->entries.size());
     packed->entries.push_back(e);
-  }
-  packed->fd = ::open(path.c_str(), O_RDONLY);
-  if (packed->fd < 0) {
-    return Status::IoError("cannot open packed extent " + path + ": " +
-                           std::strerror(errno));
   }
   return std::shared_ptr<const PackedExtent>(std::move(packed));
 }
@@ -415,21 +396,18 @@ DiskTileStore::LoadPackedExtent() const {
 std::shared_ptr<const DiskTileStore::PackedExtent> DiskTileStore::PackedFor(
     const tiles::TileKey& key) const {
   std::lock_guard<std::mutex> lock(io_mu_);
-  if (!packed_ || packed_->index.count(key) == 0 ||
-      stale_packed_.count(key) > 0) {
-    return nullptr;
-  }
+  if (!packed_ || packed_->index.count(key) == 0) return nullptr;
   return packed_;
 }
 
 Status DiskTileStore::PreadInto(int fd, std::uint64_t offset, char* dst,
-                                std::uint64_t length) {
+                                std::uint64_t length, bool metered) {
   std::uint64_t done = 0;
   while (done < length) {
     const ssize_t n =
         ::pread(fd, dst + done, static_cast<std::size_t>(length - done),
                 static_cast<off_t>(offset + done));
-    ++syscalls_;
+    if (metered) ++syscalls_;
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IoError(std::string("pread failed on packed extent: ") +
@@ -438,25 +416,18 @@ Status DiskTileStore::PreadInto(int fd, std::uint64_t offset, char* dst,
     if (n == 0) {
       return Status::Corruption("packed extent shorter than its index");
     }
-    bytes_read_ += static_cast<std::uint64_t>(n);
+    if (metered) bytes_read_ += static_cast<std::uint64_t>(n);
     done += static_cast<std::uint64_t>(n);
   }
   return Status::OK();
 }
 
-Result<std::string> DiskTileStore::ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no tile file: " + path);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-Result<tiles::TilePtr> DiskTileStore::DecodeFile(const tiles::TileKey& key,
+Result<tiles::TilePtr> DiskTileStore::DecodeBlob(const tiles::TileKey& key,
                                                  std::string_view bytes) const {
   FC_ASSIGN_OR_RETURN(auto tile, DecodeTile(bytes));
   if (!(tile.key() == key)) {
-    return Status::Corruption("tile file " + PathFor(key) + " holds key " +
-                              tile.key().ToString());
+    return Status::Corruption("packed slot of " + key.ToString() +
+                              " holds key " + tile.key().ToString());
   }
   return std::make_shared<const tiles::Tile>(std::move(tile));
 }
@@ -464,16 +435,12 @@ Result<tiles::TilePtr> DiskTileStore::DecodeFile(const tiles::TileKey& key,
 Result<tiles::TilePtr> DiskTileStore::Fetch(const tiles::TileKey& key) {
   ++fetches_;
   ++queries_;
-  if (auto packed = PackedFor(key)) {
-    const PackedEntry& e = packed->entries[packed->index.at(key)];
-    std::string bytes(e.length, '\0');
-    FC_RETURN_IF_ERROR(PreadInto(packed->fd, e.offset, bytes.data(), e.length));
-    return DecodeFile(key, bytes);
-  }
-  FC_ASSIGN_OR_RETURN(auto bytes, ReadFile(PathFor(key)));
-  ++syscalls_;
-  bytes_read_ += bytes.size();
-  return DecodeFile(key, bytes);
+  auto packed = PackedFor(key);
+  if (packed == nullptr) return NotPacked(key);
+  const PackedEntry& e = packed->entries[packed->index.at(key)];
+  std::string bytes(e.length, '\0');
+  FC_RETURN_IF_ERROR(PreadInto(packed->fd, e.offset, bytes.data(), e.length));
+  return DecodeBlob(key, bytes);
 }
 
 std::vector<Result<tiles::TilePtr>> DiskTileStore::FetchBatch(
@@ -483,21 +450,19 @@ std::vector<Result<tiles::TilePtr>> DiskTileStore::FetchBatch(
   std::vector<Result<tiles::TilePtr>> out(
       keys.size(), Result<tiles::TilePtr>(Status::Internal("batch slot unset")));
 
-  // Partition in one snapshot: slots the packed extent serves vs per-file
-  // fallbacks (no extent, key never packed, or overwritten since packing).
+  // Partition against one snapshot: slots the packed extent serves, and
+  // keys outside it, which are NotFound.
   std::shared_ptr<const PackedExtent> packed;
-  std::vector<std::size_t> packed_slots;
-  std::vector<std::size_t> fallback_slots;
   {
     std::lock_guard<std::mutex> lock(io_mu_);
     packed = packed_;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (packed && packed->index.count(keys[i]) > 0 &&
-          stale_packed_.count(keys[i]) == 0) {
-        packed_slots.push_back(i);
-      } else {
-        fallback_slots.push_back(i);
-      }
+  }
+  std::vector<std::size_t> packed_slots;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (packed && packed->index.count(keys[i]) > 0) {
+      packed_slots.push_back(i);
+    } else {
+      out[i] = NotPacked(keys[i]);
     }
   }
 
@@ -545,7 +510,7 @@ std::vector<Result<tiles::TilePtr>> DiskTileStore::FetchBatch(
           continue;
         }
         const PackedEntry& e = packed->entries[packed->index.at(keys[slot])];
-        out[slot] = DecodeFile(
+        out[slot] = DecodeBlob(
             keys[slot],
             std::string_view(buffer).substr(e.offset - run.offset, e.length));
       }
@@ -557,34 +522,15 @@ std::vector<Result<tiles::TilePtr>> DiskTileStore::FetchBatch(
       const PackedEntry& e = packed->entries[packed->index.at(keys[slot])];
       std::string bytes(e.length, '\0');
       Status read = PreadInto(packed->fd, e.offset, bytes.data(), e.length);
-      out[slot] = read.ok() ? DecodeFile(keys[slot], bytes)
+      out[slot] = read.ok() ? DecodeBlob(keys[slot], bytes)
                             : Result<tiles::TilePtr>(read);
     }
-  }
-
-  // Per-file fallback: slurp then decode, as before the packed extent.
-  for (std::size_t slot : fallback_slots) {
-    auto raw = ReadFile(PathFor(keys[slot]));
-    if (!raw.ok()) {
-      out[slot] = raw.status();
-      continue;
-    }
-    ++syscalls_;
-    bytes_read_ += raw->size();
-    out[slot] = DecodeFile(keys[slot], *raw);
   }
   return out;
 }
 
 bool DiskTileStore::Contains(const tiles::TileKey& key) const {
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    if (packed_ && packed_->index.count(key) > 0 &&
-        stale_packed_.count(key) == 0) {
-      return true;
-    }
-  }
-  return std::filesystem::exists(PathFor(key));
+  return PackedFor(key) != nullptr;
 }
 
 // ---------------------------------------------------------------------------

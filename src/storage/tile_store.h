@@ -5,7 +5,7 @@
 //                          study served everything from memory, section 5.3);
 //  * SimulatedDbmsStore  — pyramid + query cost model + virtual clock; every
 //                          fetch charges the calibrated SciDB latency;
-//  * DiskTileStore       — tiles serialized to files, real I/O;
+//  * DiskTileStore       — tiles packed into one extent file, real I/O;
 //  * SingleFlightTileStore — decorator deduplicating concurrent fetches of
 //                          the same key across sessions/threads.
 //
@@ -27,7 +27,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "array/cost_model.h"
@@ -179,42 +178,33 @@ class SimulatedDbmsStore : public TileStore {
   double total_query_millis_ = 0.0;
 };
 
-/// Serves tiles from disk: one file per tile, plus an optional PACKED
-/// EXTENT — a single "extent.fcpk" file laying every tile of the pyramid
-/// out in Morton order behind an offset index, written by SavePyramid.
+/// Serves tiles from disk out of one PACKED EXTENT — a single
+/// "extent.fcpk" file laying every tile of the pyramid out in Morton order
+/// behind an offset index, written by SavePyramid. A key outside the
+/// extent, and every key before the first SavePyramid, is NotFound.
 ///
-/// When the packed extent is present, reads go through one cached file
-/// descriptor via pread (no per-call ifstream open), and FetchBatch with
-/// range coalescing enabled plans Morton-adjacent keys into contiguous
-/// byte runs served by ONE pread each — the true vectored read path.
-/// Because the file is Morton-ordered, spatial adjacency IS file
+/// Reads go through one cached file descriptor via pread, and FetchBatch
+/// with range coalescing enabled plans Morton-adjacent keys into
+/// contiguous byte runs served by ONE pread each — the true vectored read
+/// path. Because the file is Morton-ordered, spatial adjacency IS file
 /// contiguity, so adjacency-heavy batches collapse to a few syscalls.
 /// syscall_count()/bytes_read() make the win observable.
-///
-/// Tiles Save()d after the packed extent was built are marked stale in it
-/// and served from their per-tile file until the next SavePyramid rebuilds
-/// the extent. Without a packed extent the store behaves as before: one
-/// file slurp per tile.
 class DiskTileStore : public TileStore {
  public:
-  /// Creates the directory if needed; Save writes tiles, Fetch reads them.
-  /// `codec` picks the on-disk encoding for newly saved tiles; reads are
-  /// self-describing, so a store can hold a mix of encodings. If the
-  /// directory already holds a packed extent (a previous SavePyramid), it
-  /// is loaded and served from; a corrupt one is ignored with a warning.
-  /// `coalesce` gates the vectored FetchBatch path and defaults to OFF
-  /// (per-slot pread, still through the cached fd).
+  /// Creates the directory if needed; SavePyramid writes the extent, Fetch
+  /// reads it. `codec` picks the encoding SavePyramid writes; reads are
+  /// self-describing. If the directory already holds a packed extent (a
+  /// previous SavePyramid), it is loaded and served from; an unreadable
+  /// one is ignored with a warning, and the store serves nothing until a
+  /// SavePyramid rebuilds it. `coalesce` gates the vectored FetchBatch
+  /// path and defaults to OFF (per-slot pread, still through the cached
+  /// fd).
   static Result<std::unique_ptr<DiskTileStore>> Open(
       std::string directory, tiles::PyramidSpec spec,
       TileCodecOptions codec = {}, RangeCoalesceOptions coalesce = {});
 
-  /// Persists one tile (overwrites). If a packed extent is loaded, the key
-  /// is marked stale there so readers see this newer file.
-  Status Save(const tiles::Tile& tile);
-
-  /// Persists every tile of a pyramid — per-tile files for compatibility
-  /// plus the Morton-ordered packed extent — then serves reads from the
-  /// freshly built extent (all staleness cleared).
+  /// Writes every tile of a pyramid into a fresh Morton-ordered packed
+  /// extent (replacing the file atomically), then serves reads from it.
   Status SavePyramid(const tiles::TilePyramid& pyramid);
 
   Result<tiles::TilePtr> Fetch(const tiles::TileKey& key) override;
@@ -222,9 +212,9 @@ class DiskTileStore : public TileStore {
   /// One coalesced read pass, ONE backend query. Keys in the packed extent
   /// are served by pread through the cached fd — with coalescing enabled,
   /// one pread per planned byte run (storage/range_plan.h) into a single
-  /// buffer; otherwise one pread per key. Keys outside the extent (never
-  /// packed, or stale) fall back to per-file slurps. Results follow the
-  /// loop-fallback contract: per-slot, caller's order, bit-identical.
+  /// buffer; otherwise one pread per key. Keys outside the extent are
+  /// NotFound. Results follow the loop-fallback contract: per-slot,
+  /// caller's order, bit-identical.
   std::vector<Result<tiles::TilePtr>> FetchBatch(
       const std::vector<tiles::TileKey>& keys) override;
 
@@ -233,8 +223,8 @@ class DiskTileStore : public TileStore {
   std::uint64_t fetch_count() const override { return fetches_; }
   std::uint64_t query_count() const override { return queries_; }
 
-  /// Read submissions issued: one per pread call, one per fallback file
-  /// slurp. The vectored path's whole point is to shrink this number.
+  /// Read submissions issued by Fetch and FetchBatch: one per pread call.
+  /// The vectored path's whole point is to shrink this number.
   std::uint64_t syscall_count() const { return syscalls_; }
 
   /// Payload bytes read, including bounded gap waste spanned by vectored
@@ -246,9 +236,6 @@ class DiskTileStore : public TileStore {
 
   /// True if a packed extent is loaded and serving reads.
   bool packed_loaded() const;
-
-  /// Filesystem path for a tile key.
-  std::string PathFor(const tiles::TileKey& key) const;
 
   /// Path of the packed extent file under this store's directory.
   std::string PackedExtentPath() const;
@@ -275,27 +262,25 @@ class DiskTileStore : public TileStore {
   DiskTileStore(std::string directory, tiles::PyramidSpec spec,
                 TileCodecOptions codec, RangeCoalesceOptions coalesce);
 
-  /// Decodes and validates one tile's bytes: a tile file, or its slice of
-  /// a coalesced run buffer, decoded in place (shared by Fetch and
-  /// FetchBatch).
-  Result<tiles::TilePtr> DecodeFile(const tiles::TileKey& key,
+  /// Decodes and validates one tile's blob: a slot read on its own, or its
+  /// slice of a coalesced run buffer, decoded in place (shared by Fetch
+  /// and FetchBatch).
+  Result<tiles::TilePtr> DecodeBlob(const tiles::TileKey& key,
                                     std::string_view bytes) const;
-  static Result<std::string> ReadFile(const std::string& path);
 
-  /// pread loop reading exactly [offset, offset+length) into dst; bumps
-  /// syscalls_ per pread call and bytes_read_ per byte landed.
+  /// pread loop reading exactly [offset, offset+length) into dst. When
+  /// `metered`, bumps syscalls_ per pread call and bytes_read_ per byte
+  /// landed; loading the index at Open is not metered (set-up, not
+  /// serving I/O).
   Status PreadInto(int fd, std::uint64_t offset, char* dst,
-                   std::uint64_t length);
+                   std::uint64_t length, bool metered = true);
 
-  /// Writes the packed extent file for `pyramid`, opens it, and publishes
-  /// the new PackedExtent (clearing all staleness).
-  Status BuildPackedExtent(const tiles::TilePyramid& pyramid);
+  /// Opens an existing packed extent file and reads its header and index,
+  /// checking every count and blob bound against the file's size.
+  Result<std::shared_ptr<const PackedExtent>> LoadPackedExtent();
 
-  /// Parses + opens an existing packed extent file.
-  Result<std::shared_ptr<const PackedExtent>> LoadPackedExtent() const;
-
-  /// Snapshot of the packed extent IF it serves `key` (present, not
-  /// stale); nullptr directs the caller to the per-file fallback.
+  /// Snapshot of the packed extent IF it holds `key`; nullptr means the
+  /// key is NotFound.
   std::shared_ptr<const PackedExtent> PackedFor(const tiles::TileKey& key) const;
 
   std::string directory_;
@@ -307,13 +292,10 @@ class DiskTileStore : public TileStore {
   std::atomic<std::uint64_t> syscalls_{0};
   std::atomic<std::uint64_t> bytes_read_{0};
   std::atomic<std::uint64_t> vectored_runs_{0};
-  /// Guards packed_ (the published extent pointer) and stale_packed_.
-  /// Readers only hold it long enough to snapshot; I/O runs lock-free.
+  /// Guards packed_ (the published extent pointer). Readers only hold it
+  /// long enough to snapshot; I/O runs lock-free.
   mutable std::mutex io_mu_;
   std::shared_ptr<const PackedExtent> packed_;
-  /// Keys overwritten by Save() since the extent was built — their packed
-  /// slots hold old bytes, so reads divert to the per-tile file.
-  std::unordered_set<tiles::TileKey, tiles::TileKeyHash> stale_packed_;
 };
 
 /// Decorator that collapses concurrent fetches of the same key into one

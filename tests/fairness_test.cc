@@ -28,7 +28,6 @@
 #include "common/sim_clock.h"
 #include "core/prefetch_scheduler.h"
 #include "core/shared_tile_cache.h"
-#include "server/think_time.h"
 #include "storage/tile_store.h"
 #include "tiles/pyramid.h"
 
@@ -485,29 +484,6 @@ TEST(WallClockTest, DeadlinesExpireAgainstRealTime) {
   EXPECT_EQ(stats.deadline_misses, 1u);
   EXPECT_EQ(delivered.size(), 1u);  // still delivered: miss, not drop
   scheduler.Shutdown();
-}
-
-TEST(WallClockTest, ThinkTimeObserveReadsWiredClock) {
-  // The no-argument Observe() overload reads whatever Clock the options
-  // wire — here a SimClock, so the gaps are exact.
-  SimClock clock;
-  server::ThinkTimeOptions options;
-  options.clock = &clock;
-  options.ewma_alpha = 0.5;
-  options.warmup_samples = 1;
-  server::ThinkTimeEstimator estimator(options);
-
-  estimator.Observe();  // anchors at t=0
-  clock.AdvanceMillis(400.0);
-  estimator.Observe();  // gap 400: warmup reached
-  EXPECT_EQ(estimator.samples(), 1u);
-  EXPECT_DOUBLE_EQ(estimator.EstimateMs(AnalysisPhase::kForaging), 400.0);
-
-  // Without a clock the overload is a no-op, not garbage gaps.
-  server::ThinkTimeEstimator clockless;
-  clockless.Observe();
-  clockless.Observe();
-  EXPECT_EQ(clockless.samples(), 0u);
 }
 
 }  // namespace

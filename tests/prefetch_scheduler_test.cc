@@ -589,7 +589,6 @@ TEST(PrefetchSchedulerPropertyTest, AccountingBalancesUnderConcurrentPublishers)
     });
   }
   for (auto& t : threads) t.join();
-  scheduler.Drain();
 
   auto stats = scheduler.Stats();
   EXPECT_GT(stats.predictions_published, 0u);

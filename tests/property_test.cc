@@ -123,7 +123,9 @@ TEST(TileDistancePropertyTest, MetricAxioms) {
       EXPECT_EQ(dab, tiles::TileKey::ManhattanDistance(b, a));  // symmetry
       EXPECT_GE(dab, 0);
       // Distinct tiles are at positive distance.
-      if (!(a == b)) EXPECT_GT(dab, 0);
+      if (!(a == b)) {
+        EXPECT_GT(dab, 0);
+      }
       for (const auto& c : keys) {
         if (a.level == b.level && b.level == c.level) {
           EXPECT_LE(tiles::TileKey::ManhattanDistance(a, c),

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 #include <vector>
 
 #include "common/executor.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "core/prefetch_scheduler.h"
@@ -366,40 +369,6 @@ TEST(DiskPackedTest, VectoredBatchReadsOneRunPerQuad) {
   }
 }
 
-TEST(DiskPackedTest, SaveDivertsStaleSlotToFreshFile) {
-  auto pyramid = SmallPyramid();
-  RangeCoalesceOptions coalesce;
-  coalesce.enabled = true;
-  auto store = DiskTileStore::Open(ScratchDir("fc_rc_stale"),
-                                    pyramid->spec(), {}, coalesce).value();
-  ASSERT_TRUE(store->SavePyramid(*pyramid).ok());
-
-  // Overwrite one tile with recognizable data AFTER the extent was packed.
-  const tiles::TileKey victim{2, 1, 1};
-  auto fresh = *tiles::Tile::Make(victim, 8, 8, {"v"});
-  for (std::int64_t y = 0; y < 8; ++y) {
-    for (std::int64_t x = 0; x < 8; ++x) fresh.Set(0, x, y, -1.0);
-  }
-  ASSERT_TRUE(store->Save(fresh).ok());
-
-  // Fetch and the vectored batch must both serve the NEW bytes (per-tile
-  // file), while untouched neighbors still ride the packed extent.
-  auto direct = store->Fetch(victim);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ((*direct)->At(0, 3, 3), -1.0);
-  auto batch = store->FetchBatch({{2, 0, 1}, victim, {2, 0, 0}});
-  ASSERT_TRUE(batch[1].ok());
-  EXPECT_EQ((*batch[1])->At(0, 3, 3), -1.0);
-  ASSERT_TRUE(batch[0].ok());
-  EXPECT_NE((*batch[0])->At(0, 3, 3), -1.0);
-
-  // Rebuilding the extent re-packs the new bytes and clears the staleness.
-  ASSERT_TRUE(store->SavePyramid(*pyramid).ok());
-  auto repacked = store->Fetch(victim);
-  ASSERT_TRUE(repacked.ok());
-  EXPECT_NE((*repacked)->At(0, 3, 3), -1.0);
-}
-
 TEST(DiskPackedTest, DuplicateAndMissingKeysKeepSlotSemantics) {
   auto pyramid = SmallPyramid();
   RangeCoalesceOptions coalesce;
@@ -418,6 +387,75 @@ TEST(DiskPackedTest, DuplicateAndMissingKeysKeepSlotSemantics) {
   ASSERT_TRUE(batch[3].ok());
   ExpectTilesIdentical(*batch[0], *batch[2]);
   ExpectTilesIdentical(*batch[0], *batch[3]);
+}
+
+// The extent is the store's only format, so an unreadable one — whatever
+// is wrong with it — leaves an empty store: Open succeeds with a warning,
+// every key is NotFound, and a SavePyramid over the bad file serves again.
+// A forged entry count must be rejected before anything is sized from it.
+TEST(DiskPackedTest, UnreadableExtentServesNothingUntilRebuilt) {
+  auto pyramid = SmallPyramid();
+  const std::vector<tiles::TileKey> keys = pyramid->spec().AllKeys();
+  std::string good;
+  {
+    const std::string dir = ScratchDir("fc_rc_bad_source");
+    auto writer = DiskTileStore::Open(dir, pyramid->spec()).value();
+    ASSERT_TRUE(writer->SavePyramid(*pyramid).ok());
+    std::ifstream in(writer->PackedExtentPath(), std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kHeader = 16, kEntry = 36;
+  ASSERT_GT(good.size(), kHeader + keys.size() * kEntry);
+  auto with_u32 = [](std::string bytes, std::size_t at, std::uint32_t v) {
+    std::memcpy(bytes.data() + at, &v, sizeof(v));
+    return bytes;
+  };
+  auto header_only = [&](std::uint64_t count) {
+    std::string bytes = good.substr(0, kHeader);
+    std::memcpy(bytes.data() + 8, &count, sizeof(count));
+    return bytes;
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"bad magic", with_u32(good, 0, 0x12345678)},
+      {"unknown version", with_u32(good, 4, 2)},
+      {"truncated index", good.substr(0, kHeader + kEntry)},
+      {"forged count 2^40", header_only(std::uint64_t{1} << 40)},
+      {"forged count 2^62", header_only(std::uint64_t{1} << 62)},
+      {"blob past the end", good.substr(0, good.size() - 1)},
+  };
+
+  MemoryTileStore memory(pyramid);
+  for (const auto& [name, bytes] : cases) {
+    for (bool coalesced : {false, true}) {
+      SCOPED_TRACE(name + (coalesced ? ", coalesced" : ""));
+      const std::string dir = ScratchDir("fc_rc_bad_extent");
+      std::filesystem::create_directories(dir);
+      std::ofstream(dir + "/extent.fcpk", std::ios::binary) << bytes;
+      RangeCoalesceOptions coalesce;
+      coalesce.enabled = coalesced;
+      const std::uint64_t warnings = GetLogEventCounts().warnings;
+      auto opened = DiskTileStore::Open(dir, pyramid->spec(), {}, coalesce);
+      ASSERT_TRUE(opened.ok()) << opened.status();
+      EXPECT_EQ(GetLogEventCounts().warnings, warnings + 1);
+      auto store = std::move(opened).value();
+      EXPECT_FALSE(store->packed_loaded());
+      EXPECT_FALSE(store->Contains(keys.front()));
+      EXPECT_TRUE(store->Fetch(keys.front()).status().IsNotFound());
+      for (const auto& result : store->FetchBatch(keys)) {
+        EXPECT_TRUE(result.status().IsNotFound());
+      }
+      EXPECT_EQ(store->syscall_count(), 0u);
+
+      ASSERT_TRUE(store->SavePyramid(*pyramid).ok());
+      EXPECT_TRUE(store->packed_loaded());
+      auto batch = store->FetchBatch(keys);
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_TRUE(batch[i].ok()) << keys[i].ToString();
+        ExpectTilesIdentical(*batch[i], *memory.Fetch(keys[i]));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -508,8 +546,8 @@ TEST(EquivalencePropertyTest, DiskCoalescedMatchesPerKeyWithFewerSyscalls) {
 }
 
 // ---------------------------------------------------------------------------
-// TSan stress: concurrent vectored batches racing Save() overwrites and a
-// packed-extent rebuild on one shared store.
+// TSan stress: concurrent vectored batches racing packed-extent rebuilds on
+// one shared store.
 
 TEST(DiskPackedTest, ConcurrentVectoredBatchesAndRepacksAreSafe) {
   auto pyramid = SmallPyramid();
@@ -535,16 +573,8 @@ TEST(DiskPackedTest, ConcurrentVectoredBatchesAndRepacksAreSafe) {
     });
   }
   std::thread writer([&] {
-    Rng rng(/*seed=*/9999);
     while (!stop.load()) {
-      const tiles::TileKey key{2, static_cast<std::int64_t>(rng.UniformUint32(4)),
-                               static_cast<std::int64_t>(rng.UniformUint32(4))};
-      auto tile = pyramid->GetTile(key);
-      ASSERT_TRUE(tile.ok());
-      ASSERT_TRUE(store->Save(**tile).ok());
-      if (rng.UniformUint32(8) == 0) {
-        ASSERT_TRUE(store->SavePyramid(*pyramid).ok());
-      }
+      ASSERT_TRUE(store->SavePyramid(*pyramid).ok());
     }
   });
   for (auto& t : readers) t.join();

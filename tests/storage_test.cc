@@ -348,29 +348,48 @@ TEST(DiskTileStoreTest, CompressedCodecRoundTripsWithinTolerance) {
     }
   }
   // The smooth test raster compresses well below raw size on disk.
-  EXPECT_LT(std::filesystem::file_size((*store)->PathFor({2, 3, 1})),
-            (*original)->SizeBytes());
+  std::uintmax_t raw_bytes = 0;
+  for (const auto& key : pyramid->spec().AllKeys()) {
+    raw_bytes += (*pyramid->GetTile(key))->SizeBytes();
+  }
+  EXPECT_LT(std::filesystem::file_size((*store)->PackedExtentPath()),
+            raw_bytes);
   std::filesystem::remove_all(dir);
 }
 
-// A tile file an earlier build wrote in format v2 still fetches.
-TEST(DiskTileStoreTest, ReadsFormatV2TileFiles) {
+// A tile blob an earlier build packed in format v2 still fetches. v2
+// differs from v3 only in its version and trailer, so the blob keeps its
+// length and its slot in the extent.
+TEST(DiskTileStoreTest, ReadsFormatV2PackedBlobs) {
   auto pyramid = SmallPyramid();
   std::string dir = testing::TempDir() + "/fc_disk_store_v2";
   std::filesystem::remove_all(dir);
-  auto store = DiskTileStore::Open(dir, pyramid->spec());
-  ASSERT_TRUE(store.ok());
   auto original = pyramid->GetTile({2, 3, 1});
   ASSERT_TRUE(original.ok());
-  ASSERT_TRUE((*store)->Save(**original).ok());
-  const std::string path = (*store)->PathFor({2, 3, 1});
-  std::string bytes;
+  std::string path;
+  {
+    auto writer = DiskTileStore::Open(dir, pyramid->spec());
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->SavePyramid(*pyramid).ok());
+    path = (*writer)->PackedExtentPath();
+  }
+  std::string extent;
   {
     std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+    extent.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
   }
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << AsV2(bytes);
+  const std::string v3 = TileCodec().Encode(**original);
+  const std::size_t slot = extent.find(v3);
+  ASSERT_NE(slot, std::string::npos);
+  const std::string v2 = AsV2(v3);
+  ASSERT_NE(v2, v3);
+  extent.replace(slot, v3.size(), v2);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << extent;
+
+  auto store = DiskTileStore::Open(dir, pyramid->spec());
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->packed_loaded());
   auto tile = (*store)->Fetch({2, 3, 1});
   ASSERT_TRUE(tile.ok()) << tile.status();
   ExpectSameCells(**tile, **original);

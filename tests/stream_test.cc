@@ -44,7 +44,6 @@ namespace {
 
 using core::StreamScheduler;
 using core::StreamSchedulerOptions;
-using core::StreamSessionLimits;
 
 // One delivered chunk, as a test sink records it.
 struct Delivery {
@@ -106,7 +105,7 @@ TEST(StreamSchedulerTest, BasesBeforeRefinementsInUtilityOrder) {
   StreamScheduler scheduler(/*executor=*/nullptr, options);
   std::vector<Delivery> log;
   const std::uint64_t session =
-      scheduler.RegisterSession(7, {}, Record(&log, 7));
+      scheduler.RegisterSession(7, Record(&log, 7));
 
   const tiles::TileKey a{1, 0, 0}, b{1, 1, 0}, c{1, 2, 0};
   scheduler.SubmitTile(session, b, GaussianTile(b, 2), 1, 0.5);
@@ -147,7 +146,7 @@ TEST(StreamSchedulerTest, AllOrNothingPushesWholeTilesOnce) {
   StreamScheduler scheduler(/*executor=*/nullptr, options);
   std::vector<Delivery> log;
   const std::uint64_t session =
-      scheduler.RegisterSession(7, {}, Record(&log, 7));
+      scheduler.RegisterSession(7, Record(&log, 7));
 
   const tiles::TileKey a{1, 0, 0}, b{1, 1, 0};
   scheduler.SubmitTile(session, b, GaussianTile(b, 2), 1, 0.4);
@@ -175,7 +174,7 @@ TEST(StreamSchedulerTest, ByteBudgetPacesChunksOnTheClock) {
   {
     StreamScheduler probe(nullptr, options);
     std::vector<Delivery> sink;
-    auto id = probe.RegisterSession(1, {}, Record(&sink, 1));
+    auto id = probe.RegisterSession(1, Record(&sink, 1));
     probe.SubmitTile(id, {1, 0, 0}, GaussianTile({1, 0, 0}, 11), 1, 0.9);
     for (const auto& chunk : probe.SnapshotQueue()) {
       (chunk.exact ? refine_bytes : base_bytes) = chunk.bytes;
@@ -186,13 +185,12 @@ TEST(StreamSchedulerTest, ByteBudgetPacesChunksOnTheClock) {
 
   SimClock clock;
   options.clock = &clock;
+  options.total_bytes_per_ms = 1.0;
+  options.total_burst_bytes = base_bytes;  // bucket fits exactly one base
   StreamScheduler scheduler(nullptr, options);
   std::vector<Delivery> log;
-  StreamSessionLimits limits;
-  limits.bytes_per_ms = 1.0;
-  limits.burst_bytes = base_bytes;  // bucket fits exactly one base
   const std::uint64_t session =
-      scheduler.RegisterSession(1, limits, Record(&log, 1, &clock));
+      scheduler.RegisterSession(1, Record(&log, 1, &clock));
 
   const tiles::TileKey a{1, 0, 0}, b{1, 1, 0};
   scheduler.SubmitTile(session, a, GaussianTile(a, 11), 1, 0.9);
@@ -239,7 +237,7 @@ TEST(StreamSchedulerTest, StaleGenerationsShedQueuedPairs) {
   StreamScheduler scheduler(nullptr, options);
   std::vector<Delivery> log;
   const std::uint64_t session =
-      scheduler.RegisterSession(4, {}, Record(&log, 4));
+      scheduler.RegisterSession(4, Record(&log, 4));
 
   scheduler.SubmitTile(session, {1, 0, 0}, GaussianTile({1, 0, 0}, 1), 1, 0.9);
   scheduler.SubmitTile(session, {1, 1, 0}, GaussianTile({1, 1, 0}, 2), 1, 0.8);
@@ -268,7 +266,7 @@ TEST(StreamSchedulerTest, SupersededGenerationRetiresOnArrival) {
   StreamScheduler scheduler(nullptr, options);
   std::vector<Delivery> log;
   const std::uint64_t session =
-      scheduler.RegisterSession(3, {}, Record(&log, 3));
+      scheduler.RegisterSession(3, Record(&log, 3));
 
   scheduler.CancelStaleGenerations(session, /*live_generation=*/2);
   scheduler.SubmitTile(session, {1, 0, 0}, GaussianTile({1, 0, 0}, 1), 1, 0.9);
@@ -299,7 +297,7 @@ TEST(StreamSchedulerTest, RejectedSubmissionsKeepTheBooksBalanced) {
   StreamScheduler scheduler(nullptr, options);
   std::vector<Delivery> log;
   const std::uint64_t session =
-      scheduler.RegisterSession(5, {}, Record(&log, 5));
+      scheduler.RegisterSession(5, Record(&log, 5));
 
   scheduler.SubmitTile(session, {1, 0, 0}, GaussianTile({1, 0, 0}, 1), 1, 0.9);
   EXPECT_EQ(scheduler.Flush(), 2u);
@@ -333,7 +331,7 @@ TEST(StreamSchedulerTest, ClockStampedBaseExpiresWithItsRefinement) {
   StreamScheduler scheduler(nullptr, options);
   std::vector<Delivery> log;
   const std::uint64_t session =
-      scheduler.RegisterSession(9, {}, Record(&log, 9));
+      scheduler.RegisterSession(9, Record(&log, 9));
 
   // At the age cap, not past it: both chunks still push.
   scheduler.SubmitTile(session, {1, 0, 0}, GaussianTile({1, 0, 0}, 5), 1, 0.9);
@@ -379,7 +377,7 @@ TEST(StreamSchedulerPropertyTest, FlushIsAStableSortByClassThenUtilityPerByte) {
       std::vector<Delivery> log;
       std::uint64_t ids[kSessions];
       for (std::uint64_t s = 0; s < kSessions; ++s) {
-        ids[s] = scheduler.RegisterSession(s + 1, {}, Record(&log, s + 1));
+        ids[s] = scheduler.RegisterSession(s + 1, Record(&log, s + 1));
       }
 
       struct Chunk {
@@ -416,7 +414,9 @@ TEST(StreamSchedulerPropertyTest, FlushIsAStableSortByClassThenUtilityPerByte) {
       std::stable_sort(refinements.begin(), refinements.end(), by_rank);
       std::vector<Chunk> expected = usable;
       expected.insert(expected.end(), refinements.begin(), refinements.end());
-      if (progressive) ASSERT_FALSE(refinements.empty());
+      if (progressive) {
+        ASSERT_FALSE(refinements.empty());
+      }
 
       EXPECT_EQ(scheduler.Flush(), expected.size());
       ASSERT_EQ(log.size(), expected.size());
@@ -462,7 +462,7 @@ TEST(StreamSchedulerMemoTest, OneLiveTileIsPlannedOnceForEverySession) {
   std::vector<std::uint64_t> ids;
   for (std::uint64_t tag = 1; tag <= 4; ++tag) {
     ids.push_back(scheduler.RegisterSession(
-        tag, {},
+        tag,
         [&coarse](const tiles::TileKey&, const tiles::TilePtr& tile,
                   bool exact, std::uint64_t) {
           if (!exact) coarse.push_back(tile);
@@ -492,8 +492,8 @@ TEST(StreamSchedulerMemoTest, MemoNeverKeepsTheSubmittedTileAlive) {
     options.codec.progressive_base_step = 8.0;
     StreamScheduler scheduler(nullptr, options);
     const std::uint64_t session = scheduler.RegisterSession(
-        1, {}, [](const tiles::TileKey&, const tiles::TilePtr&, bool,
-                  std::uint64_t) {});
+        1, [](const tiles::TileKey&, const tiles::TilePtr&, bool,
+              std::uint64_t) {});
     const tiles::TileKey key{2, 0, 1};
     auto tile = GaussianTile(key, 43);
     std::weak_ptr<const tiles::Tile> watch = tile;
@@ -516,7 +516,7 @@ TEST(StreamSchedulerMemoTest, FreedTileAddressNeverAliasesANewTile) {
   StreamScheduler scheduler(nullptr, options);
   std::vector<std::uint64_t> coarse_bits;
   const std::uint64_t session = scheduler.RegisterSession(
-      1, {},
+      1,
       [&coarse_bits](const tiles::TileKey&, const tiles::TilePtr& tile,
                      bool exact, std::uint64_t) {
         if (!exact) coarse_bits = CellBits(*tile);
@@ -548,7 +548,7 @@ TEST(StreamSchedulerMemoTest, LossyExactPayloadIsReusedBitForBit) {
   StreamScheduler scheduler(nullptr, options);
   std::vector<tiles::TilePtr> exact_payloads;
   const std::uint64_t session = scheduler.RegisterSession(
-      1, {},
+      1,
       [&exact_payloads](const tiles::TileKey&, const tiles::TilePtr& tile,
                         bool exact, std::uint64_t) {
         if (exact) exact_payloads.push_back(tile);
@@ -591,7 +591,7 @@ TEST(StreamSchedulerMemoTest, PlansBeyondTheCapStillPlanCorrectly) {
 
   std::vector<bool> matches;
   const std::uint64_t session = scheduler.RegisterSession(
-      1, {},
+      1,
       [&](const tiles::TileKey& key, const tiles::TilePtr& tile, bool exact,
           std::uint64_t) {
         if (exact) return;
@@ -642,12 +642,9 @@ TEST(StreamSchedulerTest, ProgressiveEquivalentToAllOrNothingNeverLater) {
     constexpr std::size_t kSessions = 3;
     std::uint64_t p_ids[kSessions], a_ids[kSessions];
     for (std::size_t s = 0; s < kSessions; ++s) {
-      StreamSessionLimits limits;
-      limits.bytes_per_ms = 50.0;
-      limits.burst_bytes = 2048;
       const std::uint64_t tag = s + 1;
       p_ids[s] = progressive.RegisterSession(
-          tag, limits,
+          tag,
           [&outcomes, tag, &clock](const tiles::TileKey& key,
                                    const tiles::TilePtr& tile, bool exact,
                                    std::uint64_t) {
@@ -656,7 +653,7 @@ TEST(StreamSchedulerTest, ProgressiveEquivalentToAllOrNothingNeverLater) {
             if (exact) out.final_p = tile;
           });
       a_ids[s] = aon.RegisterSession(
-          tag, limits,
+          tag,
           [&outcomes, tag, &clock](const tiles::TileKey& key,
                                    const tiles::TilePtr& tile, bool exact,
                                    std::uint64_t) {
@@ -737,7 +734,7 @@ TEST(StreamSchedulerStressTest, SessionChurnUnderConcurrentSubmitAndPump) {
   std::atomic<std::uint64_t> slots[kSlots];
   auto register_slot = [&] {
     return scheduler.RegisterSession(
-        0, {},
+        0,
         [&delivered](const tiles::TileKey& key, const tiles::TilePtr& tile,
                      bool, std::uint64_t) {
           ASSERT_NE(tile, nullptr);
@@ -845,7 +842,7 @@ TEST(StreamSchedulerStressTest, ConcurrentTeardownsOfOneSessionAllReturn) {
   bool in_sink = false;
   bool release = false;
   const std::uint64_t session = scheduler.RegisterSession(
-      1, {},
+      1,
       [&](const tiles::TileKey&, const tiles::TilePtr&, bool, std::uint64_t) {
         std::unique_lock<std::mutex> lock(mu);
         in_sink = true;

@@ -540,7 +540,9 @@ TEST(TelemetryIntegrationTest, ManagerSnapshotCoversAllLayers) {
     for (core::Move move : {core::Move::kZoomInNW, core::Move::kPanRight,
                             core::Move::kZoomOut}) {
       auto served = session->ApplyMove(move);
-      if (!served.ok()) EXPECT_TRUE(served.status().IsInvalidArgument());
+      if (!served.ok()) {
+        EXPECT_TRUE(served.status().IsInvalidArgument());
+      }
       session->WaitForPrefetch();
     }
     manager.executor()->Wait();
