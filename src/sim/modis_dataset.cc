@@ -27,21 +27,29 @@ ModisDatasetOptions DefaultStudyDataset() {
   return opts;
 }
 
-Result<ModisDataset> ModisDatasetBuilder::Build(array::ArrayStore* catalog) const {
-  const auto& t = options_.terrain;
+namespace {
+
+// Steps 1-3 of the pipeline: the bands, Query 1 per day, and the composite.
+// The Terrain and the daily arrays are destroyed on return, before the
+// pyramid build.
+Result<array::DenseArray> BuildComposite(const ModisDatasetOptions& options,
+                                         array::ArrayStore* catalog) {
+  const auto& t = options.terrain;
   Terrain terrain(t);
 
   // Band array schema: reflectance[latitude, longitude] (paper 5.1.2).
   auto make_band_schema = [&](const std::string& name) {
     return array::ArraySchema::Make(
         name,
-        {array::Dimension{"latitude", 0, t.height, options_.tile_size},
-         array::Dimension{"longitude", 0, t.width, options_.tile_size}},
+        {array::Dimension{"latitude", 0, t.height, options.tile_size},
+         array::Dimension{"longitude", 0, t.width, options.tile_size}},
         {array::Attribute{"reflectance"}});
   };
 
+  // Every array here is row-major over (latitude, longitude): cell (x, y)
+  // is at y * t.width + x.
   std::vector<array::DenseArray> daily_ndsi;
-  for (int day = 0; day < options_.composite_days; ++day) {
+  for (int day = 0; day < options.composite_days; ++day) {
     FC_ASSIGN_OR_RETURN(auto vis_schema,
                         make_band_schema(StrFormat("SVIS_d%d", day)));
     FC_ASSIGN_OR_RETURN(auto swir_schema,
@@ -50,7 +58,7 @@ Result<ModisDataset> ModisDatasetBuilder::Build(array::ArrayStore* catalog) cons
     array::DenseArray sswir(std::move(swir_schema));
     for (std::int64_t y = 0; y < t.height; ++y) {
       for (std::int64_t x = 0; x < t.width; ++x) {
-        std::int64_t idx = svis.LinearIndex({y, x});
+        std::int64_t idx = y * t.width + x;
         svis.SetLinear(idx, 0, terrain.VisReflectance(x, y, day));
         sswir.SetLinear(idx, 0, terrain.SwirReflectance(x, y, day));
       }
@@ -62,7 +70,7 @@ Result<ModisDataset> ModisDatasetBuilder::Build(array::ArrayStore* catalog) cons
     FC_ASSIGN_OR_RETURN(
         auto with_ndsi,
         array::Apply(joined, "ndsi", [](const std::vector<double>& cell) {
-          return NdsiFunc(cell[0], cell[1]);
+          return ModisDatasetBuilder::NdsiFunc(cell[0], cell[1]);
         }));
 
     if (catalog != nullptr) {
@@ -80,8 +88,8 @@ Result<ModisDataset> ModisDatasetBuilder::Build(array::ArrayStore* catalog) cons
       auto composite_schema,
       array::ArraySchema::Make(
           "NDSI",
-          {array::Dimension{"latitude", 0, t.height, options_.tile_size},
-           array::Dimension{"longitude", 0, t.width, options_.tile_size}},
+          {array::Dimension{"latitude", 0, t.height, options.tile_size},
+           array::Dimension{"longitude", 0, t.width, options.tile_size}},
           {array::Attribute{"ndsi_min"}, array::Attribute{"ndsi_avg"},
            array::Attribute{"ndsi_max"}, array::Attribute{"land_mask"}}));
   array::DenseArray composite(std::move(composite_schema));
@@ -90,7 +98,7 @@ Result<ModisDataset> ModisDatasetBuilder::Build(array::ArrayStore* catalog) cons
   FC_ASSIGN_OR_RETURN(std::size_t ndsi_attr, first.schema().AttrIndex("ndsi"));
   for (std::int64_t y = 0; y < t.height; ++y) {
     for (std::int64_t x = 0; x < t.width; ++x) {
-      std::int64_t idx = first.LinearIndex({y, x});
+      std::int64_t idx = y * t.width + x;
       double mn = 1.0;
       double mx = -1.0;
       double sum = 0.0;
@@ -109,6 +117,13 @@ Result<ModisDataset> ModisDatasetBuilder::Build(array::ArrayStore* catalog) cons
   if (catalog != nullptr) {
     FC_RETURN_IF_ERROR(catalog->StoreAs("NDSI", composite));
   }
+  return composite;
+}
+
+}  // namespace
+
+Result<ModisDataset> ModisDatasetBuilder::Build(array::ArrayStore* catalog) const {
+  FC_ASSIGN_OR_RETURN(auto composite, BuildComposite(options_, catalog));
 
   // Tile pyramid + metadata. Aggregation follows attribute semantics:
   // min-of-min, avg-of-avg, max-of-max, any-land (max of mask).

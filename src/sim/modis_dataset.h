@@ -49,7 +49,9 @@ class ModisDatasetBuilder {
 
   /// Runs the full pipeline. When `catalog` is non-null the intermediate
   /// arrays (bands, per-day NDSI, composite) are stored in it under the
-  /// names SVIS_d<i>, SSWIR_d<i>, NDSI_d<i>, NDSI.
+  /// names SVIS_d<i>, SSWIR_d<i>, NDSI_d<i>, NDSI (as copies). The
+  /// builder's own Terrain, band and per-day NDSI arrays are released once
+  /// the composite is filled, before the pyramid build.
   Result<ModisDataset> Build(array::ArrayStore* catalog = nullptr) const;
 
   /// The paper's NDSI user-defined function.

@@ -22,6 +22,14 @@ std::vector<MountainRange> DefaultStudyRanges() {
 
 Terrain::Terrain(TerrainOptions options) : options_(std::move(options)) {
   if (options_.ranges.empty()) options_.ranges = DefaultStudyRanges();
+  if (options_.width > 0 && options_.height > 0) {
+    elevation_.reserve(static_cast<std::size_t>(options_.width * options_.height));
+  }
+  for (std::int64_t y = 0; y < options_.height; ++y) {
+    for (std::int64_t x = 0; x < options_.width; ++x) {
+      elevation_.push_back(ComputeElevation(x, y));
+    }
+  }
 }
 
 namespace {
@@ -73,6 +81,10 @@ double Terrain::Fbm(double x, double y, std::uint64_t salt) const {
 }
 
 double Terrain::Elevation(std::int64_t x, std::int64_t y) const {
+  return elevation_[static_cast<std::size_t>(y * options_.width + x)];
+}
+
+double Terrain::ComputeElevation(std::int64_t x, std::int64_t y) const {
   double u = (static_cast<double>(x) + 0.5) / static_cast<double>(options_.width);
   double v = (static_cast<double>(y) + 0.5) / static_cast<double>(options_.height);
 
@@ -82,7 +94,10 @@ double Terrain::Elevation(std::int64_t x, std::int64_t y) const {
   // Ridge contributions: rotated anisotropic Gaussians modulated by noise so
   // ranges have distinct peaks separated by lower passes (real ranges are
   // not uniformly snow-capped; the peak/pass alternation is what makes the
-  // study's "find the snowiest tiles" tasks genuine searches).
+  // study's "find the snowiest tiles" tasks genuine searches). The peak
+  // noise does not depend on the range.
+  double peaks = Fbm(u * 9.0, v * 9.0, /*salt=*/7);
+  double ridge_noise = 0.30 + 0.70 * peaks * peaks;  // sharpen the peaks
   for (const auto& range : options_.ranges) {
     double dx = u - range.center_x;
     double dy = v - range.center_y;
@@ -92,8 +107,6 @@ double Terrain::Elevation(std::int64_t x, std::int64_t y) const {
     double across = -dx * sin_a + dy * cos_a;
     double g = std::exp(-0.5 * (along * along / (range.length * range.length) +
                                 across * across / (range.width * range.width)));
-    double peaks = Fbm(u * 9.0, v * 9.0, /*salt=*/7);
-    double ridge_noise = 0.30 + 0.70 * peaks * peaks;  // sharpen the peaks
     elevation += range.height * g * ridge_noise;
   }
   return elevation;

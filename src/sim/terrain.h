@@ -57,6 +57,12 @@ struct TerrainOptions {
 std::vector<MountainRange> DefaultStudyRanges();
 
 /// Deterministic elevation + band synthesizer.
+///
+/// The elevation field does not depend on the day, so the constructor
+/// evaluates it once per cell into a row-major grid (`y * width + x`). The
+/// grid costs 8 bytes per cell for the Terrain's lifetime: 2 MiB at 512^2,
+/// 8 MiB at 1024^2. Every per-cell accessor below reads it, so each requires
+/// 0 <= x < width and 0 <= y < height.
 class Terrain {
  public:
   explicit Terrain(TerrainOptions options);
@@ -83,10 +89,13 @@ class Terrain {
   // Lattice value noise in [0,1] at arbitrary scale.
   double ValueNoise(double x, double y, std::uint64_t salt) const;
   double Fbm(double x, double y, std::uint64_t salt) const;
+  // The elevation field's formula; only the constructor evaluates it.
+  double ComputeElevation(std::int64_t x, std::int64_t y) const;
   // Deterministic per-cell measurement jitter.
   double CellJitter(std::int64_t x, std::int64_t y, int day, std::uint64_t salt) const;
 
   TerrainOptions options_;
+  std::vector<double> elevation_;  // row-major, y * width + x
 };
 
 }  // namespace fc::sim

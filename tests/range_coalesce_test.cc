@@ -464,8 +464,7 @@ TEST(DiskPackedTest, UnreadableExtentServesNothingUntilRebuilt) {
 
 /// Random adjacency-heavy batch: an aligned quad plus a few random keys
 /// (the shape a panning viewport's predictions take).
-std::vector<tiles::TileKey> RandomBatch(Rng& rng,
-                                        const tiles::PyramidSpec& spec) {
+std::vector<tiles::TileKey> RandomBatch(Rng& rng) {
   std::vector<tiles::TileKey> batch;
   const int level = 2;  // 4x4 grid: room for aligned quads
   const std::int64_t qx = 2 * rng.UniformUint32(2);
@@ -498,7 +497,7 @@ TEST(EquivalencePropertyTest, DbmsCoalescedMatchesPerKeyWithFewerScans) {
   Rng rng(/*seed=*/802);
   std::size_t total_keys = 0;
   for (int round = 0; round < 50; ++round) {
-    const auto batch = RandomBatch(rng, pyramid->spec());
+    const auto batch = RandomBatch(rng);
     total_keys += batch.size();
     auto from_coalesced = coalesced.FetchBatch(batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -529,7 +528,7 @@ TEST(EquivalencePropertyTest, DiskCoalescedMatchesPerKeyWithFewerSyscalls) {
 
   Rng rng(/*seed=*/803);
   for (int round = 0; round < 50; ++round) {
-    const auto batch = RandomBatch(rng, pyramid->spec());
+    const auto batch = RandomBatch(rng);
     auto from_coalesced = coalesced->FetchBatch(batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       auto single = per_key->Fetch(batch[i]);
@@ -563,7 +562,7 @@ TEST(DiskPackedTest, ConcurrentVectoredBatchesAndRepacksAreSafe) {
     readers.emplace_back([&, t] {
       Rng rng(/*seed=*/9000 + t);
       for (int round = 0; round < 60; ++round) {
-        const auto batch = RandomBatch(rng, pyramid->spec());
+        const auto batch = RandomBatch(rng);
         auto results = store->FetchBatch(batch);
         for (std::size_t i = 0; i < batch.size(); ++i) {
           ASSERT_TRUE(results[i].ok()) << batch[i].ToString();

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "array/array_store.h"
 #include "sim/modis_dataset.h"
@@ -48,15 +50,25 @@ TEST(TerrainTest, SeedChangesField) {
 }
 
 TEST(TerrainTest, MountainRangesAreElevated) {
-  auto options = SmallTerrain();
-  Terrain terrain(options);
-  // Sample the Rockies-analogue center vs a far corner.
-  auto range = DefaultStudyRanges()[0];
-  auto cx = static_cast<std::int64_t>(range.center_x * options.width);
-  auto cy = static_cast<std::int64_t>(range.center_y * options.height);
-  double peak = terrain.Elevation(cx, cy);
-  double corner = terrain.Elevation(options.width - 1, options.height - 1);
-  EXPECT_GT(peak, corner + 0.3);
+  // Each range's center stands above the far corner. The non-square sizes
+  // catch an elevation grid indexed column-major: on 96x160 that reads every
+  // center below corner + 0.3.
+  const std::pair<std::int64_t, std::int64_t> sizes[] = {
+      {128, 128}, {160, 96}, {96, 160}};
+  for (const auto& [width, height] : sizes) {
+    auto options = SmallTerrain();
+    options.width = width;
+    options.height = height;
+    Terrain terrain(options);
+    double corner = terrain.Elevation(width - 1, height - 1);
+    for (const auto& range : DefaultStudyRanges()) {
+      SCOPED_TRACE(range.name + " on " + std::to_string(width) + "x" +
+                   std::to_string(height));
+      auto cx = static_cast<std::int64_t>(range.center_x * width);
+      auto cy = static_cast<std::int64_t>(range.center_y * height);
+      EXPECT_GT(terrain.Elevation(cx, cy), corner + 0.3);
+    }
+  }
 }
 
 TEST(TerrainTest, SnowConcentratesOnRanges) {
