@@ -265,10 +265,18 @@ void SharedTileCache::FinishDemotions(Shard& shard,
     }
     shard.l2_bytes += blob_bytes;
     auto order_it = shard.l2_order.insert(shard.l2_order.end(), key);
-    shard.l2.emplace(
-        key, L2Entry{std::move(blobs[i]), pending[i].owner, order_it});
+    L2Entry& entry =
+        shard.l2.emplace(key, L2Entry{std::move(blobs[i]), pending[i].owner,
+                                      order_it, {}})
+            .first->second;
     ++shard.counters.demotions;
-    if (pending[i].blob != nullptr) ++shard.counters.blob_reuses;
+    if (pending[i].blob != nullptr) {
+      // A retained blob: the tile is exactly Decode(blob), so a later
+      // promotion may serve it while it lives. A fresh demotion's tile may
+      // not be (lossy codec), and gets no pointer.
+      entry.decoded = pending[i].tile;
+      ++shard.counters.blob_reuses;
+    }
   }
 }
 
@@ -277,7 +285,7 @@ tiles::TilePtr SharedTileCache::Lookup(const tiles::TileKey& key,
   Shard& shard = ShardFor(key);
   std::shared_ptr<const std::string> blob;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::unique_lock<std::mutex> lock(shard.mu);
     // Every lookup — hit or miss — feeds the frequency model the admission
     // filter judges candidates and victims by.
     shard.admission->RecordAccess(KeyHash(key));
@@ -299,80 +307,99 @@ tiles::TilePtr SharedTileCache::Lookup(const tiles::TileKey& key,
       ++shard.counters.misses;
       return nullptr;
     }
-    // Warm hit: grab a reference and decode outside the lock. The entry
-    // stays in L2 until the promotion lands, so concurrent lookups of this
-    // (hot) key keep hitting the tier instead of falling through to the
-    // DBMS.
     blob = l2_it->second.blob;
+    if (auto live = l2_it->second.decoded.lock()) {
+      // The tile this blob was decoded from is still alive: promote that
+      // object, with no decode and no second lock round.
+      ++shard.counters.tile_reuses;
+      std::vector<PendingDemotion> pending;
+      auto result = PromoteLocked(shard, key, std::move(live), std::move(blob),
+                                  access, &pending);
+      lock.unlock();
+      FinishDemotions(shard, std::move(pending));
+      return result;
+    }
+    // Warm hit: decode outside the lock. The entry stays in L2 until the
+    // promotion lands, so concurrent lookups of this (hot) key keep
+    // hitting the tier instead of falling through to the DBMS.
   }
 
   std::uint64_t t0 = NowNs();
   auto decoded = storage::TileCodec::Decode(*blob);
   std::uint64_t decode_ns = NowNs() - t0;
+  // A checksum-guarded decode failure promotes nothing: the lookup misses.
+  tiles::TilePtr tile =
+      decoded.ok()
+          ? std::make_shared<const tiles::Tile>(std::move(decoded).value())
+          : nullptr;
 
   std::vector<PendingDemotion> pending;
   tiles::TilePtr result;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.counters.decode_ns += decode_ns;
-    // Drop the L2 entry (all concurrent decoders of the same blob fail or
-    // succeed alike, and a landed promotion supersedes it either way).
-    auto l2_it = shard.l2.find(key);
-    bool was_in_l2 = l2_it != shard.l2.end();
-    std::uint64_t l2_owner = 0;
-    if (was_in_l2) {
-      l2_owner = l2_it->second.owner;
-      shard.l2_bytes -= l2_it->second.blob->size();
-      shard.l2_order.erase(l2_it->second.order_it);
-      shard.l2.erase(l2_it);
-    }
-
-    if (!decoded.ok()) {
-      // Checksum-guarded decode failure: the tile is simply gone and the
-      // caller falls back to the store.
-      if (was_in_l2) ++shard.counters.evictions;
-      ++shard.counters.misses;
-      return nullptr;
-    }
-    auto tile = std::make_shared<const tiles::Tile>(std::move(decoded).value());
-
-    auto it = shard.l1.find(key);
-    if (it != shard.l1.end()) {
-      // A concurrent promotion or insert landed first: the L1 copy owns
-      // the residency, so the L2 copy's departure is an eviction.
-      if (was_in_l2) ++shard.counters.evictions;
-      result = it->second.tile;
-    } else {
-      // Promote. The tile is warm by construction (it just hit L2), so the
-      // frequency filter is bypassed; ownership survives the demote cycle,
-      // and a vanished entry (evicted under pressure mid-decode, eviction
-      // already counted) makes this a fresh admission by the accessor.
-      CacheAccess promo{was_in_l2 ? l2_owner : access.session_id,
-                        access.confidence};
-      auto outcome = AdmitToL1(shard, key, tile, promo, /*bypass_filter=*/true,
-                               /*count_priority=*/false, &pending);
-      if (outcome == AdmitOutcome::kAdmitted) {
-        // The tile is Decode(blob): a re-demotion lands the blob again.
-        shard.l1.find(key)->second.blob = std::move(blob);
-        if (!was_in_l2) {
-          ++shard.counters.admission_attempts;
-          ++shard.counters.insertions;
-        }
-      } else {
-        // Too large to re-enter L1: served, but no longer resident.
-        if (was_in_l2) {
-          ++shard.counters.evictions;
-        } else {
-          ++shard.counters.admission_attempts;
-          ++shard.counters.admission_rejects;
-        }
-      }
-      result = std::move(tile);
-    }
-    ++shard.counters.l2_hits;
+    result = PromoteLocked(shard, key, std::move(tile), std::move(blob),
+                           access, &pending);
   }
   FinishDemotions(shard, std::move(pending));
   return result;
+}
+
+tiles::TilePtr SharedTileCache::PromoteLocked(
+    Shard& shard, const tiles::TileKey& key, tiles::TilePtr tile,
+    std::shared_ptr<const std::string> blob, const CacheAccess& access,
+    std::vector<PendingDemotion>* pending) {
+  // Drop the L2 entry (all concurrent decoders of the same blob fail or
+  // succeed alike, and a landed promotion supersedes it either way).
+  auto l2_it = shard.l2.find(key);
+  const bool was_in_l2 = l2_it != shard.l2.end();
+  std::uint64_t l2_owner = 0;
+  if (was_in_l2) {
+    l2_owner = l2_it->second.owner;
+    shard.l2_bytes -= l2_it->second.blob->size();
+    shard.l2_order.erase(l2_it->second.order_it);
+    shard.l2.erase(l2_it);
+  }
+
+  if (tile == nullptr) {
+    // The decode failed its checksum: the tile is simply gone and the
+    // caller falls back to the store.
+    if (was_in_l2) ++shard.counters.evictions;
+    ++shard.counters.misses;
+    return nullptr;
+  }
+  ++shard.counters.l2_hits;
+
+  auto it = shard.l1.find(key);
+  if (it != shard.l1.end()) {
+    // A concurrent promotion or insert landed first: the L1 copy owns the
+    // residency, so the L2 copy's departure is an eviction.
+    if (was_in_l2) ++shard.counters.evictions;
+    return it->second.tile;
+  }
+  // Promote. The tile is warm by construction (it just hit L2), so the
+  // frequency filter is bypassed; ownership survives the demote cycle, and
+  // a vanished entry (evicted under pressure mid-decode, eviction already
+  // counted) makes this a fresh admission by the accessor.
+  CacheAccess promo{was_in_l2 ? l2_owner : access.session_id,
+                    access.confidence};
+  auto outcome = AdmitToL1(shard, key, tile, promo, /*bypass_filter=*/true,
+                           /*count_priority=*/false, pending);
+  if (outcome == AdmitOutcome::kAdmitted) {
+    // The tile is Decode(blob): a re-demotion lands the blob again.
+    shard.l1.find(key)->second.blob = std::move(blob);
+    if (!was_in_l2) {
+      ++shard.counters.admission_attempts;
+      ++shard.counters.insertions;
+    }
+  } else if (was_in_l2) {
+    // Too large to re-enter L1: served, but no longer resident.
+    ++shard.counters.evictions;
+  } else {
+    ++shard.counters.admission_attempts;
+    ++shard.counters.admission_rejects;
+  }
+  return tile;
 }
 
 void SharedTileCache::Insert(const tiles::TileKey& key, tiles::TilePtr tile,
@@ -588,6 +615,7 @@ SharedTileCacheStats SharedTileCache::Stats() const {
     stats.evictions += c.evictions;
     stats.demotions += c.demotions;
     stats.blob_reuses += c.blob_reuses;
+    stats.tile_reuses += c.tile_reuses;
     stats.encode_ns += c.encode_ns;
     stats.decode_ns += c.decode_ns;
     stats.admission_attempts += c.admission_attempts;
@@ -615,6 +643,7 @@ std::uint64_t RegisterSharedTileCacheMetrics(
     sink.AddCounter("fc.cache.l2_hits", s.l2_hits);
     sink.AddCounter("fc.cache.demotions", s.demotions);
     sink.AddCounter("fc.cache.blob_reuses", s.blob_reuses);
+    sink.AddCounter("fc.cache.tile_reuses", s.tile_reuses);
     sink.AddCounter("fc.cache.promotions", s.promotions);
     sink.AddCounter("fc.cache.encode_ns", s.encode_ns);
     sink.AddCounter("fc.cache.decode_ns", s.decode_ns);

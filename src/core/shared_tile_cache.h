@@ -24,6 +24,15 @@
 //    accounting, no codec work. Any Insert that replaces the entry's
 //    payload drops the blob. The retained blob is not charged to
 //    `l1_bytes` — it is a fraction (1 / compression ratio) of the tile.
+//  * A blob landed that way also remembers, through a weak_ptr, the tile
+//    it was decoded from. That tile is exactly Decode(blob), so while a
+//    session region, a queued stream chunk or any other holder keeps it
+//    alive, the next promotion returns that very object instead of
+//    decoding again: no codec work, and the tile keeps its identity (the
+//    stream's plan memo recognises it). A freshly demoted tile gets no
+//    such pointer: under a lossy codec its cells differ from its blob's.
+//    The weak_ptr keeps no cells alive, so nothing more is charged to
+//    `l2_bytes`.
 //
 // Multi-tenant fairness (this PR): admission into L1 is policy-gated. A
 // TinyLFU frequency sketch (see core/admission.h) rejects cold tiles that
@@ -117,7 +126,10 @@ struct SharedTileCacheStats {
   /// Demotions that landed the blob a promoted tile was decoded from
   /// instead of encoding the tile again (a subset of demotions).
   std::uint64_t blob_reuses = 0;
-  std::uint64_t promotions = 0;  ///< L2 -> L1 decodes (== l2_hits).
+  std::uint64_t promotions = 0;  ///< L2 -> L1 promotions (== l2_hits).
+  /// Promotions that returned the live tile the blob was decoded from
+  /// instead of decoding it (a subset of promotions).
+  std::uint64_t tile_reuses = 0;
 
   std::uint64_t encode_ns = 0;  ///< Total time compressing demoted tiles.
   std::uint64_t decode_ns = 0;  ///< Total time decoding L2 hits.
@@ -153,9 +165,10 @@ class SharedTileCache {
   explicit SharedTileCache(SharedTileCacheOptions options = {});
 
   /// Returns the cached tile, or null. An L1 hit freshens the entry; an L2
-  /// hit decodes the blob and promotes it back into L1, keeping the blob
-  /// for a later re-demotion. Every lookup feeds the admission policy's
-  /// frequency model.
+  /// hit promotes the tile back into L1, keeping the blob for a later
+  /// re-demotion: the live tile the blob was decoded from when one
+  /// survives, else the blob decoded anew. Every lookup feeds the
+  /// admission policy's frequency model.
   tiles::TilePtr Lookup(const tiles::TileKey& key,
                         const CacheAccess& access = {});
 
@@ -252,6 +265,10 @@ class SharedTileCache {
     std::uint64_t owner = 0;
     /// Position in Shard::l2_order.
     std::list<tiles::TileKey>::iterator order_it;
+    /// The tile `blob` was decoded from, set only when a retained blob
+    /// landed (so the tile is exactly Decode(blob)). A promotion that
+    /// finds it alive returns it instead of decoding.
+    std::weak_ptr<const tiles::Tile> decoded;
   };
 
   /// Plain counters, guarded by the owning shard's mutex. Stats() sums them
@@ -264,6 +281,7 @@ class SharedTileCache {
     std::uint64_t evictions = 0;
     std::uint64_t demotions = 0;
     std::uint64_t blob_reuses = 0;
+    std::uint64_t tile_reuses = 0;
     std::uint64_t encode_ns = 0;
     std::uint64_t decode_ns = 0;
     std::uint64_t admission_attempts = 0;
@@ -347,6 +365,19 @@ class SharedTileCache {
                          bool bypass_filter, bool count_priority,
                          std::vector<PendingDemotion>* pending);
 
+  /// Lands an L2 hit on `key` in L1 and returns the tile to serve: `tile`
+  /// (the live tile `blob` was decoded from, or `blob` decoded anew),
+  /// admitted with the filter bypassed and `blob` retained, or the L1 copy
+  /// a concurrent promotion or insert landed first. Drops the L2 entry if
+  /// it is still there. A null `tile` (the decode failed its checksum)
+  /// counts a miss and returns null. Caller holds shard.mu and must pass
+  /// `pending` to FinishDemotions after releasing it.
+  tiles::TilePtr PromoteLocked(Shard& shard, const tiles::TileKey& key,
+                               tiles::TilePtr tile,
+                               std::shared_ptr<const std::string> blob,
+                               const CacheAccess& access,
+                               std::vector<PendingDemotion>* pending);
+
   /// Pops L1 victims into `pending` while the shard is over its L1 budget.
   /// Caller holds shard.mu.
   void CollectL1Overflow(Shard& shard, std::vector<PendingDemotion>* pending);
@@ -358,7 +389,8 @@ class SharedTileCache {
 
   /// Compresses pending victims that retain no blob (outside any lock),
   /// then re-acquires shard.mu to land them in L2 or count their eviction
-  /// (blob_reuses counts landed retained blobs). A victim whose
+  /// (blob_reuses counts landed retained blobs, whose L2 entries remember
+  /// their tile in L2Entry::decoded). A victim whose
   /// key re-entered the cache in the meantime is dropped as an eviction
   /// (the newer copy owns the residency).
   void FinishDemotions(Shard& shard, std::vector<PendingDemotion> pending);

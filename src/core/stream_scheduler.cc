@@ -6,19 +6,13 @@
 
 namespace fc::core {
 
-namespace {
-
-/// Class-then-utility-then-submission order: every usable chunk outranks
-/// every refinement; within a class higher utility-per-byte wins; ties go
-/// to the earlier submission (deterministic pull-mode pumps).
-bool BetterJob(bool a_usable, double a_util, std::uint64_t a_seq,
-               bool b_usable, double b_util, std::uint64_t b_seq) {
-  if (a_usable != b_usable) return a_usable;
-  if (a_util != b_util) return a_util > b_util;
-  return a_seq < b_seq;
+bool StreamScheduler::JobRank::operator<(const JobRank& other) const {
+  if (usable != other.usable) return usable;
+  if (utility_per_byte != other.utility_per_byte) {
+    return utility_per_byte > other.utility_per_byte;
+  }
+  return seq < other.seq;
 }
-
-}  // namespace
 
 StreamScheduler::StreamScheduler(Executor* executor,
                                  StreamSchedulerOptions options)
@@ -55,7 +49,7 @@ void StreamScheduler::CancelSession(std::uint64_t session_id) {
 
 void StreamScheduler::DropSessionLocked(std::uint64_t session_id) {
   for (auto job = jobs_.begin(); job != jobs_.end();) {
-    if (job->session_id == session_id) {
+    if (job->second.session_id == session_id) {
       job = DropLocked(job, &stats_.stale_chunks_dropped);
     } else {
       ++job;
@@ -70,7 +64,8 @@ void StreamScheduler::CancelStaleGenerations(std::uint64_t session_id,
     state->live_generation = live_generation;
   }
   for (auto job = jobs_.begin(); job != jobs_.end();) {
-    if (job->session_id == session_id && job->generation != live_generation) {
+    if (job->second.session_id == session_id &&
+        job->second.generation != live_generation) {
       job = DropLocked(job, &stats_.stale_chunks_dropped);
     } else {
       ++job;
@@ -92,8 +87,10 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
   // the all-or-nothing one would (see header notes).
   bool computed = false;
   storage::ProgressivePlan plan = PlanFor(tile, &computed);
-  const double usable_rank =
-      std::max(confidence, 0.0) / static_cast<double>(plan.full_bytes);
+  // A confidence that is not positive ranks as 0, NaN included: a NaN rank
+  // would compare equal to every other and break the queue's order.
+  const double utility = confidence > 0.0 ? confidence : 0.0;
+  const double usable_rank = utility / static_cast<double>(plan.full_bytes);
   const std::uint64_t chunks = plan.one_chunk() ? 1 : 2;
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -118,14 +115,11 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
   base.key = key;
   base.generation = generation;
   base.exact = plan.one_chunk();
-  base.usable = true;
   base.bytes = plan.base_bytes;
-  base.utility_per_byte = usable_rank;
   base.enqueue_ms = now;
-  base.seq = ++seq_counter_;
   base.trace_id = trace_id;
   base.payload = std::move(plan.coarse);
-  jobs_.push_back(std::move(base));
+  const JobRank base_rank{true, usable_rank, ++seq_counter_};
 
   if (!plan.one_chunk()) {
     ChunkJob refine;
@@ -133,17 +127,19 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
     refine.key = key;
     refine.generation = generation;
     refine.exact = true;
-    refine.usable = false;
     refine.awaiting_base = true;
     refine.bytes = plan.refinement_bytes;
-    refine.utility_per_byte = std::max(confidence, 0.0) /
-                              static_cast<double>(plan.refinement_bytes);
     refine.enqueue_ms = now;
-    refine.seq = ++seq_counter_;
     refine.trace_id = trace_id;
     refine.payload = std::move(plan.exact);
-    jobs_.push_back(std::move(refine));
+    // The base finds its refinement by this key when it is pushed or
+    // dropped.
+    base.refinement = JobRank{
+        false, utility / static_cast<double>(plan.refinement_bytes),
+        ++seq_counter_};
+    jobs_.emplace(base.refinement, std::move(refine));
   }
+  jobs_.emplace(base_rank, std::move(base));
   SpawnPumpLocked();
 }
 
@@ -222,7 +218,7 @@ void StreamScheduler::RefillBudgetLocked(double now_ms) {
 void StreamScheduler::ExpireLocked(double now_ms) {
   if (!(options_.max_chunk_age_ms > 0.0)) return;
   for (auto job = jobs_.begin(); job != jobs_.end();) {
-    if (now_ms - job->enqueue_ms > options_.max_chunk_age_ms) {
+    if (now_ms - job->second.enqueue_ms > options_.max_chunk_age_ms) {
       job = DropLocked(job, &stats_.expired_chunks_dropped);
     } else {
       ++job;
@@ -244,36 +240,30 @@ bool StreamScheduler::EligibleLocked(const ChunkJob& job,
   return total_tokens_ >= bytes || (bytes > burst && total_tokens_ >= burst);
 }
 
-std::list<StreamScheduler::ChunkJob>::iterator
-StreamScheduler::SelectLocked() {
-  auto best = jobs_.end();
+StreamScheduler::JobQueue::iterator StreamScheduler::SelectLocked(
+    SessionState** session) {
+  // The queue is in push order, so the first eligible chunk is the best.
   for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
-    const SessionState* session = sessions_.Find(it->session_id);
-    if (session == nullptr || !EligibleLocked(*it, *session)) continue;
-    if (best == jobs_.end() ||
-        BetterJob(it->usable, it->utility_per_byte, it->seq, best->usable,
-                  best->utility_per_byte, best->seq)) {
-      best = it;
+    SessionState* state = sessions_.Find(it->second.session_id);
+    if (state != nullptr && EligibleLocked(it->second, *state)) {
+      *session = state;
+      return it;
     }
   }
-  return best;
+  return jobs_.end();
 }
 
-std::list<StreamScheduler::ChunkJob>::iterator StreamScheduler::DropLocked(
-    std::list<ChunkJob>::iterator it, std::uint64_t* counter) {
+StreamScheduler::JobQueue::iterator StreamScheduler::DropLocked(
+    JobQueue::iterator it, std::uint64_t* counter) {
   // A dropped base strands its gated refinement — a refinement can never
   // apply to a base the client did not receive — so the pair goes
-  // together.
-  if (it->usable && !it->exact) {
-    for (auto other = jobs_.begin(); other != jobs_.end();) {
-      if (other != it && other->awaiting_base &&
-          other->session_id == it->session_id && other->key == it->key &&
-          other->generation == it->generation) {
-        other = jobs_.erase(other);
-        ++*counter;
-      } else {
-        ++other;
-      }
+  // together. The refinement ranks below its base, so an iteration in
+  // queue order has not reached it yet.
+  if (!it->second.exact) {
+    if (auto refinement = jobs_.find(it->second.refinement);
+        refinement != jobs_.end()) {
+      jobs_.erase(refinement);
+      ++*counter;
     }
   }
   ++*counter;
@@ -294,50 +284,48 @@ std::size_t StreamScheduler::Pump() {
     }
     const bool had_work = !jobs_.empty();
     while (ready.size() < kMaxPumpChunks) {
-      auto it = SelectLocked();
+      SessionState* state = nullptr;
+      auto it = SelectLocked(&state);
       if (it == jobs_.end()) break;
-      SessionState* state = sessions_.Find(it->session_id);
+      ChunkJob& job = it->second;
       if (options_.clock != nullptr && options_.total_bytes_per_ms > 0.0) {
-        total_tokens_ -= static_cast<double>(it->bytes);
+        total_tokens_ -= static_cast<double>(job.bytes);
       }
-      if (it->usable && !it->exact) {
+      if (!job.exact) {
         // The base is on its way: its refinement becomes eligible (and is
         // pushed after it — ready keeps pick order).
-        for (auto& job : jobs_) {
-          if (job.awaiting_base && job.session_id == it->session_id &&
-              job.key == it->key && job.generation == it->generation) {
-            job.awaiting_base = false;
-            break;
-          }
+        if (auto refinement = jobs_.find(job.refinement);
+            refinement != jobs_.end()) {
+          refinement->second.awaiting_base = false;
         }
       }
       ++stats_.chunks_pushed;
-      stats_.bytes_pushed += it->bytes;
-      if (it->exact) {
+      stats_.bytes_pushed += job.bytes;
+      if (job.exact) {
         ++stats_.exact_chunks_pushed;
       } else {
         ++stats_.base_chunks_pushed;
       }
-      if (it->usable) {
+      if (it->first.usable) {
         ++stats_.first_usable_pushes;
         // Submit-to-usable-push wait, on the scheduler's clock.
         if (ttfu_us_ != nullptr && options_.clock != nullptr) {
           ttfu_us_->Record(static_cast<std::uint64_t>(std::llround(
-              std::max(now - it->enqueue_ms, 0.0) * 1000.0)));
+              std::max(now - job.enqueue_ms, 0.0) * 1000.0)));
         }
       }
       ++state->in_flight;
       ++in_flight_pushes_;
       ReadyChunk chunk;
       chunk.session = state;
-      chunk.key = it->key;
-      chunk.payload = it->payload;
-      chunk.exact = it->exact;
-      chunk.generation = it->generation;
-      chunk.session_id = it->session_id;
-      chunk.trace_id = it->trace_id;
+      chunk.key = job.key;
+      chunk.payload = std::move(job.payload);
+      chunk.exact = job.exact;
+      chunk.generation = job.generation;
+      chunk.session_id = job.session_id;
+      chunk.trace_id = job.trace_id;
       chunk.push_start_ms =
-          options_.trace != nullptr && it->trace_id != 0
+          options_.trace != nullptr && job.trace_id != 0
               ? options_.trace->NowMillis()
               : 0.0;
       ready.push_back(std::move(chunk));
@@ -414,14 +402,14 @@ std::vector<StreamChunkInfo> StreamScheduler::SnapshotQueue() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<StreamChunkInfo> out;
   out.reserve(jobs_.size());
-  for (const ChunkJob& job : jobs_) {
+  for (const auto& [rank, job] : jobs_) {
     StreamChunkInfo info;
     info.session_id = job.session_id;
     info.key = job.key;
     info.generation = job.generation;
     info.exact = job.exact;
     info.bytes = job.bytes;
-    info.utility_per_byte = job.utility_per_byte;
+    info.utility_per_byte = rank.utility_per_byte;
     info.enqueue_ms = job.enqueue_ms;
     out.push_back(info);
   }

@@ -29,7 +29,10 @@
 //    has doubled since the last sweep, and an insert that would still
 //    exceed the cap drops every entry first. The memo has its own mutex
 //    and planning runs outside every lock, so a lookup never waits behind
-//    a pump's selection. Stats().plans_computed counts the misses.
+//    a pump's selection. Stats().plans_computed counts the misses. A tile
+//    that leaves the shared cache's L1 and comes back while something
+//    still holds it is the same object (core/shared_tile_cache.h), so its
+//    plan survives the round trip.
 //
 //  * Utility-per-byte allocation. Every pending USABLE chunk (a tile's
 //    first chunk: the base, or the whole blob in all-or-nothing mode)
@@ -39,8 +42,11 @@
 //    visits tiles in exactly the order the all-or-nothing schedule would,
 //    just with far fewer bytes before each tile becomes usable (the
 //    conformance property the stream harness enforces). Refinements rank
-//    confidence / refinement_bytes. Ties break by submission order, so
-//    pull-mode pumps are fully deterministic.
+//    confidence / refinement_bytes. A confidence that is not positive
+//    (NaN included) ranks as 0. Ties break by submission order, so
+//    pull-mode pumps are fully deterministic. The queue is kept in that
+//    push order (a map keyed by class, rank and submission number, unique
+//    per chunk), so a pump takes the first eligible chunk from the front.
 //  * A byte-rate budget on the fc::Clock abstraction: one global egress
 //    token bucket (total_bytes_per_ms, total_burst_bytes) shared by all
 //    sessions — the server's outbound channel, the saturated resource the
@@ -58,7 +64,7 @@
 //    (it needs a clock, as the budget does).
 //
 // Thread-safety: all methods are thread-safe. One mutex guards the chunk
-// list, the session registry (core/session_registry.h), the bucket, and
+// queue, the session registry (core/session_registry.h), the bucket, and
 // the counters (the plan memo has a mutex of its own); chunks are planned
 // from the tile before either lock (no bytes in-process) and sink
 // invocations happen outside them, pinned by per-session in-flight counts
@@ -75,7 +81,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -155,7 +161,8 @@ struct StreamSchedulerStats {
   std::uint64_t budget_stalls = 0;
 };
 
-/// A queued chunk, as reported by SnapshotQueue() (push order not implied).
+/// A queued chunk, as reported by SnapshotQueue() (in push rank order:
+/// class, then utility per byte, then submission).
 struct StreamChunkInfo {
   std::uint64_t session_id = 0;
   tiles::TileKey key;
@@ -262,28 +269,39 @@ class StreamScheduler {
 
   StreamSchedulerStats Stats() const;
 
-  /// Consistent snapshot of the queued chunks, in submission order.
+  /// Consistent snapshot of the queued chunks, in push rank order.
   std::vector<StreamChunkInfo> SnapshotQueue() const;
 
  private:
+  /// A queued chunk's place in push order, unique per chunk. It sorts
+  /// before every rank it outranks: usable chunks (a tile's first chunk)
+  /// form class 0 and precede every class-1 refinement; within a class
+  /// higher utility per byte goes first; ties go to the earlier submission.
+  struct JobRank {
+    bool usable = false;
+    double utility_per_byte = 0.0;  ///< Never NaN (see SubmitTile).
+    std::uint64_t seq = 0;          ///< Submission order.
+    bool operator<(const JobRank& other) const;
+  };
+
   struct ChunkJob {
     std::uint64_t session_id = 0;
     tiles::TileKey key;
     std::uint64_t generation = 0;
+    /// Refinement or whole blob; false only for a coarse base, which
+    /// always has a refinement queued behind it.
     bool exact = false;
-    /// Usable chunks (first chunk of a tile) form class 0 and always
-    /// outrank class-1 refinements.
-    bool usable = false;
     /// Refinements start gated and become eligible when their base chunk
     /// is picked for push.
     bool awaiting_base = false;
     std::size_t bytes = 0;
-    double utility_per_byte = 0.0;
     double enqueue_ms = kNoEnqueueStamp;
-    std::uint64_t seq = 0;  ///< Submission order; deterministic tie-break.
     std::uint64_t trace_id = 0;  ///< Publishing request's trace (0 = off).
     tiles::TilePtr payload;  ///< Decoded at this chunk's fidelity.
+    /// A coarse base's refinement (meaningful only when !exact).
+    JobRank refinement;
   };
+  using JobQueue = std::map<JobRank, ChunkJob>;
 
   /// A registered session. Its pins (SessionPins::in_flight) count the
   /// pushes handed to its sink and not yet settled.
@@ -337,14 +355,15 @@ class StreamScheduler {
   bool EligibleLocked(const ChunkJob& job, const SessionState& state) const;
 
   /// Selects the best eligible chunk by class, then utility, then
-  /// submission order, or jobs_.end(). Caller holds mu_.
-  std::list<ChunkJob>::iterator SelectLocked();
+  /// submission order — the first eligible one in the queue — or
+  /// jobs_.end(). Sets `*session` to its session. Caller holds mu_.
+  JobQueue::iterator SelectLocked(SessionState** session);
 
   /// Removes `it` and, when it gates a refinement that can now never
-  /// apply, that refinement too. `counter` classifies the drop. Caller
-  /// holds mu_.
-  std::list<ChunkJob>::iterator DropLocked(std::list<ChunkJob>::iterator it,
-                                           std::uint64_t* counter);
+  /// apply, that refinement too. `counter` classifies the drop. Returns
+  /// the iterator after `it`. Caller holds mu_.
+  JobQueue::iterator DropLocked(JobQueue::iterator it,
+                                std::uint64_t* counter);
 
   /// Drops every queued chunk of `session_id` as stale: the teardown drop
   /// step. Caller holds mu_.
@@ -359,7 +378,7 @@ class StreamScheduler {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  ///< Push settlement, pump exit.
-  std::list<ChunkJob> jobs_;    ///< Submission order.
+  JobQueue jobs_;               ///< Push order, front = next candidate.
   SessionRegistry<SessionState> sessions_;
   std::uint64_t seq_counter_ = 0;
   /// Global bucket balance. Starts full; may go negative for chunks

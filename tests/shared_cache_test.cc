@@ -1,14 +1,17 @@
 // Unit tests for the process-wide SharedTileCache: sharding, byte budgets,
-// LRU eviction goldens, the compressed L2 tier and its retained blobs,
-// cache-through fetch, and stat/byte conservation.
+// LRU eviction goldens, the compressed L2 tier, its retained blobs and the
+// live tiles they promote to, cache-through fetch, and stat/byte
+// conservation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/shared_tile_cache.h"
 #include "storage/tile_codec.h"
 #include "storage/tile_store.h"
@@ -400,11 +403,124 @@ TEST(SharedTileCacheTest, RedemotionLandsThePromotedTilesOwnBlob) {
   // a alone in L2 again, with the same bytes as after its first demotion.
   EXPECT_EQ(stats.l2_bytes_resident, first_l2_bytes);
   EXPECT_EQ(stats.l1_bytes_resident, kTileBytes);  // the blob is not charged
+  EXPECT_EQ(stats.tile_reuses, 0u);
+
+  // The caller still holds the tile the landed blob was decoded from, so
+  // the next promotion returns that very object instead of decoding.
+  const std::uint64_t decode_ns = stats.decode_ns;
+  auto again = cache.Lookup(a);
+  EXPECT_EQ(again, promoted);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.tile_reuses, 1u);
+  EXPECT_EQ(stats.promotions, 3u);
+  EXPECT_EQ(stats.decode_ns, decode_ns);  // no decode ran
+  // The promotion kept the blob: a's next demotion lands it again.
+  ASSERT_NE(cache.Lookup(b), nullptr);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.blob_reuses, 3u);  // a's, b's, then a's again
+  EXPECT_EQ(stats.l2_bytes_resident, first_l2_bytes);
+}
+
+TEST(SharedTileCacheTest, PromotionDecodesAnewOnceThePromotedTileIsDropped) {
+  auto pyramid = SmallPyramid();
+  storage::MemoryTileStore store(pyramid);
+  SharedTileCache cache(OneTileOverQuantizedL2());
+  const tiles::TileKey a{1, 0, 0}, b{1, 1, 0};
+
+  cache.Insert(a, FetchTile(&store, a));
+  cache.Insert(b, FetchTile(&store, b));  // a -> L2, encoded
+  auto promoted = cache.Lookup(a);        // a -> L1, decoded; b -> L2
+  ASSERT_NE(promoted, nullptr);
+  const std::vector<std::uint64_t> first_bits = CellBits(*promoted);
+  ASSERT_NE(cache.Lookup(b), nullptr);  // a -> L2, landing its blob
+  EXPECT_EQ(cache.Stats().blob_reuses, 1u);
+  promoted.reset();  // the last strong reference: a's tile dies
 
   auto again = cache.Lookup(a);  // decoded anew from the landed blob
   ASSERT_NE(again, nullptr);
-  EXPECT_NE(again, promoted);
-  EXPECT_EQ(CellBits(*again), CellBits(*promoted));
+  const auto stats = cache.Stats();
+  EXPECT_EQ(stats.tile_reuses, 0u);
+  EXPECT_EQ(stats.promotions, 3u);
+  EXPECT_EQ(CellBits(*again), first_bits);
+}
+
+TEST(SharedTileCacheTest, FetchedTilesFirstPromotionIsNeverTheFetchedObject) {
+  auto pyramid = SmallPyramid();
+  storage::MemoryTileStore store(pyramid);
+  SharedTileCache cache(OneTileOverQuantizedL2());
+  const tiles::TileKey a{1, 0, 0}, b{1, 1, 0};
+
+  // The fetched tile stays alive (the store's pyramid and this test hold
+  // it), but its cells are not its quantized blob's, so a promotion must
+  // decode the blob rather than hand the fetched object back.
+  auto fetched = FetchTile(&store, a);
+  cache.Insert(a, fetched);
+  cache.Insert(b, FetchTile(&store, b));  // a -> L2, encoded lossily
+  auto promoted = cache.Lookup(a);
+  ASSERT_NE(promoted, nullptr);
+  EXPECT_NE(promoted, fetched);
+  EXPECT_EQ(cache.Stats().tile_reuses, 0u);
+  auto want = storage::TileCodec::Decode(
+      storage::TileCodec(OneTileOverQuantizedL2().codec).Encode(*fetched));
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(CellBits(*promoted), CellBits(*want));
+  EXPECT_NE(CellBits(*promoted), CellBits(*fetched));
+}
+
+// Promotions racing demotions on several threads. Each thread keeps its
+// last few tiles alive, as session regions do, so many promotions hand
+// back a live tile. Whatever the interleaving, a served tile carries
+// either its fetched cells (inserted, never demoted) or exactly its blob's
+// decoded cells, and the books balance. Run under TSan in CI.
+TEST(SharedTileCacheTest, ConcurrentPromotionsServeFetchedOrBlobCells) {
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 500;
+  auto pyramid = SmallPyramid(3);
+  storage::MemoryTileStore store(pyramid);
+  SharedTileCacheOptions options = OneTileOverQuantizedL2();
+  options.l1_bytes = 2 * kTileBytes;
+  SharedTileCache cache(options);
+
+  const auto keys = pyramid->spec().AllKeys();
+  std::vector<std::vector<std::uint64_t>> fetched_bits, blob_bits;
+  for (const auto& key : keys) {
+    const auto tile = FetchTile(&store, key);
+    auto decoded = storage::TileCodec::Decode(
+        storage::TileCodec(options.codec).Encode(*tile));
+    ASSERT_TRUE(decoded.ok());
+    fetched_bits.push_back(CellBits(*tile));
+    blob_bits.push_back(CellBits(*decoded));
+  }
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(/*seed=*/300 + t);
+      std::vector<tiles::TilePtr> held(8);
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const std::size_t i =
+            rng.UniformUint32(static_cast<std::uint32_t>(keys.size()));
+        auto tile = cache.GetOrFetch(keys[i], &store);
+        ASSERT_TRUE(tile.ok());
+        ASSERT_EQ((*tile)->key(), keys[i]);
+        const auto bits = CellBits(**tile);
+        ASSERT_TRUE(bits == fetched_bits[i] || bits == blob_bits[i])
+            << "key index " << i;
+        held[static_cast<std::size_t>(op) % held.size()] = std::move(*tile);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const auto stats = cache.Stats();
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
+  EXPECT_EQ(stats.promotions, stats.l2_hits);
+  EXPECT_GT(stats.tile_reuses, 0u);
+  EXPECT_LE(stats.tile_reuses, stats.promotions);
+  EXPECT_EQ(stats.insertions - stats.evictions,
+            static_cast<std::uint64_t>(cache.size()));
+  EXPECT_EQ(stats.l1_bytes_resident, cache.l1_size() * kTileBytes);
 }
 
 TEST(SharedTileCacheTest, InsertDropsTheRetainedBlob) {

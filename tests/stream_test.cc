@@ -4,7 +4,8 @@
 // Deterministic pull-mode goldens pin the scheduling order (class before
 // utility, byte budgets, supersession, expiry) and the chunk books on a
 // SimClock; randomized properties check that Flush is a stable sort by
-// class then utility per byte, and that the progressive schedule is
+// class then utility per byte, that budgeted pumps push the best eligible
+// chunk round by round, and that the progressive schedule is
 // observationally equivalent to the all-or-nothing one (same final tile
 // bits, first-usable chunk never later); and executor-mode stress tests
 // (session churn mid-stream, manager teardown under in-flight pushes) run
@@ -318,6 +319,56 @@ TEST(StreamSchedulerTest, RejectedSubmissionsKeepTheBooksBalanced) {
   EXPECT_EQ(log.size(), 2u);
 }
 
+// A confidence that is not a number ranks like a confidence of 0: its tile
+// pushes after every tile with a positive confidence, and every chunk is
+// still pushed and counted. (A NaN rank compares equal to every other
+// rank, so ordered by it the queue would have no order at all.)
+TEST(StreamSchedulerTest, NanConfidenceRanksAsZero) {
+  const tiles::TileKey a{1, 0, 0}, b{1, 1, 0}, c{1, 0, 1};
+  for (const bool progressive : {false, true}) {
+    for (const double odd : {std::nan(""), 0.0}) {
+      StreamSchedulerOptions options;
+      options.progressive = progressive;
+      options.codec.progressive_base_step = 8.0;
+      StreamScheduler scheduler(nullptr, options);
+      std::vector<Delivery> log;
+      const std::uint64_t session =
+          scheduler.RegisterSession(2, Record(&log, 2));
+      // Equal cells under one-byte keys: equal chunk sizes, so only the
+      // confidences rank the tiles.
+      scheduler.SubmitTile(session, a, GaussianTile(a, 1), 1, odd);
+      scheduler.SubmitTile(session, b, GaussianTile(b, 1), 1, 0.5);
+      scheduler.SubmitTile(session, c, GaussianTile(c, 1), 1, 0.9);
+      const std::size_t chunks = progressive ? 6 : 3;
+      const auto queue = scheduler.SnapshotQueue();
+      ASSERT_EQ(queue.size(), chunks);
+      std::size_t bytes[2] = {0, 0};  // per chunk kind: base, exact
+      for (const auto& chunk : queue) {
+        EXPECT_FALSE(std::isnan(chunk.utility_per_byte));
+        if (bytes[chunk.exact] == 0) bytes[chunk.exact] = chunk.bytes;
+        EXPECT_EQ(chunk.bytes, bytes[chunk.exact]);
+      }
+
+      EXPECT_EQ(scheduler.Flush(), chunks);
+      ASSERT_EQ(log.size(), chunks);
+      const tiles::TileKey order[] = {c, b, a};
+      for (std::size_t i = 0; i < chunks; ++i) {
+        EXPECT_EQ(log[i].key, order[i % 3]) << "confidence " << odd
+                                            << " pick " << i;
+        EXPECT_EQ(log[i].exact, !progressive || i >= 3);
+      }
+      const auto stats = scheduler.Stats();
+      EXPECT_EQ(stats.chunks_enqueued, chunks);
+      EXPECT_EQ(stats.chunks_pushed, chunks);
+      EXPECT_EQ(stats.first_usable_pushes, 3u);
+      EXPECT_EQ(stats.chunks_pushed + stats.stale_chunks_dropped +
+                    stats.expired_chunks_dropped,
+                stats.chunks_enqueued);
+      EXPECT_EQ(scheduler.queued(), 0u);
+    }
+  }
+}
+
 // Expiry: a chunk queued longer than max_chunk_age_ms is dropped at pump
 // time, and the refinement gated on it goes with it.
 
@@ -428,6 +479,174 @@ TEST(StreamSchedulerPropertyTest, FlushIsAStableSortByClassThenUtilityPerByte) {
         EXPECT_EQ(log[i].exact, expected[i].exact)
             << "seed " << seed << " pick " << i;
       }
+    }
+  }
+}
+
+// The same pick rule pump by pump under a byte budget: submissions from
+// four sessions interleave with Pump() calls and clock advances, over a
+// metered bucket smaller than the larger chunks. Every round must push
+// what a reference applying the rule directly pushes: the best eligible
+// chunk by class, then utility per byte, then submission order; a
+// refinement only once its base went out; a chunk larger than the bucket
+// only at a full bucket; at most kMaxPumpChunks per round. Chunk sizes come
+// from the codec's byte path, as above.
+TEST(StreamSchedulerPropertyTest, BudgetedPumpsPushTheBestEligibleChunk) {
+  constexpr std::uint64_t kSessions = 4;
+  constexpr int kSteps = 300;
+  constexpr double kRate = 16.0;      // bytes per virtual ms
+  constexpr std::size_t kBurst = 700;  // between small and large chunks
+  constexpr std::int64_t kShapes[][2] = {{8, 8}, {4, 8}, {8, 2}, {16, 8}};
+
+  struct RefChunk {
+    bool usable = false;
+    double rank = 0.0;
+    std::uint64_t seq = 0;
+    std::size_t bytes = 0;
+    bool awaiting_base = false;
+    std::uint64_t session = 0;
+    tiles::TileKey key;
+    bool exact = false;
+  };
+  // Cells far apart on the base's grid (multiples of its step): the
+  // refinement is smaller than the base, so it could fit a bucket the base
+  // does not — only the gate keeps it waiting.
+  const auto on_grid_tile = [](const tiles::TileKey& key, std::uint64_t seed,
+                             std::int64_t width, std::int64_t height) {
+    auto tile = tiles::Tile::Make(key, width, height, {"v"});
+    EXPECT_TRUE(tile.ok());
+    Rng cells(seed);
+    for (auto& v : tile->MutableAttrData(0)) {
+      v = 8.0 * cells.UniformInt(-1'000'000, 1'000'000);
+    }
+    return std::make_shared<const tiles::Tile>(std::move(*tile));
+  };
+  const auto better = [](const RefChunk& a, const RefChunk& b) {
+    if (a.usable != b.usable) return a.usable;
+    if (a.rank != b.rank) return a.rank > b.rank;
+    return a.seq < b.seq;
+  };
+
+  for (const bool progressive : {true, false}) {
+    for (std::uint64_t seed : {921u, 922u, 923u, 924u}) {
+      Rng rng(seed);
+      SimClock clock;
+      StreamSchedulerOptions options;
+      options.clock = &clock;
+      options.progressive = progressive;
+      options.codec.progressive_base_step = 8.0;
+      options.total_bytes_per_ms = kRate;
+      options.total_burst_bytes = kBurst;
+      StreamScheduler scheduler(nullptr, options);
+      const storage::TileCodec codec(options.codec);
+      std::vector<Delivery> log;
+      std::uint64_t ids[kSessions];
+      for (std::uint64_t s = 0; s < kSessions; ++s) {
+        ids[s] = scheduler.RegisterSession(s + 1, Record(&log, s + 1));
+      }
+
+      // The reference: a linear scan over every queued chunk per pick.
+      std::vector<RefChunk> queue;
+      std::vector<Delivery> expected;
+      double tokens = static_cast<double>(kBurst);
+      double last_refill_ms = -1.0;
+      std::uint64_t seq = 0;
+      std::size_t oversized = 0;
+      const auto reference_pump = [&] {
+        const double now = clock.NowMillis();
+        if (last_refill_ms < 0.0) last_refill_ms = now;
+        const double earned = (now - last_refill_ms) * kRate;
+        if (earned > 0.0) {
+          tokens = std::min(static_cast<double>(kBurst), tokens + earned);
+        }
+        last_refill_ms = now;
+        std::size_t pushed = 0;
+        while (pushed < StreamScheduler::kMaxPumpChunks) {
+          auto best = queue.end();
+          for (auto it = queue.begin(); it != queue.end(); ++it) {
+            const double bytes = static_cast<double>(it->bytes);
+            const bool fits =
+                tokens >= bytes ||
+                (it->bytes > kBurst && tokens >= static_cast<double>(kBurst));
+            if (it->awaiting_base || !fits) continue;
+            if (best == queue.end() || better(*it, *best)) best = it;
+          }
+          if (best == queue.end()) break;
+          tokens -= static_cast<double>(best->bytes);
+          if (best->bytes > kBurst) ++oversized;
+          if (best->usable && !best->exact) {
+            for (auto& chunk : queue) {
+              if (chunk.seq == best->seq + 1) chunk.awaiting_base = false;
+            }
+          }
+          expected.push_back({best->session, best->key, best->exact, 1});
+          queue.erase(best);
+          ++pushed;
+        }
+        return pushed;
+      };
+      const auto pump_both = [&] {
+        const std::size_t want = reference_pump();
+        ASSERT_EQ(scheduler.Pump(), want) << "seed " << seed;
+        ASSERT_EQ(log.size(), expected.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < log.size(); ++i) {
+          ASSERT_EQ(log[i].session, expected[i].session)
+              << "seed " << seed << " pick " << i;
+          ASSERT_EQ(log[i].key, expected[i].key)
+              << "seed " << seed << " pick " << i;
+          ASSERT_EQ(log[i].exact, expected[i].exact)
+              << "seed " << seed << " pick " << i;
+        }
+      };
+
+      int submitted = 0;
+      for (int step = 0; step < kSteps; ++step) {
+        const std::uint32_t action = rng.UniformUint32(4);
+        if (action < 2) {
+          // One key per submission, so a refinement's base is unambiguous.
+          const tiles::TileKey key{5, submitted % 32, submitted / 32};
+          ++submitted;
+          const auto& shape = kShapes[rng.UniformUint32(4)];
+          const auto tile = rng.Bernoulli(0.25)
+                                ? on_grid_tile(key, rng.NextUint64(),
+                                               shape[0], shape[1])
+                                : GaussianTile(key, 1 + rng.UniformUint32(2),
+                                               100.0, shape[0], shape[1]);
+          const double confidence = 0.2 * rng.UniformInt(1, 4);
+          const std::uint64_t s = rng.UniformUint32(kSessions);
+          scheduler.SubmitTile(ids[s], key, tile, 1, confidence);
+
+          const std::size_t full = codec.Encode(*tile).size();
+          const auto pair = codec.EncodeProgressive(*tile);
+          const bool two_chunks = progressive && !pair.refinement.empty();
+          queue.push_back({true,
+                           confidence / static_cast<double>(full), ++seq,
+                           two_chunks ? pair.base.size() : full, false, s + 1,
+                           key, !two_chunks});
+          if (two_chunks) {
+            queue.push_back(
+                {false,
+                 confidence / static_cast<double>(pair.refinement.size()),
+                 ++seq, pair.refinement.size(), true, s + 1, key, true});
+          }
+        } else if (action == 2) {
+          pump_both();
+        } else {
+          clock.AdvanceMicros(rng.UniformInt(0, 60'000));
+        }
+        if (HasFatalFailure()) return;
+      }
+      // Drain what is left, one full bucket per round at most.
+      while (!queue.empty()) {
+        clock.AdvanceMicros(static_cast<std::int64_t>(kBurst / kRate) * 1000);
+        pump_both();
+        if (HasFatalFailure()) return;
+      }
+      EXPECT_EQ(scheduler.queued(), 0u);
+      EXPECT_GT(oversized, 0u) << "seed " << seed;
+      const auto stats = scheduler.Stats();
+      EXPECT_EQ(stats.chunks_pushed, stats.chunks_enqueued);
+      EXPECT_GT(stats.budget_stalls, 0u);
     }
   }
 }
