@@ -19,36 +19,65 @@ SbRecommender::SbRecommender(const tiles::TileMetadataStore* metadata,
   }
 }
 
-Result<double> SbRecommender::PenalizedSignatureDistance(
-    vision::SignatureKind kind, const tiles::TileKey& a,
-    const tiles::TileKey& b) const {
-  FC_ASSIGN_OR_RETURN(const auto* sig_a, metadata_->GetSignature(a, kind));
-  FC_ASSIGN_OR_RETURN(const auto* sig_b, metadata_->GetSignature(b, kind));
-  FC_ASSIGN_OR_RETURN(auto* extractor, toolbox_->Get(kind));
-  double raw = extractor->Distance(*sig_a, *sig_b);
+SbRecommender::Signatures SbRecommender::SignaturesOf(
+    const tiles::TileKey& key) const {
+  Signatures signatures(kinds_.size(), nullptr);
+  auto metadata = metadata_->Get(key);
+  if (!metadata.ok()) return signatures;
+  for (std::size_t i = 0; i < kinds_.size(); ++i) {
+    auto it = (*metadata)->signatures.find(kinds_[i]);
+    if (it != (*metadata)->signatures.end()) signatures[i] = &it->second;
+  }
+  return signatures;
+}
+
+void SbRecommender::PenalizedDistances(const Signatures& a, const Signatures& b,
+                                       std::int64_t manhattan,
+                                       std::optional<double>* out) const {
   // Algorithm 3 line 8: d_i,A,B <- 2^(dmanh(A,B)-1) * dist_Si(...).
-  std::int64_t manh = tiles::TileKey::ManhattanDistance(a, b);
-  double penalty = std::pow(2.0, static_cast<double>(manh) - 1.0);
-  return penalty * raw;
+  double penalty = std::pow(2.0, static_cast<double>(manhattan) - 1.0);
+  for (std::size_t i = 0; i < kinds_.size(); ++i) {
+    auto extractor = toolbox_->Get(kinds_[i]);
+    out[i] = std::nullopt;
+    if (extractor.ok() && a[i] != nullptr && b[i] != nullptr) {
+      out[i] = penalty * (*extractor)->Distance(*a[i], *b[i]);
+    }
+  }
+}
+
+std::optional<double> SbRecommender::CombinedDistance(
+    const std::optional<double>* penalized, const double* kind_max,
+    std::int64_t manhattan) const {
+  // Algorithm 3 lines 12-13: weighted l2-norm of normalized per-signature
+  // distances, divided by the physical distance.
+  double sum = 0.0;
+  for (std::size_t i = 0; i < kinds_.size(); ++i) {
+    if (!penalized[i].has_value()) return std::nullopt;
+    double normalized = *penalized[i] / kind_max[i];
+    sum += weights_[i] * normalized * normalized;
+  }
+  double physical = static_cast<double>(std::max<std::int64_t>(1, manhattan));
+  return std::sqrt(sum) / physical;
 }
 
 Result<double> SbRecommender::PairDistance(
     const tiles::TileKey& candidate, const tiles::TileKey& reference,
     const std::map<vision::SignatureKind, double>& per_signature_max) const {
-  // Algorithm 3 lines 12-13: weighted l2-norm of normalized per-signature
-  // distances, divided by the physical distance.
-  double sum = 0.0;
+  std::int64_t manhattan = tiles::TileKey::ManhattanDistance(candidate, reference);
+  std::vector<std::optional<double>> penalized(kinds_.size());
+  PenalizedDistances(SignaturesOf(candidate), SignaturesOf(reference), manhattan,
+                     penalized.data());
+  std::vector<double> kind_max(kinds_.size(), 1.0);
   for (std::size_t i = 0; i < kinds_.size(); ++i) {
-    FC_ASSIGN_OR_RETURN(double d,
-                        PenalizedSignatureDistance(kinds_[i], candidate, reference));
     auto it = per_signature_max.find(kinds_[i]);
-    double dmax = (it != per_signature_max.end() && it->second > 0.0) ? it->second : 1.0;
-    double normalized = d / dmax;
-    sum += weights_[i] * normalized * normalized;
+    if (it != per_signature_max.end() && it->second > 0.0) kind_max[i] = it->second;
   }
-  double physical = static_cast<double>(
-      std::max<std::int64_t>(1, tiles::TileKey::ManhattanDistance(candidate, reference)));
-  return std::sqrt(sum) / physical;
+  auto distance = CombinedDistance(penalized.data(), kind_max.data(), manhattan);
+  if (!distance.has_value()) {
+    return Status::NotFound("sb: " + candidate.ToString() + " and " +
+                            reference.ToString() + " lack a common signature");
+  }
+  return *distance;
 }
 
 Result<RankedTiles> SbRecommender::Recommend(const PredictionContext& ctx) const {
@@ -83,16 +112,29 @@ Result<RankedTiles> SbRecommender::Recommend(const PredictionContext& ctx) const
     return references.size() > 1 && cand == ref;
   };
 
-  // Lines 1-9: compute penalized distances and per-signature maxima.
-  std::map<vision::SignatureKind, double> sig_max;
-  for (auto kind : kinds_) sig_max[kind] = 1.0;  // d_i,MAX <- 1 (line 2)
-  for (const auto& cand : ctx.candidates) {
-    for (const auto& ref : references) {
-      if (skip_self(cand, ref)) continue;
-      for (auto kind : kinds_) {
-        auto d = PenalizedSignatureDistance(kind, cand, ref);
+  // Lines 1-9: compute penalized distances and per-signature maxima. Each
+  // pair's distances are kept for lines 10-15.
+  const std::size_t num_kinds = kinds_.size();
+  std::vector<Signatures> reference_signatures;
+  reference_signatures.reserve(references.size());
+  for (const auto& ref : references) reference_signatures.push_back(SignaturesOf(ref));
+  std::vector<std::optional<double>> penalized(ctx.candidates.size() *
+                                               references.size() * num_kinds);
+  auto pair_distances = [&](std::size_t c, std::size_t r) {
+    return penalized.data() + (c * references.size() + r) * num_kinds;
+  };
+  std::vector<double> kind_max(num_kinds, 1.0);  // d_i,MAX <- 1 (line 2)
+  for (std::size_t c = 0; c < ctx.candidates.size(); ++c) {
+    const auto& cand = ctx.candidates[c];
+    const Signatures signatures = SignaturesOf(cand);
+    for (std::size_t r = 0; r < references.size(); ++r) {
+      if (skip_self(cand, references[r])) continue;
+      std::optional<double>* d = pair_distances(c, r);
+      PenalizedDistances(signatures, reference_signatures[r],
+                         tiles::TileKey::ManhattanDistance(cand, references[r]), d);
+      for (std::size_t k = 0; k < num_kinds; ++k) {
         // Candidates lacking metadata simply do not raise the max.
-        if (d.ok()) sig_max[kind] = std::max(sig_max[kind], *d);
+        if (d[k].has_value()) kind_max[k] = std::max(kind_max[k], *d[k]);
       }
     }
   }
@@ -123,10 +165,11 @@ Result<RankedTiles> SbRecommender::Recommend(const PredictionContext& ctx) const
     const auto& cand = ctx.candidates[i];
     double total = 0.0;
     bool any = false;
-    for (const auto& ref : references) {
-      if (skip_self(cand, ref)) continue;
-      auto d = PairDistance(cand, ref, sig_max);
-      if (d.ok()) {
+    for (std::size_t r = 0; r < references.size(); ++r) {
+      if (skip_self(cand, references[r])) continue;
+      auto d = CombinedDistance(pair_distances(i, r), kind_max.data(),
+                                tiles::TileKey::ManhattanDistance(cand, references[r]));
+      if (d.has_value()) {
         total += *d;
         any = true;
       }

@@ -5,7 +5,9 @@
 #ifndef FORECACHE_CORE_SB_RECOMMENDER_H_
 #define FORECACHE_CORE_SB_RECOMMENDER_H_
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "core/recommender.h"
@@ -46,11 +48,23 @@ class SbRecommender : public Recommender {
   const SbRecommenderOptions& options() const { return options_; }
 
  private:
-  // Signature distance with the 2^(manhattan-1) physical penalty
-  // (Algorithm 3 line 8).
-  Result<double> PenalizedSignatureDistance(vision::SignatureKind kind,
-                                            const tiles::TileKey& a,
-                                            const tiles::TileKey& b) const;
+  // A tile's signature per kind, in kinds_ order; nullptr where missing.
+  using Signatures = std::vector<const std::vector<double>*>;
+  Signatures SignaturesOf(const tiles::TileKey& key) const;
+
+  // Algorithm 3 line 8 for every kind: the signature distance of a pair
+  // `manhattan` tiles apart, times the physical penalty 2^(manhattan-1);
+  // nullopt where the extractor or either signature is missing. Writes
+  // kinds_.size() entries to `out`.
+  void PenalizedDistances(const Signatures& a, const Signatures& b,
+                          std::int64_t manhattan, std::optional<double>* out) const;
+
+  // Algorithm 3 lines 10-13: the weighted l2-norm of the per-kind distances
+  // normalized by `kind_max` (positive, kinds_ order), divided by the
+  // physical distance; nullopt if any kind's distance is missing.
+  std::optional<double> CombinedDistance(const std::optional<double>* penalized,
+                                         const double* kind_max,
+                                         std::int64_t manhattan) const;
 
   const tiles::TileMetadataStore* metadata_;
   const vision::SignatureToolbox* toolbox_;

@@ -48,7 +48,7 @@ std::uint64_t NGramModel::PackGram(const int* symbols, std::size_t len) {
 
 Status NGramModel::ObserveSequence(const std::vector<int>& sequence) {
   for (int s : sequence) {
-    if (s < 0 || static_cast<std::size_t>(s) >= vocab_size_) {
+    if (!InVocabulary(s)) {
       return Status::InvalidArgument(StrFormat("symbol %d outside vocabulary", s));
     }
   }
@@ -87,6 +87,9 @@ void NGramModel::Finalize() {
 
 std::uint64_t NGramModel::RawCount(const std::vector<int>& gram) const {
   if (gram.empty() || gram.size() > order_) return 0;
+  for (int s : gram) {
+    if (!InVocabulary(s)) return 0;
+  }
   std::uint64_t key = PackGram(gram.data(), gram.size());
   const auto& map = counts_[gram.size() - 1];
   auto it = map.find(key);
@@ -98,82 +101,76 @@ std::size_t NGramModel::DistinctGrams(std::size_t m) const {
   return counts_[m - 1].size();
 }
 
-double NGramModel::ProbabilityAtOrder(const int* context, std::size_t context_len,
-                                      int next, std::size_t m) const {
-  FC_CHECK(m >= 1);
+std::vector<double> NGramModel::Interpolate(const std::vector<int>& context) const {
+  FC_CHECK_MSG(finalized_ || order_ == 1, "call Finalize() before Probability()");
   const double uniform = 1.0 / static_cast<double>(vocab_size_);
+  std::vector<double> p(vocab_size_, uniform);
 
-  if (m == 1) {
-    // Unigram level: continuation counts when available (true KN), raw
-    // counts for an order-1 model.
-    const auto& table = (order_ > 1) ? cont_[0] : counts_[0];
-    double total = 0.0;
-    std::size_t distinct = 0;
-    for (const auto& [key, c] : table) {
-      (void)key;
-      total += static_cast<double>(c);
-      ++distinct;
-    }
-    if (total <= 0.0) return uniform;
-    int sym = next;
-    std::uint64_t key = PackGram(&sym, 1);
-    auto it = table.find(key);
-    double c = it == table.end() ? 0.0 : static_cast<double>(it->second);
-    // Discount-interpolate with the uniform distribution so unseen symbols
-    // keep non-zero mass.
-    double lambda = discount_ * static_cast<double>(distinct) / total;
-    return std::max(c - discount_, 0.0) / total + lambda * uniform;
+  // Unigram level: continuation counts when available (true KN), raw
+  // counts for an order-1 model. Discount-interpolate with the uniform
+  // distribution so unseen symbols keep non-zero mass.
+  const auto& unigrams = (order_ > 1) ? cont_[0] : counts_[0];
+  double total = 0.0;
+  for (const auto& [key, c] : unigrams) {
+    (void)key;
+    total += static_cast<double>(c);
   }
-
-  // Assemble the m-gram = last (m-1) context symbols + next.
-  const std::size_t ctx_used = m - 1;
-  FC_CHECK(context_len >= ctx_used);
-  const int* ctx = context + (context_len - ctx_used);
-
-  // Highest order uses raw counts; lower orders use continuation counts.
-  const auto& table = (m == order_) ? counts_[m - 1] : cont_[m - 1];
-
-  // Denominator: total mass for this context; also count distinct followers.
-  double denom = 0.0;
-  std::size_t followers = 0;
-  std::vector<int> gram(ctx, ctx + ctx_used);
-  gram.push_back(0);
-  for (std::size_t w = 0; w < vocab_size_; ++w) {
-    gram[ctx_used] = static_cast<int>(w);
-    std::uint64_t key = PackGram(gram.data(), m);
-    auto it = table.find(key);
-    if (it != table.end() && it->second > 0) {
-      denom += static_cast<double>(it->second);
-      ++followers;
+  if (total > 0.0) {
+    double lambda = discount_ * static_cast<double>(unigrams.size()) / total;
+    for (std::size_t w = 0; w < vocab_size_; ++w) {
+      int sym = static_cast<int>(w);
+      auto it = unigrams.find(PackGram(&sym, 1));
+      double c = it == unigrams.end() ? 0.0 : static_cast<double>(it->second);
+      p[w] = std::max(c - discount_, 0.0) / total + lambda * uniform;
     }
   }
 
-  double lower = ProbabilityAtOrder(context, context_len, next, m - 1);
-  if (denom <= 0.0) return lower;  // unseen context: full backoff
+  // The usable context: its last (order-1) symbols, cut after the last
+  // symbol outside the vocabulary (no counted gram contains one).
+  std::size_t usable = 0;
+  while (usable < order_ - 1 && usable < context.size() &&
+         InVocabulary(context[context.size() - 1 - usable])) {
+    ++usable;
+  }
+  const int* ctx = context.data() + (context.size() - usable);
 
-  gram[ctx_used] = next;
-  std::uint64_t key = PackGram(gram.data(), m);
-  auto it = table.find(key);
-  double c = it == table.end() ? 0.0 : static_cast<double>(it->second);
-  double lambda = discount_ * static_cast<double>(followers) / denom;
-  return std::max(c - discount_, 0.0) / denom + lambda * lower;
+  // Orders m = 2..usable+1 interpolate with the level below. The highest
+  // order uses raw counts; lower orders use continuation counts.
+  int gram[kMaxOrder] = {};
+  double counts[kMaxVocab] = {};
+  for (std::size_t m = 2; m <= usable + 1; ++m) {
+    const auto& table = (m == order_) ? counts_[m - 1] : cont_[m - 1];
+    std::copy(ctx + usable - (m - 1), ctx + usable, gram);
+    // Denominator: total mass for this context; also count distinct followers.
+    double denom = 0.0;
+    std::size_t followers = 0;
+    for (std::size_t w = 0; w < vocab_size_; ++w) {
+      gram[m - 1] = static_cast<int>(w);
+      auto it = table.find(PackGram(gram, m));
+      counts[w] = it == table.end() ? 0.0 : static_cast<double>(it->second);
+      if (counts[w] > 0.0) {
+        denom += counts[w];
+        ++followers;
+      }
+    }
+    if (denom <= 0.0) continue;  // unseen context: full backoff
+    double lambda = discount_ * static_cast<double>(followers) / denom;
+    for (std::size_t w = 0; w < vocab_size_; ++w) {
+      p[w] = std::max(counts[w] - discount_, 0.0) / denom + lambda * p[w];
+    }
+  }
+  return p;
 }
 
 double NGramModel::Probability(const std::vector<int>& context, int next) const {
-  FC_CHECK_MSG(finalized_ || order_ == 1, "call Finalize() before Probability()");
-  if (next < 0 || static_cast<std::size_t>(next) >= vocab_size_) return 0.0;
-  std::size_t usable = std::min(context.size(), order_ - 1);
-  const int* ctx = context.data() + (context.size() - usable);
-  return ProbabilityAtOrder(ctx, usable, next, usable + 1);
+  if (!InVocabulary(next)) return 0.0;
+  return Interpolate(context)[static_cast<std::size_t>(next)];
 }
 
 std::vector<double> NGramModel::Distribution(const std::vector<int>& context) const {
-  std::vector<double> dist(vocab_size_, 0.0);
+  std::vector<double> dist = Interpolate(context);
   double total = 0.0;
-  for (std::size_t w = 0; w < vocab_size_; ++w) {
-    dist[w] = Probability(context, static_cast<int>(w));
-    total += dist[w];
-  }
+  for (double p : dist) total += p;
   if (total > 0.0) {
     for (double& p : dist) p /= total;
   }

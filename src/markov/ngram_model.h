@@ -41,14 +41,17 @@ class NGramModel {
   void Finalize();
 
   /// P(next | context) under interpolated Kneser-Ney. Uses the last
-  /// (order-1) symbols of `context` (shorter contexts back off naturally).
-  /// Uniform over the vocabulary when the model has seen no data.
+  /// (order-1) symbols of `context` (shorter contexts back off naturally);
+  /// a symbol outside the vocabulary ends the usable context, since no
+  /// counted gram contains one. Uniform over the vocabulary when the model
+  /// has seen no data.
   double Probability(const std::vector<int>& context, int next) const;
 
   /// The full next-symbol distribution for a context (sums to 1).
   std::vector<double> Distribution(const std::vector<int>& context) const;
 
-  /// Raw count of the full m-gram `gram` (context+next), 0 if unseen.
+  /// Raw count of the full m-gram `gram` (context+next), 0 if unseen or if
+  /// a symbol lies outside the vocabulary.
   std::uint64_t RawCount(const std::vector<int>& gram) const;
 
   /// Total number of distinct observed grams of length `m` (1-based).
@@ -60,9 +63,14 @@ class NGramModel {
   // Packs up to `order` symbols, 5 bits each, plus a length tag.
   static std::uint64_t PackGram(const int* symbols, std::size_t len);
 
-  // Recursive interpolated KN evaluation at order m (gram length).
-  double ProbabilityAtOrder(const int* context, std::size_t context_len, int next,
-                            std::size_t m) const;
+  // Interpolated KN probability of every symbol after `context`, in one
+  // pass up from the unigram level: each order's counts and denominator are
+  // looked up once per context.
+  std::vector<double> Interpolate(const std::vector<int>& context) const;
+
+  bool InVocabulary(int symbol) const {
+    return symbol >= 0 && static_cast<std::size_t>(symbol) < vocab_size_;
+  }
 
   std::size_t vocab_size_;
   std::size_t order_;

@@ -17,15 +17,20 @@ std::string_view KernelKindToString(KernelKind kind) {
 double EvaluateKernel(const KernelParams& params, const std::vector<double>& a,
                       const std::vector<double>& b) {
   assert(a.size() == b.size());
+  return EvaluateKernel(params, a.data(), b.data(), a.size());
+}
+
+double EvaluateKernel(const KernelParams& params, const double* a, const double* b,
+                      std::size_t n) {
   switch (params.kind) {
     case KernelKind::kLinear: {
       double dot = 0.0;
-      for (std::size_t i = 0; i < a.size(); ++i) dot += a[i] * b[i];
+      for (std::size_t i = 0; i < n; ++i) dot += a[i] * b[i];
       return dot;
     }
     case KernelKind::kRbf: {
       double ss = 0.0;
-      for (std::size_t i = 0; i < a.size(); ++i) {
+      for (std::size_t i = 0; i < n; ++i) {
         double d = a[i] - b[i];
         ss += d * d;
       }
@@ -33,7 +38,7 @@ double EvaluateKernel(const KernelParams& params, const std::vector<double>& a,
     }
     case KernelKind::kPoly: {
       double dot = 0.0;
-      for (std::size_t i = 0; i < a.size(); ++i) dot += a[i] * b[i];
+      for (std::size_t i = 0; i < n; ++i) dot += a[i] * b[i];
       return std::pow(params.gamma * dot + params.coef0, params.degree);
     }
   }

@@ -3,6 +3,7 @@
 #ifndef FORECACHE_SVM_KERNEL_H_
 #define FORECACHE_SVM_KERNEL_H_
 
+#include <cstddef>
 #include <string_view>
 #include <vector>
 
@@ -26,6 +27,10 @@ struct KernelParams {
 /// K(a, b) under `params`. Vectors must have equal lengths.
 double EvaluateKernel(const KernelParams& params, const std::vector<double>& a,
                       const std::vector<double>& b);
+
+/// K(a, b) over the first `n` coordinates of `a` and `b`.
+double EvaluateKernel(const KernelParams& params, const double* a, const double* b,
+                      std::size_t n);
 
 }  // namespace fc::svm
 

@@ -1,7 +1,10 @@
 #include "svm/svm.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <string>
+#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -154,7 +157,11 @@ Result<MulticlassSvm> MulticlassSvm::Train(const std::vector<std::vector<double>
   }
 
   MulticlassSvm model;
+  model.kernel_ = options.kernel;
+  model.dims_ = x[0].size();
   model.classes_ = classes;
+  // Row of rows_ per distinct support vector, keyed by the row's bytes.
+  std::unordered_map<std::string, std::size_t> row_of;
   for (std::size_t a = 0; a < classes.size(); ++a) {
     for (std::size_t bp = a + 1; bp < classes.size(); ++bp) {
       std::vector<std::vector<double>> xs;
@@ -169,41 +176,63 @@ Result<MulticlassSvm> MulticlassSvm::Train(const std::vector<std::vector<double>
         }
       }
       FC_ASSIGN_OR_RETURN(auto svm, BinarySvm::Train(xs, ys, options));
-      model.machines_.push_back(
-          PairwiseMachine{classes[a], classes[bp], std::move(svm)});
+      PairwiseMachine machine{a, bp, svm.bias_, {}};
+      for (std::size_t i = 0; i < svm.support_vectors_.size(); ++i) {
+        const auto& sv = svm.support_vectors_[i];
+        auto [it, added] = row_of.try_emplace(
+            std::string(reinterpret_cast<const char*>(sv.data()),
+                        sv.size() * sizeof(double)),
+            model.num_rows_);
+        if (added) {
+          model.rows_.insert(model.rows_.end(), sv.begin(), sv.end());
+          ++model.num_rows_;
+        }
+        machine.terms.emplace_back(it->second, svm.coefficients_[i]);
+      }
+      model.machines_.push_back(std::move(machine));
     }
   }
   return model;
 }
 
-std::map<int, int> MulticlassSvm::Votes(const std::vector<double>& x) const {
-  std::map<int, int> votes;
-  for (int c : classes_) votes[c] = 0;
-  for (const auto& m : machines_) {
-    int winner = m.svm.Predict(x) == 1 ? m.positive_class : m.negative_class;
-    ++votes[winner];
+MulticlassSvm::Tally MulticlassSvm::Count(const std::vector<double>& x) const {
+  assert(machines_.empty() || x.size() == dims_);
+  std::vector<double> kernel(num_rows_);
+  for (std::size_t r = 0; r < num_rows_; ++r) {
+    kernel[r] = EvaluateKernel(kernel_, rows_.data() + r * dims_, x.data(), dims_);
   }
+  Tally tally{std::vector<int>(classes_.size(), 0),
+              std::vector<double>(classes_.size(), 0.0)};
+  for (const auto& m : machines_) {
+    double f = m.bias;
+    for (const auto& [row, coefficient] : m.terms) f += coefficient * kernel[row];
+    ++tally.votes[f >= 0.0 ? m.positive : m.negative];
+    tally.margins[m.positive] += f;
+    tally.margins[m.negative] -= f;
+  }
+  return tally;
+}
+
+std::map<int, int> MulticlassSvm::Votes(const std::vector<double>& x) const {
+  Tally tally = Count(x);
+  std::map<int, int> votes;
+  for (std::size_t c = 0; c < classes_.size(); ++c) votes[classes_[c]] = tally.votes[c];
   return votes;
 }
 
 int MulticlassSvm::Predict(const std::vector<double>& x) const {
   FC_CHECK_MSG(!machines_.empty(), "predict on untrained multiclass svm");
-  auto votes = Votes(x);
+  Tally tally = Count(x);
   // Tie-break by summed signed margins toward each class.
-  std::map<int, double> margin;
-  for (const auto& m : machines_) {
-    double d = m.svm.DecisionValue(x);
-    margin[m.positive_class] += d;
-    margin[m.negative_class] -= d;
-  }
-  int best = classes_[0];
-  for (int c : classes_) {
-    if (votes[c] > votes[best] ||
-        (votes[c] == votes[best] && margin[c] > margin[best])) {
+  std::size_t best = 0;
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    if (tally.votes[c] > tally.votes[best] ||
+        (tally.votes[c] == tally.votes[best] &&
+         tally.margins[c] > tally.margins[best])) {
       best = c;
     }
   }
-  return best;
+  return classes_[best];
 }
 
 double ClassificationAccuracy(const MulticlassSvm& model,

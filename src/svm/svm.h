@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -47,6 +48,8 @@ class BinarySvm {
   const SvmOptions& options() const { return options_; }
 
  private:
+  friend class MulticlassSvm;  // copies the support vectors into its table
+
   SvmOptions options_;
   std::vector<std::vector<double>> support_vectors_;
   std::vector<double> coefficients_;  // alpha_i * y_i per support vector
@@ -54,6 +57,11 @@ class BinarySvm {
 };
 
 /// One-vs-one multiclass wrapper. Labels are arbitrary ints.
+///
+/// Training keeps the support vectors of all pairwise machines in one table
+/// of distinct rows (bitwise-equal rows are stored once), so a prediction
+/// evaluates one kernel per distinct row and each machine's decision value
+/// once, summed in the machine's own order as BinarySvm::DecisionValue does.
 class MulticlassSvm {
  public:
   MulticlassSvm() = default;
@@ -76,11 +84,26 @@ class MulticlassSvm {
 
  private:
   struct PairwiseMachine {
-    int positive_class = 0;
-    int negative_class = 0;
-    BinarySvm svm;
+    std::size_t positive = 0;  // index into classes_
+    std::size_t negative = 0;
+    double bias = 0.0;
+    // (row of rows_, alpha_i * y_i) per support vector, in the order
+    // BinarySvm::Train kept them.
+    std::vector<std::pair<std::size_t, double>> terms;
   };
 
+  // Votes and summed signed decision margins per class, indexed like
+  // classes_.
+  struct Tally {
+    std::vector<int> votes;
+    std::vector<double> margins;
+  };
+  Tally Count(const std::vector<double>& x) const;
+
+  KernelParams kernel_;
+  std::size_t dims_ = 0;
+  std::size_t num_rows_ = 0;
+  std::vector<double> rows_;  // distinct support vectors, row-major
   std::vector<int> classes_;
   std::vector<PairwiseMachine> machines_;
 };

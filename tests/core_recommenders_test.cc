@@ -327,6 +327,83 @@ TEST(SbRecommenderTest, PhysicalDistancePenaltyApplies) {
   EXPECT_GT(*far, *near);
 }
 
+// Two signature kinds with unequal weights: the normal signature weighted
+// 3 and a 4-bin histogram weighted 1. Tile (2, 2, 1) lacks the normal
+// signature.
+struct TwoKindSbFixture {
+  tiles::PyramidSpec spec = Spec(4);
+  tiles::TileMetadataStore metadata;
+  vision::SignatureToolbox toolbox = vision::SignatureToolbox::MakeDefault({});
+
+  TwoKindSbFixture() {
+    for (const auto& key : spec.AllKeys()) {
+      tiles::TileMetadata md;
+      md.signatures[vision::SignatureKind::kHistogram] = {
+          1.0 + key.x % 3, 1.0 + key.y % 2, 0.5 * key.level,
+          0.25 * ((key.x * key.y) % 4)};
+      if (!(key == tiles::TileKey{2, 2, 1})) {
+        md.signatures[vision::SignatureKind::kNormalDist] = {
+            0.1 * key.x + 0.05 * key.level, 0.2 * key.y};
+      }
+      metadata.Put(key, md);
+    }
+  }
+
+  SbRecommender Make() const {
+    SbRecommenderOptions options;
+    options.signature_weights = {{vision::SignatureKind::kNormalDist, 3.0},
+                                 {vision::SignatureKind::kHistogram, 1.0}};
+    return SbRecommender(&metadata, &toolbox, options);
+  }
+};
+
+// Pinned rankings and distance: a change to how Algorithm 3's distances
+// are computed must not move them.
+TEST(SbRecommenderTest, TwoKindRankingGolden) {
+  TwoKindSbFixture f;
+  SbRecommender sb = f.Make();
+  {
+    // The ROI holds candidate (2, 1, 2); history holds candidate (2, 0, 1).
+    SessionHistory history(8);
+    history.Add(Req({2, 0, 1}, std::nullopt));
+    auto request = Req({2, 1, 1}, Move::kPanRight);
+    history.Add(request);
+    auto ctx = MakeContext(f.spec, history, request);
+    ctx.roi = {tiles::TileKey{2, 1, 2}, tiles::TileKey{2, 3, 0},
+               tiles::TileKey{1, 1, 1}};
+    auto ranked = sb.Recommend(ctx);
+    ASSERT_TRUE(ranked.ok());
+    const RankedTiles expected = {{2, 1, 0}, {2, 1, 2}, {1, 0, 0},
+                                  {3, 3, 2}, {3, 2, 2}, {3, 3, 3},
+                                  {3, 2, 3}, {2, 2, 1}, {2, 0, 1}};
+    EXPECT_EQ(*ranked, expected);
+  }
+  {
+    // Empty ROI: the history is the reference set.
+    SessionHistory history(8);
+    history.Add(Req({2, 3, 3}, std::nullopt));
+    history.Add(Req({2, 0, 2}, Move::kPanLeft));
+    history.Add(Req({2, 1, 2}, Move::kPanRight));
+    auto request = Req({2, 2, 2}, Move::kPanRight);
+    history.Add(request);
+    auto ctx = MakeContext(f.spec, history, request);
+    ASSERT_TRUE(ctx.roi.empty());
+    auto ranked = sb.Recommend(ctx);
+    ASSERT_TRUE(ranked.ok());
+    const RankedTiles expected = {{2, 3, 2}, {2, 2, 3}, {1, 1, 1},
+                                  {3, 4, 4}, {3, 4, 5}, {3, 5, 4},
+                                  {3, 5, 5}, {2, 2, 1}, {2, 1, 2}};
+    EXPECT_EQ(*ranked, expected);
+  }
+  // A pair missing one kind's signature has no distance.
+  std::map<vision::SignatureKind, double> max_map = {
+      {vision::SignatureKind::kHistogram, 2.0}};
+  EXPECT_FALSE(sb.PairDistance({2, 1, 1}, {2, 2, 1}, max_map).ok());
+  auto full = sb.PairDistance({2, 1, 1}, {2, 3, 3}, max_map);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(*full, 0x1.f6d0bdec03989p-2);
+}
+
 TEST(SbRecommenderTest, DefaultsToSiftWeights) {
   SbFixture f;
   SbRecommender sb(&f.metadata, &f.toolbox);

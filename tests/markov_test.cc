@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "markov/markov_chain.h"
 #include "markov/ngram_model.h"
 
@@ -129,6 +133,137 @@ TEST(NGramModelTest, LongerContextUsesSuffix) {
   // Passing a longer history must use only the last symbol.
   EXPECT_DOUBLE_EQ(model->Probability({2, 2, 2, 0}, 1),
                    model->Probability({0}, 1));
+}
+
+// An order-4 model (the AB recommender's Markov3) over 9 moves, trained on
+// 8 seeded sequences of 30 moves that repeat the previous move about half
+// the time.
+NGramModel SeededOrder4Model() {
+  auto model = NGramModel::Make(9, 4);
+  EXPECT_TRUE(model.ok());
+  Rng rng(2016);
+  for (int s = 0; s < 8; ++s) {
+    std::vector<int> sequence;
+    int move = static_cast<int>(rng.UniformUint32(9));
+    for (int i = 0; i < 30; ++i) {
+      sequence.push_back(move);
+      if (rng.UniformUint32(2) != 0) move = static_cast<int>(rng.UniformUint32(9));
+    }
+    EXPECT_TRUE(model->ObserveSequence(sequence).ok());
+  }
+  model->Finalize();
+  return std::move(model).value();
+}
+
+// Distribution and Probability of the seeded model, bit for bit, for
+// contexts of length 0 to 5; neither {3, 6, 1} nor its suffix {6, 1} was
+// ever seen. The path uses only + - * / and max, so these hold on any
+// IEEE-754 machine.
+TEST(NGramModelTest, KneserNeyGoldens) {
+  struct Golden {
+    std::vector<int> context;
+    std::array<double, 9> distribution;
+    std::array<double, 9> probability;
+  };
+  const Golden goldens[] = {
+    {{},
+     {0x1.92e29f79b4759p-4, 0x1.4fbcda3ac10cap-4, 0x1.4fbcda3ac10cap-4,
+      0x1.d60864b8a7de8p-4, 0x1.2e29f79b47583p-3, 0x1.0c9714fbcda3bp-3,
+      0x1.92e29f79b4759p-4, 0x1.0c9714fbcda3bp-3, 0x1.d60864b8a7de8p-4},
+     {0x1.92e29f79b4758p-4, 0x1.4fbcda3ac10c9p-4, 0x1.4fbcda3ac10c9p-4,
+      0x1.d60864b8a7de7p-4, 0x1.2e29f79b47582p-3, 0x1.0c9714fbcda3ap-3,
+      0x1.92e29f79b4758p-4, 0x1.0c9714fbcda3ap-3, 0x1.d60864b8a7de7p-4}},
+    {{5},
+     {0x1.b868abd196d5cp-5, 0x1.51b66f16f5628p-3, 0x1.8315f89811c64p-5,
+      0x1.edbb5f0b1be56p-5, 0x1.2c3062bf13023p-4, 0x1.adcb2bb1fd881p-2,
+      0x1.b868abd196d5cp-5, 0x1.11870922507a6p-4, 0x1.edbb5f0b1be56p-5},
+     {0x1.b868abd196d5cp-5, 0x1.51b66f16f5628p-3, 0x1.8315f89811c64p-5,
+      0x1.edbb5f0b1be56p-5, 0x1.2c3062bf13023p-4, 0x1.adcb2bb1fd881p-2,
+      0x1.b868abd196d5cp-5, 0x1.11870922507a6p-4, 0x1.edbb5f0b1be56p-5}},
+    {{4, 4},
+     {0x1.5ca693da8d65bp-7, 0x1.94905e01adbe8p-4, 0x1.228ad08b75d4bp-7,
+      0x1.96c25729a4f6ap-7, 0x1.f8384cf61f1edp-2, 0x1.2bd2cdf650b4cp-3,
+      0x1.248f558c6dc2ap-3, 0x1.343364c92f327p-4, 0x1.96c25729a4f6ap-7},
+     {0x1.5ca693da8d65bp-7, 0x1.94905e01adbe8p-4, 0x1.228ad08b75d4bp-7,
+      0x1.96c25729a4f6ap-7, 0x1.f8384cf61f1edp-2, 0x1.2bd2cdf650b4cp-3,
+      0x1.248f558c6dc2ap-3, 0x1.343364c92f327p-4, 0x1.96c25729a4f6ap-7}},
+    {{1, 0, 0},
+     {0x1.00779b4758219p-1, 0x1.a8eb04325c53dp-7, 0x1.5c8eb04325c53p-3,
+      0x1.9cb8a7de6d1d4p-5, 0x1.c7368eb04325ap-5, 0x1.53ef368eb0431p-6,
+      0x1.fde6d1d608649p-7, 0x1.e3ef368eb043p-6, 0x1.272e29f79b475p-3},
+     {0x1.00779b475821ap-1, 0x1.a8eb04325c53fp-7, 0x1.5c8eb04325c54p-3,
+      0x1.9cb8a7de6d1d6p-5, 0x1.c7368eb04325cp-5, 0x1.53ef368eb0432p-6,
+      0x1.fde6d1d60864bp-7, 0x1.e3ef368eb0432p-6, 0x1.272e29f79b476p-3}},
+    {{5, 5, 5},
+     {0x1.17ca06c162d61p-8, 0x1.07e29bc205a9dp-5, 0x1.4e9ddc515509p-4,
+      0x1.39aa3c6169104p-8, 0x1.5cda82215bddbp-5, 0x1.4201aac52f566p-1,
+      0x1.17ca06c162d61p-8, 0x1.e92f0bfdeba7p-5, 0x1.21e569fb2360ap-3},
+     {0x1.17ca06c162d61p-8, 0x1.07e29bc205a9dp-5, 0x1.4e9ddc515509p-4,
+      0x1.39aa3c6169104p-8, 0x1.5cda82215bddbp-5, 0x1.4201aac52f566p-1,
+      0x1.17ca06c162d61p-8, 0x1.e92f0bfdeba7p-5, 0x1.21e569fb2360ap-3}},
+    {{3, 6, 1},
+     {0x1.1d60864b8a7dep-4, 0x1.569ae5acd4201p-2, 0x1.407a1620cf8cp-5,
+      0x1.3d6cbbb538d8cp-4, 0x1.7d852688958e6p-4, 0x1.68eb04325c53ep-3,
+      0x1.809280f42c41ap-5, 0x1.5d78f11ee7338p-4, 0x1.3d6cbbb538d8cp-4},
+     {0x1.1d60864b8a7dep-4, 0x1.569ae5acd4201p-2, 0x1.407a1620cf8cp-5,
+      0x1.3d6cbbb538d8cp-4, 0x1.7d852688958e6p-4, 0x1.68eb04325c53ep-3,
+      0x1.809280f42c41ap-5, 0x1.5d78f11ee7338p-4, 0x1.3d6cbbb538d8cp-4}},
+    {{7, 7, 7, 7},
+     {0x1.8a78bc87961d1p-6, 0x1.b8fa83111c16p-5, 0x1.63ea0c447057dp-7,
+      0x1.c5f8e5d9e81c6p-7, 0x1.1403dfb7aff08p-6, 0x1.ddc014a928ffap-5,
+      0x1.a29e2f21e5874p-4, 0x1.698d3c5e43cb1p-1, 0x1.c5f8e5d9e81c6p-7},
+     {0x1.8a78bc87961d1p-6, 0x1.b8fa83111c16p-5, 0x1.63ea0c447057dp-7,
+      0x1.c5f8e5d9e81c6p-7, 0x1.1403dfb7aff08p-6, 0x1.ddc014a928ffap-5,
+      0x1.a29e2f21e5874p-4, 0x1.698d3c5e43cb1p-1, 0x1.c5f8e5d9e81c6p-7}},
+    {{2, 8, 8, 5, 5},
+     {0x1.083ecd7dc0e69p-7, 0x1.0ee4ed520ab28p-5, 0x1.f9517305e887ep-7,
+      0x1.283d3906aa566p-7, 0x1.af63d95b74a2ap-5, 0x1.603c09ad596a3p-1,
+      0x1.083ecd7dc0e69p-7, 0x1.58c7fe8d3d809p-3, 0x1.1ca7250bddb3bp-6},
+     {0x1.083ecd7dc0e6ap-7, 0x1.0ee4ed520ab29p-5, 0x1.f9517305e888p-7,
+      0x1.283d3906aa567p-7, 0x1.af63d95b74a2cp-5, 0x1.603c09ad596a4p-1,
+      0x1.083ecd7dc0e6ap-7, 0x1.58c7fe8d3d80ap-3, 0x1.1ca7250bddb3cp-6}},
+    {{4, 7, 7, 7, 5},
+     {0x1.ef75c14bc9b09p-6, 0x1.7bed3cf9d40eep-4, 0x1.b378b7ab13ff1p-6,
+      0x1.e2b72caec7f63p-2, 0x1.51b66f16f5628p-5, 0x1.e38491283d393p-3,
+      0x1.ef75c14bc9b09p-6, 0x1.33b7ea469a89cp-5, 0x1.15b965763fb11p-5},
+     {0x1.ef75c14bc9b08p-6, 0x1.7bed3cf9d40edp-4, 0x1.b378b7ab13ffp-6,
+      0x1.e2b72caec7f62p-2, 0x1.51b66f16f5627p-5, 0x1.e38491283d392p-3,
+      0x1.ef75c14bc9b08p-6, 0x1.33b7ea469a89bp-5, 0x1.15b965763fb1p-5}},
+    {{0, 8, 8},
+     {0x1.2dd752f748a2cp-7, 0x1.52f748a2b422dp-8, 0x1.52f748a2b422dp-8,
+      0x1.528917c80b31p-6, 0x1.746e9f0b839aep-6, 0x1.34c4b5365797dp-4,
+      0x1.2dd752f748a2cp-7, 0x1.1434151759da5p-5, 0x1.a331d296dde36p-1},
+     {0x1.2dd752f748a2cp-7, 0x1.52f748a2b422dp-8, 0x1.52f748a2b422dp-8,
+      0x1.528917c80b31p-6, 0x1.746e9f0b839aep-6, 0x1.34c4b5365797dp-4,
+      0x1.2dd752f748a2cp-7, 0x1.1434151759da5p-5, 0x1.a331d296dde36p-1}},
+  };
+  NGramModel model = SeededOrder4Model();
+  for (const auto& g : goldens) {
+    auto dist = model.Distribution(g.context);
+    ASSERT_EQ(dist.size(), 9u);
+    for (int w = 0; w < 9; ++w) {
+      EXPECT_EQ(dist[w], g.distribution[w]) << "context size " << g.context.size();
+      EXPECT_EQ(model.Probability(g.context, w), g.probability[w])
+          << "context size " << g.context.size();
+    }
+  }
+}
+
+// No counted gram contains a symbol outside the vocabulary, so the usable
+// context starts after the last such symbol instead of reading the counts
+// of the gram its packed bits alias.
+TEST(NGramModelTest, OutOfVocabularySymbolEndsTheContext) {
+  NGramModel model = SeededOrder4Model();
+  const std::vector<std::pair<std::vector<int>, std::vector<int>>> cases = {
+      {{1, 33}, {}}, {{1, -1}, {}}, {{33, 1}, {1}}};
+  for (const auto& [context, usable] : cases) {
+    EXPECT_EQ(model.Distribution(context), model.Distribution(usable));
+    for (int w = 0; w < 9; ++w) {
+      EXPECT_EQ(model.Probability(context, w), model.Probability(usable, w));
+    }
+  }
+  EXPECT_GT(model.RawCount({1, 1}), 0u);
+  EXPECT_EQ(model.RawCount({1, 33}), 0u);
 }
 
 // ---------------------------------------------------------------------------

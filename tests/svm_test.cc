@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "svm/kernel.h"
@@ -207,6 +212,133 @@ TEST(MulticlassSvmTest, VotesExposed) {
 TEST(MulticlassSvmTest, AccuracyHelperHandlesEmpty) {
   MulticlassSvm model;
   EXPECT_DOUBLE_EQ(ClassificationAccuracy(model, {}, {}), 0.0);
+}
+
+TEST(MulticlassSvmTest, UntrainedVotesAreEmpty) {
+  MulticlassSvm model;
+  EXPECT_TRUE(model.Votes({1.0, 2.0}).empty());
+}
+
+// Rows on a small integer grid, like the phase features (tile position,
+// level, move flags): most training rows repeat, some under another label.
+struct GridData {
+  std::vector<std::vector<double>> x;
+  std::vector<int> y;
+};
+
+GridData DuplicatedRows(int num_classes, std::uint64_t seed) {
+  GridData data;
+  Rng rng(seed);
+  for (int i = 0; i < 120; ++i) {
+    std::vector<double> row = {static_cast<double>(rng.UniformInt(0, 3)),
+                               static_cast<double>(rng.UniformInt(0, 2)),
+                               static_cast<double>(rng.UniformInt(0, 1))};
+    int noise = rng.UniformUint32(5) == 0 ? 1 : 0;
+    data.x.push_back(row);
+    data.y.push_back(
+        (static_cast<int>(row[0] + 2.0 * row[1] + row[2]) + noise) % num_classes);
+  }
+  return data;
+}
+
+// The one-vs-one rule over BinarySvm machines trained on the same pairwise
+// subsets with the same options: each machine votes for its positive class
+// when its decision value is >= 0, and a tie breaks toward the class with
+// the larger summed signed margin.
+class ReferenceOneVsOne {
+ public:
+  ReferenceOneVsOne(const GridData& data, const SvmOptions& options) {
+    classes_ = data.y;
+    std::sort(classes_.begin(), classes_.end());
+    classes_.erase(std::unique(classes_.begin(), classes_.end()), classes_.end());
+    for (std::size_t a = 0; a < classes_.size(); ++a) {
+      for (std::size_t b = a + 1; b < classes_.size(); ++b) {
+        std::vector<std::vector<double>> xs;
+        std::vector<int> ys;
+        for (std::size_t i = 0; i < data.x.size(); ++i) {
+          if (data.y[i] == classes_[a] || data.y[i] == classes_[b]) {
+            xs.push_back(data.x[i]);
+            ys.push_back(data.y[i] == classes_[a] ? 1 : -1);
+          }
+        }
+        auto svm = BinarySvm::Train(xs, ys, options);
+        EXPECT_TRUE(svm.ok());
+        machines_.push_back({classes_[a], classes_[b], *svm});
+      }
+    }
+  }
+
+  std::map<int, int> Votes(const std::vector<double>& x) const {
+    std::map<int, int> votes;
+    for (int c : classes_) votes[c] = 0;
+    for (const auto& m : machines_) {
+      ++votes[m.svm.Predict(x) == 1 ? m.positive : m.negative];
+    }
+    return votes;
+  }
+
+  // Also reports whether the vote was tied, so the margin rule ran.
+  int Predict(const std::vector<double>& x, bool* tied) const {
+    auto votes = Votes(x);
+    std::map<int, double> margin;
+    for (const auto& m : machines_) {
+      double d = m.svm.DecisionValue(x);
+      margin[m.positive] += d;
+      margin[m.negative] -= d;
+    }
+    int best = classes_[0];
+    *tied = false;
+    for (int c : classes_) {
+      if (c != best && votes[c] == votes[best]) *tied = true;
+      if (votes[c] > votes[best] ||
+          (votes[c] == votes[best] && margin[c] > margin[best])) {
+        best = c;
+      }
+    }
+    return best;
+  }
+
+ private:
+  struct Machine {
+    int positive;
+    int negative;
+    BinarySvm svm;
+  };
+  std::vector<int> classes_;
+  std::vector<Machine> machines_;
+};
+
+TEST(MulticlassSvmTest, MatchesPairwiseBinaryMachines) {
+  int ties = 0;
+  for (KernelKind kind : {KernelKind::kLinear, KernelKind::kRbf, KernelKind::kPoly}) {
+    for (int num_classes = 3; num_classes <= 5; ++num_classes) {
+      SCOPED_TRACE(std::string(KernelKindToString(kind)) + " with " +
+                   std::to_string(num_classes) + " classes");
+      SvmOptions options;
+      options.kernel.kind = kind;
+      options.kernel.gamma = 0.7;
+      options.kernel.coef0 = 1.0;
+      options.kernel.degree = 2;
+      GridData data = DuplicatedRows(num_classes, 100 + num_classes);
+      auto model = MulticlassSvm::Train(data.x, data.y, options);
+      ASSERT_TRUE(model.ok());
+      ReferenceOneVsOne reference(data, options);
+
+      std::vector<std::vector<double>> points = data.x;  // training rows too
+      Rng rng(7 * num_classes);
+      for (int i = 0; i < 100; ++i) {
+        points.push_back({rng.UniformDouble(-1.0, 4.0), rng.UniformDouble(-1.0, 3.0),
+                          rng.UniformDouble(-0.5, 1.5)});
+      }
+      for (const auto& p : points) {
+        bool tied = false;
+        EXPECT_EQ(model->Predict(p), reference.Predict(p, &tied));
+        EXPECT_EQ(model->Votes(p), reference.Votes(p));
+        if (tied) ++ties;
+      }
+    }
+  }
+  EXPECT_GT(ties, 0);  // the margin tie-break was exercised
 }
 
 }  // namespace
