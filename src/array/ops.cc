@@ -165,11 +165,13 @@ Result<DenseArray> Apply(const DenseArray& in, const std::string& new_attr,
   DenseArray out(std::move(out_schema));
   std::size_t nattr = in.schema().num_attrs();
   std::vector<double> cell(nattr);
-  in.ForEachPresent([&](std::int64_t ii, const Coords&) {
+  const std::int64_t total = in.schema().cell_count();
+  for (std::int64_t ii = 0; ii < total; ++ii) {
+    if (!in.PresentLinear(ii)) continue;
     for (std::size_t a = 0; a < nattr; ++a) cell[a] = in.GetLinear(ii, a);
     for (std::size_t a = 0; a < nattr; ++a) out.SetLinear(ii, a, cell[a]);
     out.SetLinear(ii, nattr, udf(cell));
-  });
+  }
   return out;
 }
 
@@ -195,12 +197,15 @@ Result<DenseArray> Join(const DenseArray& a, const DenseArray& b,
   DenseArray out(std::move(out_schema));
   std::size_t na = a.schema().num_attrs();
   std::size_t nb = b.schema().num_attrs();
-  a.ForEachPresent([&](std::int64_t ii, const Coords& c) {
-    if (!b.IsPresent(c)) return;  // join: cell present in both or absent
-    std::int64_t bi = b.LinearIndex(c);
+  // SameShape fixes each dimension's start and length, so a cell has one
+  // linear index in a, b and the output. A cell is present in the join when
+  // it is present in both.
+  const std::int64_t total = a.schema().cell_count();
+  for (std::int64_t ii = 0; ii < total; ++ii) {
+    if (!a.PresentLinear(ii) || !b.PresentLinear(ii)) continue;
     for (std::size_t x = 0; x < na; ++x) out.SetLinear(ii, x, a.GetLinear(ii, x));
-    for (std::size_t x = 0; x < nb; ++x) out.SetLinear(ii, na + x, b.GetLinear(bi, x));
-  });
+    for (std::size_t x = 0; x < nb; ++x) out.SetLinear(ii, na + x, b.GetLinear(ii, x));
+  }
   return out;
 }
 
@@ -212,11 +217,13 @@ Result<DenseArray> Filter(const DenseArray& in, const CellPredicate& pred,
   DenseArray out(std::move(out_schema));
   std::size_t nattr = in.schema().num_attrs();
   std::vector<double> cell(nattr);
-  in.ForEachPresent([&](std::int64_t ii, const Coords&) {
+  const std::int64_t total = in.schema().cell_count();
+  for (std::int64_t ii = 0; ii < total; ++ii) {
+    if (!in.PresentLinear(ii)) continue;
     for (std::size_t a = 0; a < nattr; ++a) cell[a] = in.GetLinear(ii, a);
-    if (!pred(cell)) return;
+    if (!pred(cell)) continue;
     for (std::size_t a = 0; a < nattr; ++a) out.SetLinear(ii, a, cell[a]);
-  });
+  }
   return out;
 }
 
@@ -225,7 +232,10 @@ Result<double> AggregateAll(const DenseArray& in, std::size_t attr, AggKind kind
     return Status::NotFound("attribute index out of range");
   }
   AggState st;
-  in.ForEachPresent([&](std::int64_t ii, const Coords&) { st.Add(in.GetLinear(ii, attr)); });
+  const std::int64_t total = in.schema().cell_count();
+  for (std::int64_t ii = 0; ii < total; ++ii) {
+    if (in.PresentLinear(ii)) st.Add(in.GetLinear(ii, attr));
+  }
   if (st.count == 0 && (kind == AggKind::kMin || kind == AggKind::kMax)) {
     return Status::FailedPrecondition("min/max over an empty array");
   }

@@ -34,8 +34,11 @@ SbRecommender::Signatures SbRecommender::SignaturesOf(
 void SbRecommender::PenalizedDistances(const Signatures& a, const Signatures& b,
                                        std::int64_t manhattan,
                                        std::optional<double>* out) const {
-  // Algorithm 3 line 8: d_i,A,B <- 2^(dmanh(A,B)-1) * dist_Si(...).
-  double penalty = std::pow(2.0, static_cast<double>(manhattan) - 1.0);
+  // Algorithm 3 line 8: d_i,A,B <- 2^(dmanh(A,B)-1) * dist_Si(...). For an
+  // integer exponent ldexp is exact; beyond +-2000 it gives +inf or 0, as pow
+  // does.
+  double penalty = std::ldexp(
+      1.0, static_cast<int>(std::clamp<std::int64_t>(manhattan - 1, -2000, 2000)));
   for (std::size_t i = 0; i < kinds_.size(); ++i) {
     auto extractor = toolbox_->Get(kinds_[i]);
     out[i] = std::nullopt;

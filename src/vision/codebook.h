@@ -34,7 +34,8 @@ class Codebook {
   const std::vector<std::vector<double>>& centers() const { return centers_; }
 
   /// Index of the visual word nearest to `descriptor`.
-  /// Precondition: trained().
+  /// Preconditions, checked in every build (a violation aborts): trained(),
+  /// and descriptor.size() equals the centers' dimension.
   std::size_t Quantize(const std::vector<double>& descriptor) const;
 
   /// Normalized bag-of-visual-words histogram over a feature set.

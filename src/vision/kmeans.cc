@@ -1,5 +1,6 @@
 #include "vision/kmeans.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -18,18 +19,20 @@ double SquaredDistance(const std::vector<double>& a, const std::vector<double>& 
   return ss;
 }
 
-// k-means++ seeding: first center uniform, then proportional to D^2.
+// k-means++ seeding: first center uniform, then proportional to D^2, each
+// point's squared distance to its nearest center so far. A new center only
+// lowers D^2, so each round folds in the newest center alone: the same
+// minimum, taken in the same center order, as a fold over every center.
 std::vector<std::vector<double>> SeedCenters(
     const std::vector<std::vector<double>>& points, std::size_t k, Rng* rng) {
   std::vector<std::vector<double>> centers;
   centers.reserve(k);
   centers.push_back(points[rng->UniformUint32(static_cast<std::uint32_t>(points.size()))]);
-  std::vector<double> d2(points.size(), 0.0);
+  std::vector<double> d2(points.size(), std::numeric_limits<double>::infinity());
   while (centers.size() < k) {
+    const std::vector<double>& newest = centers.back();
     for (std::size_t i = 0; i < points.size(); ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      for (const auto& c : centers) best = std::min(best, SquaredDistance(points[i], c));
-      d2[i] = best;
+      d2[i] = std::min(d2[i], SquaredDistance(points[i], newest));
     }
     std::size_t next = rng->WeightedIndex(d2);
     centers.push_back(points[next]);
@@ -42,15 +45,46 @@ std::vector<std::vector<double>> SeedCenters(
 std::size_t NearestCenter(const std::vector<std::vector<double>>& centers,
                           const std::vector<double>& point) {
   FC_CHECK(!centers.empty());
+  const std::size_t dim = point.size();
+  for (const auto& center : centers) {
+    FC_CHECK_MSG(center.size() == dim,
+                 "NearestCenter: the point and the centers differ in dimension");
+  }
   std::size_t best = 0;
   double best_d = std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < centers.size(); ++c) {
-    double d = SquaredDistance(centers[c], point);
+  auto consider = [&](std::size_t c, double d) {
     if (d < best_d) {
       best_d = d;
       best = c;
     }
+  };
+  // Four centers at a time: four independent sums, each still taken in
+  // dimension order, then compared in center order so a tie keeps the
+  // lowest index.
+  const double* p = point.data();
+  std::size_t c = 0;
+  for (; c + 4 <= centers.size(); c += 4) {
+    const double* c0 = centers[c].data();
+    const double* c1 = centers[c + 1].data();
+    const double* c2 = centers[c + 2].data();
+    const double* c3 = centers[c + 3].data();
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double d0 = c0[i] - p[i];
+      const double d1 = c1[i] - p[i];
+      const double d2 = c2[i] - p[i];
+      const double d3 = c3[i] - p[i];
+      s0 += d0 * d0;
+      s1 += d1 * d1;
+      s2 += d2 * d2;
+      s3 += d3 * d3;
+    }
+    consider(c, s0);
+    consider(c + 1, s1);
+    consider(c + 2, s2);
+    consider(c + 3, s3);
   }
+  for (; c < centers.size(); ++c) consider(c, SquaredDistance(centers[c], point));
   return best;
 }
 

@@ -32,7 +32,9 @@ struct KMeansResult {
 Result<KMeansResult> KMeans(const std::vector<std::vector<double>>& points,
                             const KMeansOptions& options, Rng* rng);
 
-/// Index of the center nearest to `point` (L2). Precondition: !centers.empty().
+/// Index of the center nearest to `point` (L2); a tie keeps the lowest index.
+/// Preconditions, checked in every build (a violation aborts):
+/// !centers.empty(), and every center has point.size() dimensions.
 std::size_t NearestCenter(const std::vector<std::vector<double>>& centers,
                           const std::vector<double>& point);
 

@@ -60,16 +60,23 @@ void Raster::NormalizeRange() {
 }
 
 GradientField ComputeGradients(const Raster& img) {
-  GradientField g;
-  g.dx = Raster(img.width(), img.height());
-  g.dy = Raster(img.width(), img.height());
-  for (std::size_t y = 0; y < img.height(); ++y) {
-    for (std::size_t x = 0; x < img.width(); ++x) {
-      auto xi = static_cast<std::ptrdiff_t>(x);
-      auto yi = static_cast<std::ptrdiff_t>(y);
-      g.dx.At(x, y) = 0.5 * (img.AtClamped(xi + 1, yi) - img.AtClamped(xi - 1, yi));
-      g.dy.At(x, y) = 0.5 * (img.AtClamped(xi, yi + 1) - img.AtClamped(xi, yi - 1));
-    }
+  const std::size_t w = img.width();
+  const std::size_t h = img.height();
+  GradientField g{Raster(w, h), Raster(w, h)};
+  if (img.empty()) return g;
+  const double* src = img.data().data();
+  for (std::size_t y = 0; y < h; ++y) {
+    // Central differences; a neighbour outside the image is clamped to the
+    // border, so the edge rows and columns difference against themselves.
+    const double* row = src + y * w;
+    const double* up = src + (y > 0 ? y - 1 : 0) * w;
+    const double* down = src + (y + 1 < h ? y + 1 : y) * w;
+    double* gx = g.dx.mutable_data().data() + y * w;
+    double* gy = g.dy.mutable_data().data() + y * w;
+    gx[0] = 0.5 * (row[w > 1 ? 1 : 0] - row[0]);
+    for (std::size_t x = 1; x + 1 < w; ++x) gx[x] = 0.5 * (row[x + 1] - row[x - 1]);
+    if (w > 1) gx[w - 1] = 0.5 * (row[w - 1] - row[w - 2]);
+    for (std::size_t x = 0; x < w; ++x) gy[x] = 0.5 * (down[x] - up[x]);
   }
   return g;
 }
@@ -86,30 +93,43 @@ Raster GaussianBlur(const Raster& img, double sigma) {
   }
   for (double& w : kernel) w /= sum;
 
-  // Horizontal pass.
-  Raster tmp(img.width(), img.height());
-  for (std::size_t y = 0; y < img.height(); ++y) {
-    for (std::size_t x = 0; x < img.width(); ++x) {
-      double acc = 0.0;
-      for (int i = -radius; i <= radius; ++i) {
-        acc += kernel[static_cast<std::size_t>(i + radius)] *
-               img.AtClamped(static_cast<std::ptrdiff_t>(x) + i,
-                             static_cast<std::ptrdiff_t>(y));
-      }
-      tmp.At(x, y) = acc;
+  // Both passes accumulate tap-major into zeroed rows: each output still sums
+  // kernel[0] * v[0] + ... + kernel[2r] * v[2r] in that order from 0.0, with
+  // v[i] the source pixel at offset i - r clamped to the image, while the
+  // independent outputs of a row run side by side.
+  const std::size_t w = img.width();
+  const std::size_t h = img.height();
+  const auto r = static_cast<std::ptrdiff_t>(radius);
+  auto clamp_index = [](std::ptrdiff_t i, std::size_t n) {
+    return static_cast<std::size_t>(
+        std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(n) - 1));
+  };
+
+  // Horizontal pass, over each row padded by r clamped pixels on either side.
+  Raster tmp(w, h);
+  std::vector<double> padded(w + 2 * static_cast<std::size_t>(radius));
+  for (std::size_t y = 0; y < h; ++y) {
+    const double* row = img.data().data() + y * w;
+    for (std::size_t j = 0; j < padded.size(); ++j) {
+      padded[j] = row[clamp_index(static_cast<std::ptrdiff_t>(j) - r, w)];
+    }
+    double* dst = tmp.mutable_data().data() + y * w;
+    for (std::size_t i = 0; i < kernel.size(); ++i) {
+      const double k = kernel[i];
+      const double* src = padded.data() + i;
+      for (std::size_t x = 0; x < w; ++x) dst[x] += k * src[x];
     }
   }
-  // Vertical pass.
-  Raster out(img.width(), img.height());
-  for (std::size_t y = 0; y < img.height(); ++y) {
-    for (std::size_t x = 0; x < img.width(); ++x) {
-      double acc = 0.0;
-      for (int i = -radius; i <= radius; ++i) {
-        acc += kernel[static_cast<std::size_t>(i + radius)] *
-               tmp.AtClamped(static_cast<std::ptrdiff_t>(x),
-                             static_cast<std::ptrdiff_t>(y) + i);
-      }
-      out.At(x, y) = acc;
+  // Vertical pass, whole rows at a time, the source row clamped to the image.
+  Raster out(w, h);
+  for (std::size_t y = 0; y < h; ++y) {
+    double* dst = out.mutable_data().data() + y * w;
+    for (std::size_t i = 0; i < kernel.size(); ++i) {
+      const double k = kernel[i];
+      const double* src =
+          tmp.data().data() +
+          clamp_index(static_cast<std::ptrdiff_t>(y + i) - r, h) * w;
+      for (std::size_t x = 0; x < w; ++x) dst[x] += k * src[x];
     }
   }
   return out;

@@ -29,7 +29,7 @@ std::vector<Octave> BuildPyramid(const Raster& base, const SiftOptions& opt) {
     if (current.width() < 8 || current.height() < 8) break;
     Octave oct;
     oct.pixel_scale = pixel_scale;
-    oct.gaussians.push_back(current);
+    oct.gaussians.push_back(std::move(current));
     oct.sigmas.push_back(opt.base_sigma);
     double sigma = opt.base_sigma;
     int levels = opt.scales_per_octave + 3;
@@ -51,8 +51,7 @@ std::vector<Octave> BuildPyramid(const Raster& base, const SiftOptions& opt) {
       oct.dogs.push_back(std::move(d));
     }
     // Next octave starts from the level with double the base sigma.
-    Raster seed = oct.gaussians[static_cast<std::size_t>(opt.scales_per_octave)];
-    current = Downsample2x(seed);
+    current = Downsample2x(oct.gaussians[static_cast<std::size_t>(opt.scales_per_octave)]);
     pixel_scale *= 2.0;
     pyramid.push_back(std::move(oct));
   }
@@ -99,24 +98,66 @@ bool PassesEdgeTest(const Raster& dog, std::size_t x, std::size_t y,
   return trace * trace / det < (r + 1.0) * (r + 1.0) / r;
 }
 
+// Each gradient pixel's magnitude and angle, computed once per image. The
+// orientation and descriptor windows read them at border-clamped pixels, and
+// skip a pixel whose magnitude is <= 0, whose angle is then left at 0.
+struct PolarGradients {
+  explicit PolarGradients(const GradientField& g)
+      : width(g.dx.width()),
+        height(g.dx.height()),
+        magnitude(g.dx.data().size()),
+        angle(g.dx.data().size()) {
+    for (std::size_t i = 0; i < magnitude.size(); ++i) {
+      double gx = g.dx.data()[i];
+      double gy = g.dy.data()[i];
+      magnitude[i] = std::sqrt(gx * gx + gy * gy);
+      angle[i] = magnitude[i] <= 0.0 ? 0.0 : std::atan2(gy, gx);
+    }
+  }
+
+  // Row-major index of pixel (x, y) clamped to the image. Precondition: the
+  // image is not empty.
+  std::size_t ClampedIndex(std::ptrdiff_t x, std::ptrdiff_t y) const {
+    x = std::clamp<std::ptrdiff_t>(x, 0, static_cast<std::ptrdiff_t>(width) - 1);
+    y = std::clamp<std::ptrdiff_t>(y, 0, static_cast<std::ptrdiff_t>(height) - 1);
+    return static_cast<std::size_t>(y) * width + static_cast<std::size_t>(x);
+  }
+
+  std::size_t width;
+  std::size_t height;
+  std::vector<double> magnitude;  // sqrt(gx * gx + gy * gy)
+  std::vector<double> angle;      // atan2(gy, gx), radians in [-pi, pi]
+};
+
+// Gaussian weight exp(-0.5 * d2 / sigma^2) of a window pixel, for each
+// squared offset d2 = dx * dx + dy * dy a window of `radius` holds: indexed
+// by d2 in [0, 2 * radius^2].
+std::vector<double> WindowWeights(int radius, double sigma) {
+  std::vector<double> weights(static_cast<std::size_t>(2 * radius * radius) + 1);
+  for (std::size_t d2 = 0; d2 < weights.size(); ++d2) {
+    weights[d2] = std::exp(-0.5 * static_cast<int>(d2) / (sigma * sigma));
+  }
+  return weights;
+}
+
 // Dominant gradient orientation around (x, y) at the given scale.
-double DominantOrientation(const GradientField& grads, double x, double y,
+double DominantOrientation(const PolarGradients& grads, double x, double y,
                            double scale) {
   constexpr int kBins = 36;
   std::array<double, kBins> hist{};
   double sigma = 1.5 * scale;
   int radius = std::max(1, static_cast<int>(std::round(3.0 * sigma)));
+  const std::vector<double> weights = WindowWeights(radius, sigma);
+  const auto center_x = static_cast<std::ptrdiff_t>(std::round(x));
+  const auto center_y = static_cast<std::ptrdiff_t>(std::round(y));
   for (int dy = -radius; dy <= radius; ++dy) {
     for (int dx = -radius; dx <= radius; ++dx) {
-      auto px = static_cast<std::ptrdiff_t>(std::round(x)) + dx;
-      auto py = static_cast<std::ptrdiff_t>(std::round(y)) + dy;
-      double gx = grads.dx.AtClamped(px, py);
-      double gy = grads.dy.AtClamped(px, py);
-      double mag = std::sqrt(gx * gx + gy * gy);
+      const std::size_t i = grads.ClampedIndex(center_x + dx, center_y + dy);
+      double mag = grads.magnitude[i];
       if (mag <= 0.0) continue;
-      double theta = std::atan2(gy, gx);
+      double theta = grads.angle[i];
       if (theta < 0) theta += kTwoPi;
-      double w = std::exp(-0.5 * (dx * dx + dy * dy) / (sigma * sigma));
+      double w = weights[static_cast<std::size_t>(dx * dx + dy * dy)];
       int bin = static_cast<int>(theta / kTwoPi * kBins) % kBins;
       hist[static_cast<std::size_t>(bin)] += w * mag;
     }
@@ -139,63 +180,100 @@ double DominantOrientation(const GradientField& grads, double x, double y,
   return theta;
 }
 
-}  // namespace
+constexpr int kGrid = 4;        // 4x4 spatial cells
+constexpr int kOrientBins = 8;  // orientations per cell
 
-std::vector<double> ComputeSiftDescriptor(const GradientField& grads, double x,
-                                          double y, double scale,
-                                          double orientation) {
-  constexpr int kGrid = 4;        // 4x4 spatial cells
-  constexpr int kOrientBins = 8;  // orientations per cell
+// floor(v) for v in (-1, kGrid): truncation, one lower for a negative
+// non-integer.
+int FloorInGrid(double v) {
+  int t = static_cast<int>(v);
+  return v < t ? t - 1 : t;
+}
+
+// A window pixel inside the rotated 4x4 cell grid: its offset from the
+// keypoint, its Gaussian weight, and its cell coordinates (rx, ry) split into
+// floor and fraction.
+struct WindowPixel {
+  int dx;
+  int dy;
+  double weight;
+  int x0;
+  int y0;
+  double fx;
+  double fy;
+};
+
+// The support of a descriptor at one scale and orientation. What depends only
+// on a pixel's offset is computed here once: the rotation into the cell grid,
+// the grid test and the weight. Every dense descriptor shares one window (one
+// scale, orientation 0); sparse SIFT builds one per keypoint.
+struct DescriptorWindow {
+  DescriptorWindow(double scale, double orientation) : orientation(orientation) {
+    double cell_size = 3.0 * scale;              // pixels per descriptor cell
+    double radius = cell_size * kGrid * 0.7071;  // cover the rotated window
+    int r = std::max(2, static_cast<int>(std::round(radius)));
+    const std::vector<double> weights = WindowWeights(r, 0.5 * kGrid * cell_size);
+    double cos_t = std::cos(-orientation);
+    double sin_t = std::sin(-orientation);
+    for (int dy = -r; dy <= r; ++dy) {
+      for (int dx = -r; dx <= r; ++dx) {
+        // Rotate the offset into the keypoint frame.
+        double rx = (cos_t * dx - sin_t * dy) / cell_size + kGrid / 2.0 - 0.5;
+        double ry = (sin_t * dx + cos_t * dy) / cell_size + kGrid / 2.0 - 0.5;
+        if (rx <= -1.0 || rx >= kGrid || ry <= -1.0 || ry >= kGrid) continue;
+        int x0 = FloorInGrid(rx);
+        int y0 = FloorInGrid(ry);
+        pixels.push_back({dx, dy, weights[static_cast<std::size_t>(dx * dx + dy * dy)],
+                          x0, y0, rx - x0, ry - y0});
+      }
+    }
+  }
+
+  double orientation;
+  std::vector<WindowPixel> pixels;  // in row-major offset order
+};
+
+// One 128-d SIFT descriptor at (x, y) over `window`.
+std::vector<double> ComputeSiftDescriptor(const PolarGradients& grads,
+                                          const DescriptorWindow& window,
+                                          double x, double y) {
   std::vector<double> desc(kDescriptorDims, 0.0);
+  const auto center_x = static_cast<std::ptrdiff_t>(std::round(x));
+  const auto center_y = static_cast<std::ptrdiff_t>(std::round(y));
+  for (const WindowPixel& p : window.pixels) {
+    const std::size_t i = grads.ClampedIndex(center_x + p.dx, center_y + p.dy);
+    double mag = grads.magnitude[i];
+    if (mag <= 0.0) continue;
+    double theta = grads.angle[i] - window.orientation;
+    while (theta < 0) theta += kTwoPi;
+    while (theta >= kTwoPi) theta -= kTwoPi;
+    double obin = theta / kTwoPi * kOrientBins;
 
-  double cell_size = 3.0 * scale;             // pixels per descriptor cell
-  double radius = cell_size * kGrid * 0.7071; // cover the rotated window
-  int r = std::max(2, static_cast<int>(std::round(radius)));
-  double cos_t = std::cos(-orientation);
-  double sin_t = std::sin(-orientation);
-  double window_sigma = 0.5 * kGrid * cell_size;
-
-  for (int dy = -r; dy <= r; ++dy) {
-    for (int dx = -r; dx <= r; ++dx) {
-      // Rotate the offset into the keypoint frame.
-      double rx = (cos_t * dx - sin_t * dy) / cell_size + kGrid / 2.0 - 0.5;
-      double ry = (sin_t * dx + cos_t * dy) / cell_size + kGrid / 2.0 - 0.5;
-      if (rx <= -1.0 || rx >= kGrid || ry <= -1.0 || ry >= kGrid) continue;
-
-      auto px = static_cast<std::ptrdiff_t>(std::round(x)) + dx;
-      auto py = static_cast<std::ptrdiff_t>(std::round(y)) + dy;
-      double gx = grads.dx.AtClamped(px, py);
-      double gy = grads.dy.AtClamped(px, py);
-      double mag = std::sqrt(gx * gx + gy * gy);
-      if (mag <= 0.0) continue;
-      double theta = std::atan2(gy, gx) - orientation;
-      while (theta < 0) theta += kTwoPi;
-      while (theta >= kTwoPi) theta -= kTwoPi;
-
-      double w = std::exp(-0.5 * (dx * dx + dy * dy) / (window_sigma * window_sigma));
-      double obin = theta / kTwoPi * kOrientBins;
-
-      // Trilinear vote over (rx, ry, obin).
-      int x0 = static_cast<int>(std::floor(rx));
-      int y0 = static_cast<int>(std::floor(ry));
-      int o0 = static_cast<int>(std::floor(obin)) % kOrientBins;
-      double fx = rx - x0;
-      double fy = ry - y0;
-      double fo = obin - std::floor(obin);
-      for (int ix = 0; ix <= 1; ++ix) {
-        int cx = x0 + ix;
-        if (cx < 0 || cx >= kGrid) continue;
-        double wx = ix == 0 ? 1.0 - fx : fx;
-        for (int iy = 0; iy <= 1; ++iy) {
-          int cy = y0 + iy;
-          if (cy < 0 || cy >= kGrid) continue;
-          double wy = iy == 0 ? 1.0 - fy : fy;
-          for (int io = 0; io <= 1; ++io) {
-            int co = (o0 + io) % kOrientBins;
-            double wo = io == 0 ? 1.0 - fo : fo;
-            std::size_t idx = static_cast<std::size_t>((cy * kGrid + cx) * kOrientBins + co);
-            desc[idx] += w * mag * wx * wy * wo;
-          }
+    // Trilinear vote over (rx, ry, obin). obin lies in [0, kOrientBins], so
+    // truncation is its floor. (At obin = -0.0 the fraction is -0.0, not
+    // +0.0; a vote of either zero leaves a bin's sum, which starts at +0.0,
+    // unchanged.)
+    const int x0 = p.x0;
+    const int y0 = p.y0;
+    const double fx = p.fx;
+    const double fy = p.fy;
+    const double w = p.weight;
+    int obin_floor = static_cast<int>(obin);
+    int o0 = obin_floor % kOrientBins;
+    double fo = obin - obin_floor;
+    for (int ix = 0; ix <= 1; ++ix) {
+      int cx = x0 + ix;
+      if (cx < 0 || cx >= kGrid) continue;
+      double wx = ix == 0 ? 1.0 - fx : fx;
+      for (int iy = 0; iy <= 1; ++iy) {
+        int cy = y0 + iy;
+        if (cy < 0 || cy >= kGrid) continue;
+        double wy = iy == 0 ? 1.0 - fy : fy;
+        for (int io = 0; io <= 1; ++io) {
+          int co = (o0 + io) % kOrientBins;
+          double wo = io == 0 ? 1.0 - fo : fo;
+          std::size_t idx = static_cast<std::size_t>((cy * kGrid + cx) * kOrientBins + co);
+          desc[idx] += w * mag * wx * wy * wo;
         }
       }
     }
@@ -215,6 +293,8 @@ std::vector<double> ComputeSiftDescriptor(const GradientField& grads, double x,
   normalize();
   return desc;
 }
+
+}  // namespace
 
 SiftExtractor::SiftExtractor(SiftOptions options) : options_(options) {}
 
@@ -266,13 +346,14 @@ std::vector<SiftFeature> SiftExtractor::Extract(const Raster& img) const {
   if (keypoints.empty()) return features;
   Raster base = img;
   if (options_.normalize_input) base.NormalizeRange();
-  GradientField grads = ComputeGradients(GaussianBlur(base, 1.0));
+  const PolarGradients grads(ComputeGradients(GaussianBlur(base, 1.0)));
   features.reserve(keypoints.size());
   for (auto& kp : keypoints) {
     kp.orientation = DominantOrientation(grads, kp.x, kp.y, kp.scale);
     SiftFeature f;
     f.keypoint = kp;
-    f.descriptor = ComputeSiftDescriptor(grads, kp.x, kp.y, kp.scale, kp.orientation);
+    f.descriptor =
+        ComputeSiftDescriptor(grads, DescriptorWindow(kp.scale, kp.orientation), kp.x, kp.y);
     features.push_back(std::move(f));
   }
   return features;
@@ -285,7 +366,8 @@ std::vector<SiftFeature> DenseSiftExtractor::Extract(const Raster& img) const {
   if (img.width() < 8 || img.height() < 8 || options_.step == 0) return features;
   Raster base = img;
   if (options_.normalize_input) base.NormalizeRange();
-  GradientField grads = ComputeGradients(GaussianBlur(base, 1.0));
+  const PolarGradients grads(ComputeGradients(GaussianBlur(base, 1.0)));
+  const DescriptorWindow window(options_.patch_scale, 0.0);
   for (std::size_t y = options_.step / 2; y < img.height(); y += options_.step) {
     for (std::size_t x = options_.step / 2; x < img.width(); x += options_.step) {
       SiftFeature f;
@@ -293,8 +375,7 @@ std::vector<SiftFeature> DenseSiftExtractor::Extract(const Raster& img) const {
       f.keypoint.y = static_cast<double>(y);
       f.keypoint.scale = options_.patch_scale;
       f.keypoint.orientation = 0.0;  // dense variant is not rotation-normalized
-      f.descriptor = ComputeSiftDescriptor(grads, f.keypoint.x, f.keypoint.y,
-                                           options_.patch_scale, 0.0);
+      f.descriptor = ComputeSiftDescriptor(grads, window, f.keypoint.x, f.keypoint.y);
       features.push_back(std::move(f));
     }
   }

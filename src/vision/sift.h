@@ -99,12 +99,6 @@ class DenseSiftExtractor {
   DenseSiftOptions options_;
 };
 
-/// Computes one 128-d SIFT descriptor at (x, y) with the given scale and
-/// orientation over precomputed gradients. Exposed for reuse and testing.
-std::vector<double> ComputeSiftDescriptor(const GradientField& grads, double x,
-                                          double y, double scale,
-                                          double orientation);
-
 }  // namespace fc::vision
 
 #endif  // FORECACHE_VISION_SIFT_H_

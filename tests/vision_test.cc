@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <numbers>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "vision/codebook.h"
@@ -297,6 +305,475 @@ TEST(CodebookTest, FromCentersValidates) {
   EXPECT_FALSE(Codebook::FromCenters({}).ok());
   EXPECT_FALSE(Codebook::FromCenters({{1.0}, {1.0, 2.0}}).ok());
   EXPECT_TRUE(Codebook::FromCenters({{1.0}, {2.0}}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise references. Each reference below is the direct form of a routine
+// the library computes with less repeated work: one clamped read per blur tap
+// and gradient neighbour, one sqrt, atan2 and exp per window pixel, one
+// k-means++ minimum over every center, and one center at a time. The library
+// keeps every sum's operands and order, so the outputs must match bit for
+// bit on any machine (both sides call the same libm).
+
+std::uint64_t Bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+::testing::AssertionResult SameBits(const std::vector<double>& a,
+                                    const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "sizes " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (Bits(a[i]) != Bits(b[i])) {
+      return ::testing::AssertionFailure() << "index " << i << ": " << std::hexfloat
+                                           << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+Raster ReferenceBlur(const Raster& img, double sigma) {
+  if (img.empty() || sigma <= 0.0) return img;
+  int radius = static_cast<int>(std::ceil(3.0 * sigma));
+  std::vector<double> kernel(static_cast<std::size_t>(2 * radius + 1));
+  double sum = 0.0;
+  for (int i = -radius; i <= radius; ++i) {
+    double w = std::exp(-0.5 * (i * i) / (sigma * sigma));
+    kernel[static_cast<std::size_t>(i + radius)] = w;
+    sum += w;
+  }
+  for (double& w : kernel) w /= sum;
+  Raster tmp(img.width(), img.height());
+  for (std::size_t y = 0; y < img.height(); ++y) {
+    for (std::size_t x = 0; x < img.width(); ++x) {
+      double acc = 0.0;
+      for (int i = -radius; i <= radius; ++i) {
+        acc += kernel[static_cast<std::size_t>(i + radius)] *
+               img.AtClamped(static_cast<std::ptrdiff_t>(x) + i,
+                             static_cast<std::ptrdiff_t>(y));
+      }
+      tmp.At(x, y) = acc;
+    }
+  }
+  Raster out(img.width(), img.height());
+  for (std::size_t y = 0; y < img.height(); ++y) {
+    for (std::size_t x = 0; x < img.width(); ++x) {
+      double acc = 0.0;
+      for (int i = -radius; i <= radius; ++i) {
+        acc += kernel[static_cast<std::size_t>(i + radius)] *
+               tmp.AtClamped(static_cast<std::ptrdiff_t>(x),
+                             static_cast<std::ptrdiff_t>(y) + i);
+      }
+      out.At(x, y) = acc;
+    }
+  }
+  return out;
+}
+
+GradientField ReferenceGradients(const Raster& img) {
+  GradientField g;
+  g.dx = Raster(img.width(), img.height());
+  g.dy = Raster(img.width(), img.height());
+  for (std::size_t y = 0; y < img.height(); ++y) {
+    for (std::size_t x = 0; x < img.width(); ++x) {
+      auto xi = static_cast<std::ptrdiff_t>(x);
+      auto yi = static_cast<std::ptrdiff_t>(y);
+      g.dx.At(x, y) = 0.5 * (img.AtClamped(xi + 1, yi) - img.AtClamped(xi - 1, yi));
+      g.dy.At(x, y) = 0.5 * (img.AtClamped(xi, yi + 1) - img.AtClamped(xi, yi - 1));
+    }
+  }
+  return g;
+}
+
+// Values in [-1, 1) with exact zeros of both signs, and a run of -0.0 wide
+// enough that some outputs read only -0.0 taps.
+Raster SignedNoise(std::size_t width, std::size_t height, std::uint64_t seed) {
+  Raster r(width, height);
+  Rng rng(seed);
+  for (auto& v : r.mutable_data()) {
+    double u = rng.UniformDouble();
+    v = u < 0.1 ? 0.0 : u < 0.2 ? -0.0 : rng.UniformDouble(-1.0, 1.0);
+  }
+  for (std::size_t y = 0; y < height / 2; ++y) {
+    for (std::size_t x = 0; x < width / 2; ++x) r.At(x, y) = -0.0;
+  }
+  return r;
+}
+
+// The shapes whose borders the blur and the gradients special-case: single
+// pixels, lines, odd sizes, and widths and heights around the blur window.
+std::vector<std::pair<std::size_t, std::size_t>> BorderShapes(int radius) {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 1}, {1, 9}, {9, 1}, {2, 2}, {33, 17}, {64, 64}};
+  auto window = static_cast<std::size_t>(2 * radius);
+  for (std::size_t w = window; w <= window + 2; ++w) {
+    for (std::size_t h = window; h <= window + 2; ++h) shapes.emplace_back(w, h);
+  }
+  return shapes;
+}
+
+TEST(RasterReferenceTest, GaussianBlurMatchesClampedPerTapLoop) {
+  std::uint64_t seed = 100;
+  for (double sigma : {0.5, 1.0, 1.6, 2.26, 4.0}) {
+    int radius = static_cast<int>(std::ceil(3.0 * sigma));
+    for (auto [w, h] : BorderShapes(radius)) {
+      SCOPED_TRACE(testing::Message() << "sigma " << sigma << ", " << w << "x" << h);
+      Raster img = SignedNoise(w, h, ++seed);
+      EXPECT_TRUE(SameBits(GaussianBlur(img, sigma).data(),
+                           ReferenceBlur(img, sigma).data()));
+      Raster negative_zero(w, h, -0.0);
+      EXPECT_TRUE(SameBits(GaussianBlur(negative_zero, sigma).data(),
+                           ReferenceBlur(negative_zero, sigma).data()));
+    }
+  }
+}
+
+TEST(RasterReferenceTest, GradientsMatchClampedNeighbours) {
+  std::uint64_t seed = 200;
+  for (auto [w, h] : BorderShapes(2)) {
+    SCOPED_TRACE(testing::Message() << w << "x" << h);
+    Raster img = SignedNoise(w, h, ++seed);
+    GradientField got = ComputeGradients(img);
+    GradientField want = ReferenceGradients(img);
+    EXPECT_TRUE(SameBits(got.dx.data(), want.dx.data()));
+    EXPECT_TRUE(SameBits(got.dy.data(), want.dy.data()));
+  }
+  EXPECT_TRUE(ComputeGradients(Raster()).dx.empty());
+}
+
+constexpr double kTwoPi = 2.0 * std::numbers::pi;
+
+double ReferenceOrientation(const GradientField& grads, double x, double y,
+                            double scale) {
+  constexpr int kBins = 36;
+  std::array<double, kBins> hist{};
+  double sigma = 1.5 * scale;
+  int radius = std::max(1, static_cast<int>(std::round(3.0 * sigma)));
+  for (int dy = -radius; dy <= radius; ++dy) {
+    for (int dx = -radius; dx <= radius; ++dx) {
+      auto px = static_cast<std::ptrdiff_t>(std::round(x)) + dx;
+      auto py = static_cast<std::ptrdiff_t>(std::round(y)) + dy;
+      double gx = grads.dx.AtClamped(px, py);
+      double gy = grads.dy.AtClamped(px, py);
+      double mag = std::sqrt(gx * gx + gy * gy);
+      if (mag <= 0.0) continue;
+      double theta = std::atan2(gy, gx);
+      if (theta < 0) theta += kTwoPi;
+      double w = std::exp(-0.5 * (dx * dx + dy * dy) / (sigma * sigma));
+      int bin = static_cast<int>(theta / kTwoPi * kBins) % kBins;
+      hist[static_cast<std::size_t>(bin)] += w * mag;
+    }
+  }
+  int best = 0;
+  for (int b = 1; b < kBins; ++b) {
+    if (hist[static_cast<std::size_t>(b)] > hist[static_cast<std::size_t>(best)]) {
+      best = b;
+    }
+  }
+  double l = hist[static_cast<std::size_t>((best + kBins - 1) % kBins)];
+  double c = hist[static_cast<std::size_t>(best)];
+  double r = hist[static_cast<std::size_t>((best + 1) % kBins)];
+  double denom = l - 2.0 * c + r;
+  double offset = (std::abs(denom) > 1e-12) ? 0.5 * (l - r) / denom : 0.0;
+  double theta = (best + 0.5 + offset) * kTwoPi / kBins;
+  if (theta < 0) theta += kTwoPi;
+  if (theta >= kTwoPi) theta -= kTwoPi;
+  return theta;
+}
+
+std::vector<double> ReferenceDescriptor(const GradientField& grads, double x,
+                                        double y, double scale, double orientation) {
+  constexpr int kGrid = 4;
+  constexpr int kOrientBins = 8;
+  std::vector<double> desc(kDescriptorDims, 0.0);
+  double cell_size = 3.0 * scale;
+  double radius = cell_size * kGrid * 0.7071;
+  int r = std::max(2, static_cast<int>(std::round(radius)));
+  double cos_t = std::cos(-orientation);
+  double sin_t = std::sin(-orientation);
+  double window_sigma = 0.5 * kGrid * cell_size;
+  for (int dy = -r; dy <= r; ++dy) {
+    for (int dx = -r; dx <= r; ++dx) {
+      double rx = (cos_t * dx - sin_t * dy) / cell_size + kGrid / 2.0 - 0.5;
+      double ry = (sin_t * dx + cos_t * dy) / cell_size + kGrid / 2.0 - 0.5;
+      if (rx <= -1.0 || rx >= kGrid || ry <= -1.0 || ry >= kGrid) continue;
+      auto px = static_cast<std::ptrdiff_t>(std::round(x)) + dx;
+      auto py = static_cast<std::ptrdiff_t>(std::round(y)) + dy;
+      double gx = grads.dx.AtClamped(px, py);
+      double gy = grads.dy.AtClamped(px, py);
+      double mag = std::sqrt(gx * gx + gy * gy);
+      if (mag <= 0.0) continue;
+      double theta = std::atan2(gy, gx) - orientation;
+      while (theta < 0) theta += kTwoPi;
+      while (theta >= kTwoPi) theta -= kTwoPi;
+      double w = std::exp(-0.5 * (dx * dx + dy * dy) / (window_sigma * window_sigma));
+      double obin = theta / kTwoPi * kOrientBins;
+      int x0 = static_cast<int>(std::floor(rx));
+      int y0 = static_cast<int>(std::floor(ry));
+      int o0 = static_cast<int>(std::floor(obin)) % kOrientBins;
+      double fx = rx - x0;
+      double fy = ry - y0;
+      double fo = obin - std::floor(obin);
+      for (int ix = 0; ix <= 1; ++ix) {
+        int cx = x0 + ix;
+        if (cx < 0 || cx >= kGrid) continue;
+        double wx = ix == 0 ? 1.0 - fx : fx;
+        for (int iy = 0; iy <= 1; ++iy) {
+          int cy = y0 + iy;
+          if (cy < 0 || cy >= kGrid) continue;
+          double wy = iy == 0 ? 1.0 - fy : fy;
+          for (int io = 0; io <= 1; ++io) {
+            int co = (o0 + io) % kOrientBins;
+            double wo = io == 0 ? 1.0 - fo : fo;
+            std::size_t idx = static_cast<std::size_t>((cy * kGrid + cx) * kOrientBins + co);
+            desc[idx] += w * mag * wx * wy * wo;
+          }
+        }
+      }
+    }
+  }
+  auto normalize = [&desc]() {
+    double norm = 0.0;
+    for (double v : desc) norm += v * v;
+    norm = std::sqrt(norm);
+    if (norm > 1e-12) {
+      for (double& v : desc) v /= norm;
+    }
+  };
+  normalize();
+  for (double& v : desc) v = std::min(v, 0.2);
+  normalize();
+  return desc;
+}
+
+GradientField ReferenceDescriptorGradients(const Raster& img, bool normalize_input) {
+  Raster base = img;
+  if (normalize_input) base.NormalizeRange();
+  return ReferenceGradients(ReferenceBlur(base, 1.0));
+}
+
+std::vector<SiftFeature> ReferenceSparseExtract(const SiftExtractor& extractor,
+                                                const Raster& img) {
+  std::vector<SiftFeature> features;
+  auto keypoints = extractor.DetectKeypoints(img);
+  if (keypoints.empty()) return features;
+  GradientField grads =
+      ReferenceDescriptorGradients(img, extractor.options().normalize_input);
+  for (auto& kp : keypoints) {
+    kp.orientation = ReferenceOrientation(grads, kp.x, kp.y, kp.scale);
+    SiftFeature f;
+    f.keypoint = kp;
+    f.descriptor = ReferenceDescriptor(grads, kp.x, kp.y, kp.scale, kp.orientation);
+    features.push_back(std::move(f));
+  }
+  return features;
+}
+
+std::vector<SiftFeature> ReferenceDenseExtract(const DenseSiftOptions& options,
+                                               const Raster& img) {
+  std::vector<SiftFeature> features;
+  if (img.width() < 8 || img.height() < 8 || options.step == 0) return features;
+  GradientField grads = ReferenceDescriptorGradients(img, options.normalize_input);
+  for (std::size_t y = options.step / 2; y < img.height(); y += options.step) {
+    for (std::size_t x = options.step / 2; x < img.width(); x += options.step) {
+      SiftFeature f;
+      f.keypoint.x = static_cast<double>(x);
+      f.keypoint.y = static_cast<double>(y);
+      f.keypoint.scale = options.patch_scale;
+      f.descriptor = ReferenceDescriptor(grads, f.keypoint.x, f.keypoint.y,
+                                         options.patch_scale, 0.0);
+      features.push_back(std::move(f));
+    }
+  }
+  return features;
+}
+
+::testing::AssertionResult SameFeatures(const std::vector<SiftFeature>& got,
+                                        const std::vector<SiftFeature>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " features vs " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Keypoint& a = got[i].keypoint;
+    const Keypoint& b = want[i].keypoint;
+    if (!SameBits({a.x, a.y, a.scale, a.orientation, a.response},
+                  {b.x, b.y, b.scale, b.orientation, b.response}) ||
+        a.octave != b.octave) {
+      return ::testing::AssertionFailure() << "keypoint " << i << " differs";
+    }
+    auto same = SameBits(got[i].descriptor, want[i].descriptor);
+    if (!same) return same << " in descriptor " << i;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The blob, ramp, noise, flat and non-square rasters, named.
+std::vector<std::pair<std::string, Raster>> ExtractorInputs() {
+  Raster ramp(64, 64);
+  for (std::size_t y = 0; y < 64; ++y) {
+    for (std::size_t x = 0; x < 64; ++x) ramp.At(x, y) = 0.01 * x + 0.003 * y;
+  }
+  Raster wide(64, 48);
+  Rng rng(31);
+  for (auto& v : wide.mutable_data()) v = rng.UniformDouble();
+  for (std::size_t y = 18; y < 30; ++y) {
+    for (std::size_t x = 40; x < 52; ++x) wide.At(x, y) += 2.0;
+  }
+  return {{"blob", BlobRaster(64, 24, 40, 5)},
+          {"ramp", ramp},
+          {"noise", NoiseRaster(64, 12)},
+          {"flat", Raster(64, 64, 0.5)},
+          {"64x48", wide},
+          {"tile", NoiseRaster(32, 13)}};
+}
+
+TEST(SiftReferenceTest, SparseExtractMatchesPerPixelReference) {
+  std::size_t compared = 0;
+  for (bool upsample : {false, true}) {
+    for (bool normalize : {true, false}) {
+      SiftOptions options;
+      options.upsample_first = upsample;
+      options.normalize_input = normalize;
+      SiftExtractor extractor(options);
+      for (const auto& [name, img] : ExtractorInputs()) {
+        SCOPED_TRACE(testing::Message() << name << ", upsample " << upsample
+                                        << ", normalize " << normalize);
+        auto want = ReferenceSparseExtract(extractor, img);
+        EXPECT_TRUE(SameFeatures(extractor.Extract(img), want));
+        compared += want.size();
+      }
+    }
+  }
+  EXPECT_GT(compared, 100u);  // the comparison is not vacuous
+}
+
+TEST(SiftReferenceTest, DenseExtractMatchesPerPixelReference) {
+  for (double patch_scale : {2.0, 1.3}) {
+    DenseSiftOptions options;
+    options.patch_scale = patch_scale;
+    DenseSiftExtractor extractor(options);
+    for (const auto& [name, img] : ExtractorInputs()) {
+      SCOPED_TRACE(testing::Message() << name << ", patch scale " << patch_scale);
+      auto want = ReferenceDenseExtract(options, img);
+      ASSERT_FALSE(want.empty());
+      EXPECT_TRUE(SameFeatures(extractor.Extract(img), want));
+    }
+  }
+}
+
+std::size_t ReferenceNearestCenter(const std::vector<std::vector<double>>& centers,
+                                   const std::vector<double>& point) {
+  std::size_t best = 0;
+  double best_d = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < centers.size(); ++c) {
+    double d = 0.0;
+    for (std::size_t i = 0; i < point.size(); ++i) {
+      double e = centers[c][i] - point[i];
+      d += e * e;
+    }
+    if (d < best_d) {
+      best_d = d;
+      best = c;
+    }
+  }
+  return best;
+}
+
+TEST(KMeansReferenceTest, NearestCenterMatchesOneCenterAtATime) {
+  Rng rng(41);
+  for (std::size_t dim : {1u, 3u, 128u}) {
+    for (std::size_t k : {1u, 2u, 3u, 4u, 5u, 7u, 32u}) {
+      SCOPED_TRACE(testing::Message() << "dim " << dim << ", k " << k);
+      std::vector<std::vector<double>> centers(k, std::vector<double>(dim));
+      for (std::size_t c = 0; c < k; ++c) {
+        // Every third center duplicates the one before it: ties.
+        if (c % 3 == 2) {
+          centers[c] = centers[c - 1];
+          continue;
+        }
+        for (double& v : centers[c]) v = rng.UniformDouble(-1.0, 1.0);
+      }
+      std::vector<std::vector<double>> points = centers;  // distance-0 ties
+      for (int i = 0; i < 64; ++i) {
+        std::vector<double> p(dim);
+        for (double& v : p) v = rng.UniformDouble(-1.0, 1.0);
+        points.push_back(std::move(p));
+      }
+      for (const auto& p : points) {
+        EXPECT_EQ(NearestCenter(centers, p), ReferenceNearestCenter(centers, p));
+      }
+    }
+  }
+  // A tie keeps the lowest index, inside and across groups of four.
+  std::vector<double> a = {1.0, 2.0};
+  std::vector<double> b = {5.0, 5.0};
+  EXPECT_EQ(NearestCenter({b, a, a, b, a}, a), 1u);
+  EXPECT_EQ(NearestCenter({b, b, b, b, a, a, a}, a), 4u);
+  EXPECT_EQ(NearestCenter({b, b, a, a}, {3.0, 3.5}), 0u);
+}
+
+TEST(KMeansDeathTest, NearestCenterRejectsAMismatchedDimension) {
+  std::vector<std::vector<double>> centers = {{0, 0, 0, 0}, {1, 1, 1, 1}};
+  EXPECT_DEATH(NearestCenter(centers, {0.0, 0.0}), "differ in dimension");
+  EXPECT_DEATH(NearestCenter(centers, {0.0, 0.0, 0.0, 0.0, 0.0}), "differ in dimension");
+  auto codebook = Codebook::FromCenters(centers);
+  ASSERT_TRUE(codebook.ok());
+  EXPECT_DEATH(codebook->Quantize({0.0, 0.0}), "differ in dimension");
+}
+
+// Direct k-means++ seeding: each round takes every point's minimum over all
+// centers so far.
+std::vector<std::vector<double>> ReferenceSeeds(
+    const std::vector<std::vector<double>>& points, std::size_t k, Rng* rng) {
+  std::vector<std::vector<double>> centers;
+  centers.push_back(points[rng->UniformUint32(static_cast<std::uint32_t>(points.size()))]);
+  std::vector<double> d2(points.size(), 0.0);
+  while (centers.size() < k) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      double best = std::numeric_limits<double>::infinity();
+      for (const auto& c : centers) {
+        double ss = 0.0;
+        for (std::size_t j = 0; j < c.size(); ++j) {
+          double d = points[i][j] - c[j];
+          ss += d * d;
+        }
+        best = std::min(best, ss);
+      }
+      d2[i] = best;
+    }
+    centers.push_back(points[rng->WeightedIndex(d2)]);
+  }
+  return centers;
+}
+
+TEST(KMeansReferenceTest, SeedingMatchesMinimumOverEveryCenter) {
+  Rng data_rng(51);
+  std::vector<std::vector<double>> points;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<double> p(16);
+    for (double& v : p) v = data_rng.UniformDouble();
+    points.push_back(p);
+    if (i % 10 == 0) points.push_back(p);  // duplicates: zero-distance minima
+  }
+  for (std::size_t k : {1u, 2u, 5u, 32u}) {
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    KMeansOptions options;
+    options.k = k;
+    options.max_iterations = 0;  // the result's centers are the seeds
+    Rng a(60 + k);
+    Rng b(60 + k);
+    auto result = KMeans(points, options, &a);
+    ASSERT_TRUE(result.ok());
+    auto want = ReferenceSeeds(points, k, &b);
+    ASSERT_EQ(result->centers.size(), want.size());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      EXPECT_TRUE(SameBits(result->centers[c], want[c])) << "center " << c;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
