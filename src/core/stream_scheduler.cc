@@ -48,6 +48,8 @@ void StreamScheduler::CancelSession(std::uint64_t session_id) {
 }
 
 void StreamScheduler::DropSessionLocked(std::uint64_t session_id) {
+  const SessionState* state = sessions_.Find(session_id);
+  if (state == nullptr || state->queued_chunks == 0) return;
   for (auto job = jobs_.begin(); job != jobs_.end();) {
     if (job->second.session_id == session_id) {
       job = DropLocked(job, &stats_.stale_chunks_dropped);
@@ -60,9 +62,12 @@ void StreamScheduler::DropSessionLocked(std::uint64_t session_id) {
 void StreamScheduler::CancelStaleGenerations(std::uint64_t session_id,
                                              std::uint64_t live_generation) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (SessionState* state = sessions_.Find(session_id)) {
-    state->live_generation = live_generation;
-  }
+  SessionState* state = sessions_.Find(session_id);
+  // Every queued chunk belongs to a registered session (SubmitTile queues
+  // only for one, and unregistering drops its chunks first).
+  if (state == nullptr) return;
+  state->live_generation = live_generation;
+  if (state->queued_chunks == 0) return;
   for (auto job = jobs_.begin(); job != jobs_.end();) {
     if (job->second.session_id == session_id &&
         job->second.generation != live_generation) {
@@ -97,7 +102,7 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
   ++stats_.tiles_submitted;
   if (computed) ++stats_.plans_computed;
   stats_.chunks_enqueued += chunks;
-  const SessionState* state = sessions_.Find(session_id);
+  SessionState* state = sessions_.Find(session_id);
   if (shutdown_ || state == nullptr || state->unregistering ||
       generation < state->live_generation) {
     // Retired on arrival; counted so the books still balance. An older
@@ -140,6 +145,7 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
     jobs_.emplace(base.refinement, std::move(refine));
   }
   jobs_.emplace(base_rank, std::move(base));
+  state->queued_chunks += chunks;
   SpawnPumpLocked();
 }
 
@@ -255,6 +261,8 @@ StreamScheduler::JobQueue::iterator StreamScheduler::SelectLocked(
 
 StreamScheduler::JobQueue::iterator StreamScheduler::DropLocked(
     JobQueue::iterator it, std::uint64_t* counter) {
+  SessionState* state = sessions_.Find(it->second.session_id);
+  std::size_t dropped = 1;
   // A dropped base strands its gated refinement — a refinement can never
   // apply to a base the client did not receive — so the pair goes
   // together. The refinement ranks below its base, so an iteration in
@@ -263,10 +271,11 @@ StreamScheduler::JobQueue::iterator StreamScheduler::DropLocked(
     if (auto refinement = jobs_.find(it->second.refinement);
         refinement != jobs_.end()) {
       jobs_.erase(refinement);
-      ++*counter;
+      ++dropped;
     }
   }
-  ++*counter;
+  *counter += dropped;
+  if (state != nullptr) state->queued_chunks -= dropped;
   return jobs_.erase(it);
 }
 
@@ -330,6 +339,7 @@ std::size_t StreamScheduler::Pump() {
               : 0.0;
       ready.push_back(std::move(chunk));
       jobs_.erase(it);
+      --state->queued_chunks;
     }
     if (had_work && ready.empty() && !jobs_.empty()) ++stats_.budget_stalls;
   }
@@ -385,12 +395,19 @@ void StreamScheduler::Shutdown() {
   shutdown_ = true;
   stats_.stale_chunks_dropped += jobs_.size();
   jobs_.clear();
+  for (auto& [id, state] : sessions_) state->queued_chunks = 0;
   cv_.wait(lock, [&] { return in_flight_pushes_ == 0 && !pump_armed_; });
 }
 
 std::size_t StreamScheduler::queued() const {
   std::lock_guard<std::mutex> lock(mu_);
   return jobs_.size();
+}
+
+std::size_t StreamScheduler::queued(std::uint64_t session_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const SessionState* state = sessions_.Find(session_id);
+  return state != nullptr ? state->queued_chunks : 0;
 }
 
 StreamSchedulerStats StreamScheduler::Stats() const {

@@ -267,6 +267,9 @@ class StreamScheduler {
   /// Queued (not yet pushed) chunks.
   std::size_t queued() const;
 
+  /// Queued chunks of `session_id` (0 for an unknown id).
+  std::size_t queued(std::uint64_t session_id) const;
+
   StreamSchedulerStats Stats() const;
 
   /// Consistent snapshot of the queued chunks, in push rank order.
@@ -310,6 +313,9 @@ class StreamScheduler {
     /// The last CancelStaleGenerations generation; submissions from older
     /// generations retire on arrival.
     std::uint64_t live_generation = 0;
+    /// The session's chunks in jobs_, so a cancel with none queued returns
+    /// without walking the queue.
+    std::size_t queued_chunks = 0;
   };
 
   /// A chunk picked for push this round, pinned for delivery outside the
@@ -360,8 +366,9 @@ class StreamScheduler {
   JobQueue::iterator SelectLocked(SessionState** session);
 
   /// Removes `it` and, when it gates a refinement that can now never
-  /// apply, that refinement too. `counter` classifies the drop. Returns
-  /// the iterator after `it`. Caller holds mu_.
+  /// apply, that refinement too, from the queue and from its session's
+  /// count. `counter` classifies the drop. Returns the iterator after
+  /// `it`. Caller holds mu_.
   JobQueue::iterator DropLocked(JobQueue::iterator it,
                                 std::uint64_t* counter);
 

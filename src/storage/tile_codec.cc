@@ -1,11 +1,12 @@
 #include "storage/tile_codec.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/logging.h"
@@ -145,51 +146,133 @@ std::uint64_t StoredChecksum(std::string_view bytes) {
   return stored;
 }
 
-void AppendRaw(std::string* out, const void* data, std::size_t len) {
-  out->append(static_cast<const char*>(data), len);
-}
-
-template <typename T>
-void AppendValue(std::string* out, T value) {
-  AppendRaw(out, &value, sizeof(T));
-}
-
-// Bytes a varint of `v` takes: one per started 7-bit group.
-std::size_t VarintSize(std::uint64_t v) {
-  return 1 + static_cast<std::size_t>(std::bit_width(v | 1) - 1) / 7;
-}
-
-std::uint64_t ZigZag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t UnZigZag(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
-}
-
-// Appends one varint-coded attribute: the u64 byte-length prefix, then the
-// zigzag/LEB128 varint of value(i) for i in [0, count). The varints are
-// written straight into `out` over a worst-case reservation that is then
-// trimmed to the bytes written.
-template <typename ValueFn>
-void AppendVarintAttr(std::string* out, std::size_t count, ValueFn value) {
-  const std::size_t start = out->size();
-  out->resize(start + kAttrLengthBytes + count * kMaxVarintBytes);
-  char* const begin = out->data() + start + kAttrLengthBytes;
-  char* p = begin;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t v = ZigZag(value(i));
-    while (v >= 0x80) {
-      *p++ = static_cast<char>((v & 0x7f) | 0x80);
-      v >>= 7;
-    }
-    *p++ = static_cast<char>(v);
+// Bytes a varint takes by the bit width of its value: one per started 7-bit
+// group, and one for 0.
+constexpr auto kVarintSizeByWidth = [] {
+  std::array<std::uint8_t, 65> sizes{};
+  for (std::size_t width = 0; width < sizes.size(); ++width) {
+    sizes[width] = static_cast<std::uint8_t>(width == 0 ? 1 : (width + 6) / 7);
   }
-  const auto len = static_cast<std::uint64_t>(p - begin);
-  std::memcpy(out->data() + start, &len, sizeof(len));
-  out->resize(start + kAttrLengthBytes + len);
+  return sizes;
+}();
+
+// Bytes the varint of `v` takes. Indexing by the width of `v | 1` prices 0
+// as one byte without a zero test, which would mispredict where zero and
+// nonzero values mix.
+std::size_t VarintSize(std::uint64_t v) {
+  return kVarintSizeByWidth[std::bit_width(v | 1)];
 }
+
+// The continuation bits of the first eight bytes of an n-byte varint, by n:
+// 0x80 on every byte but the last.
+constexpr auto kContinuationBits = [] {
+  std::array<std::uint64_t, kMaxVarintBytes + 1> bits{};
+  for (std::size_t n = 2; n < bits.size(); ++n) {
+    for (std::size_t byte = 0; byte + 1 < n && byte < 8; ++byte) {
+      bits[n] |= std::uint64_t{0x80} << (8 * byte);
+    }
+  }
+  return bits;
+}();
+
+// Zigzag over two's-complement bits: small values of either sign map to
+// small codes.
+std::uint64_t ZigZag(std::uint64_t v) { return (v << 1) ^ (0 - (v >> 63)); }
+
+std::uint64_t UnZigZag(std::uint64_t v) { return (v >> 1) ^ (0 - (v & 1)); }
+
+// Writes the LEB128 varint of `v` at `p` and returns the byte after it. It
+// stores up to kMaxVarintBytes bytes at `p` whatever the varint's length;
+// the bytes past the varint are scratch that the next write overwrites, so
+// the buffer must hold kMaxVarintBytes bytes at `p`. One and two bytes are
+// written without a branch on which, under one test that predicts well on
+// L2 deltas (about half of them take two bytes). Longer varints spread the
+// low 56 bits' eight 7-bit groups into one 8-byte store with the
+// continuation bits of their length, then store bytes 9 and 10, which hold
+// the top 8 bits: byte 9 is those bits as they are (its continuation bit is
+// bit 63 of `v`, set exactly when a tenth byte follows), byte 10 is bit 63.
+char* PutVarint(char* p, std::uint64_t v) {
+  if (v < (std::uint64_t{1} << 14)) {
+    const std::uint64_t high = v >> 7;
+    const std::uint64_t two = high != 0;
+    const auto word =
+        static_cast<std::uint16_t>((v & 0x7f) | (two << 7) | (high << 8));
+    std::memcpy(p, &word, sizeof(word));
+    return p + 1 + two;
+  }
+  std::uint64_t groups = v & ((std::uint64_t{1} << 56) - 1);
+  groups = ((groups & 0x00FFFFFFF0000000ull) << 4) |
+           (groups & 0x000000000FFFFFFFull);
+  groups = ((groups & 0x0FFFC0000FFFC000ull) << 2) |
+           (groups & 0x00003FFF00003FFFull);
+  groups = ((groups & 0x3F803F803F803F80ull) << 1) |
+           (groups & 0x007F007F007F007Full);
+  const std::size_t size = VarintSize(v);
+  groups |= kContinuationBits[size];
+  std::memcpy(p, &groups, sizeof(groups));
+  const std::uint64_t top = v >> 56;
+  const auto tail = static_cast<std::uint16_t>(top | ((top >> 7) << 8));
+  std::memcpy(p + sizeof(groups), &tail, sizeof(tail));
+  return p + size;
+}
+
+// A blob under construction: written at a cursor into a buffer sized for
+// the worst case, never zero-filled, then copied out once at its exact
+// size, so a finished blob's capacity is its size.
+class BlobWriter {
+ public:
+  explicit BlobWriter(std::size_t max_bytes)
+      : buffer_(std::make_unique_for_overwrite<char[]>(max_bytes)),
+        end_(buffer_.get()) {}
+
+  void Raw(const void* data, std::size_t len) {
+    std::memcpy(end_, data, len);
+    end_ += len;
+  }
+
+  template <typename T>
+  void Value(T value) {
+    Raw(&value, sizeof(T));
+  }
+
+  // The key and dimension fields both chunk formats carry:
+  // level | x y width height | nattr.
+  void TileHeader(const tiles::Tile& tile) {
+    Value(static_cast<std::int32_t>(tile.key().level));
+    Value(tile.key().x);
+    Value(tile.key().y);
+    Value(tile.width());
+    Value(tile.height());
+    Value(static_cast<std::uint32_t>(tile.num_attrs()));
+  }
+
+  // One varint-coded attribute: the u64 byte-length prefix, then the
+  // zigzag/LEB128 varint of value(i) for i in [0, count). Needs
+  // kAttrLengthBytes + count * kMaxVarintBytes bytes of room.
+  template <typename ValueFn>
+  void VarintAttr(std::size_t count, ValueFn value) {
+    char* const prefix = end_;
+    char* const begin = prefix + kAttrLengthBytes;
+    end_ = begin;
+    for (std::size_t i = 0; i < count; ++i) {
+      end_ = PutVarint(end_, ZigZag(value(i)));
+    }
+    const auto len = static_cast<std::uint64_t>(end_ - begin);
+    std::memcpy(prefix, &len, sizeof(len));
+  }
+
+  // Appends the XXH64 of everything written and returns the bytes.
+  std::string Finish() {
+    const std::uint64_t sum =
+        Xxh64(std::string_view(buffer_.get(), end_ - buffer_.get()));
+    Value(sum);
+    return std::string(buffer_.get(), end_);
+  }
+
+ private:
+  std::unique_ptr<char[]> buffer_;
+  char* end_;
+};
 
 // Deltas between quanta are computed in uint64: two saturated quanta at
 // opposite lattice bounds differ by 2^63, which overflows int64 (UB) but
@@ -197,11 +280,6 @@ void AppendVarintAttr(std::string* out, std::size_t count, ValueFn value) {
 // back by the same modulus, so round trips are exact.
 std::uint64_t WrappingDelta(std::int64_t q, std::int64_t prev) {
   return static_cast<std::uint64_t>(q) - static_cast<std::uint64_t>(prev);
-}
-
-std::int64_t WrappingAdd(std::int64_t prev, std::int64_t delta) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(prev) +
-                                   static_cast<std::uint64_t>(delta));
 }
 
 class Reader {
@@ -249,24 +327,52 @@ class Reader {
 // Reads one varint-coded attribute of `count` values: the u64 byte-length
 // prefix, checked once against the bytes that remain, then exactly `count`
 // zigzag/LEB128 varints that must fill it. apply(i, value) receives each
-// decoded value.
+// decoded value. Three paths, none reading past the attribute:
+//  * eight one-byte varints (no continuation bit in the next eight bytes)
+//    decode as one word, so a run of them carries no dependency from one
+//    byte's value to the next byte's address — coarse bases are almost
+//    all one-byte deltas;
+//  * with two bytes left, a one- or two-byte varint (not both bytes
+//    continued) decodes without a branch on which — about half of the L2
+//    deltas take two bytes, and a branch on the length would mispredict;
+//  * everything else takes the checked byte loop.
 template <typename ApplyFn>
 Status DecodeVarintAttr(Reader* reader, std::size_t count, ApplyFn apply) {
   FC_ASSIGN_OR_RETURN(auto attr_len, reader->ReadValue<std::uint64_t>());
   FC_ASSIGN_OR_RETURN(const char* begin, reader->Take(attr_len));
   const auto* p = reinterpret_cast<const unsigned char*>(begin);
   const auto* const end = p + attr_len;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (p == end) return Status::Corruption("varint truncated");
-    std::uint64_t byte = *p++;
-    std::uint64_t v = byte & 0x7f;
-    for (int shift = 7; byte >= 0x80; shift += 7) {
-      if (shift > 63) return Status::Corruption("varint overlong");
+  std::size_t i = 0;
+  while (i < count) {
+    if (count - i >= 8 && end - p >= 8) {
+      const std::uint64_t word = Load64(p);
+      if ((word & 0x8080808080808080ull) == 0) {
+        for (std::size_t k = 0; k < 8; ++k) {
+          apply(i + k, UnZigZag((word >> (8 * k)) & 0xff));
+        }
+        i += 8;
+        p += 8;
+        continue;
+      }
+    }
+    std::uint64_t v;
+    if (end - p >= 2 && (p[0] & p[1] & 0x80) == 0) {
+      const std::uint64_t two = p[0] >> 7;
+      v = (p[0] & 0x7fu) | ((std::uint64_t{p[1]} << 7) & (0 - two));
+      p += 1 + two;
+    } else {
       if (p == end) return Status::Corruption("varint truncated");
-      byte = *p++;
-      v |= (byte & 0x7f) << shift;
+      std::uint64_t byte = *p++;
+      v = byte & 0x7f;
+      for (int shift = 7; byte >= 0x80; shift += 7) {
+        if (shift > 63) return Status::Corruption("varint overlong");
+        if (p == end) return Status::Corruption("varint truncated");
+        byte = *p++;
+        v |= (byte & 0x7f) << shift;
+      }
     }
     apply(i, UnZigZag(v));
+    ++i;
   }
   if (p != end) {
     return Status::Corruption("varint attribute length mismatch");
@@ -282,15 +388,16 @@ constexpr double kMaxQuantum = 4.611686018427387904e18;  // 2^62
 
 // Rounds half away from zero, the lattice point std::llround picks:
 // truncate, then step away from zero when the dropped fraction is at least
-// one half. The fraction q - trunc(q) is exact in double arithmetic.
+// one half. The fraction q - trunc(q) is exact in double arithmetic. The
+// step is added as two comparisons rather than chosen by a branch: at fine
+// steps the fraction is effectively random, and a branch on it mispredicts
+// about every other cell. The clamp and the NaN rule are selects too.
 std::int64_t Quantize(double v, double step) {
-  if (std::isnan(v)) return 0;
-  double q = v / step;
-  if (q > kMaxQuantum) q = kMaxQuantum;
-  if (q < -kMaxQuantum) q = -kMaxQuantum;
+  double q = std::clamp(v / step, -kMaxQuantum, kMaxQuantum);
+  q = std::isnan(q) ? 0.0 : q;
   const auto t = static_cast<std::int64_t>(q);
   const double fraction = q - static_cast<double>(t);
-  return fraction >= 0.5 ? t + 1 : fraction <= -0.5 ? t - 1 : t;
+  return t + (fraction >= 0.5) - (fraction <= -0.5);
 }
 
 // Refinement residuals live in the IEEE-754 bit domain: close doubles have
@@ -338,31 +445,45 @@ std::size_t MinCellBytes(TileEncoding encoding) {
   return 1;
 }
 
+// Most payload bytes Encode writes for `tile` in `encoding`: every varint at
+// its longest, which also leaves room for PutVarint's wide stores.
+std::size_t MaxPayloadBytes(const tiles::Tile& tile, TileEncoding encoding) {
+  const auto cells = static_cast<std::size_t>(tile.cell_count());
+  switch (encoding) {
+    case TileEncoding::kRawF64:
+      return tile.num_attrs() * cells * sizeof(double);
+    case TileEncoding::kFloat32:
+      return tile.num_attrs() * cells * sizeof(float);
+    case TileEncoding::kDeltaVarint:
+      return tile.num_attrs() * (kAttrLengthBytes + cells * kMaxVarintBytes);
+  }
+  return 0;
+}
+
 void EncodePayload(const tiles::Tile& tile, const TileCodecOptions& options,
-                   std::string* out) {
+                   BlobWriter* out) {
   switch (options.encoding) {
     case TileEncoding::kRawF64:
       for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
         const auto& data = tile.AttrData(a);
-        AppendRaw(out, data.data(), data.size() * sizeof(double));
+        out->Raw(data.data(), data.size() * sizeof(double));
       }
       return;
     case TileEncoding::kFloat32:
       for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-        for (double v : tile.AttrData(a)) {
-          AppendValue(out, ToFloatSaturating(v));
-        }
+        for (double v : tile.AttrData(a)) out->Value(ToFloatSaturating(v));
       }
       return;
     case TileEncoding::kDeltaVarint:
       for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
         const double* cells = tile.AttrData(a).data();
+        const double step = options.quant_step;
         std::int64_t prev = 0;
-        AppendVarintAttr(out, tile.AttrData(a).size(), [&](std::size_t i) {
-          const std::int64_t q = Quantize(cells[i], options.quant_step);
+        out->VarintAttr(tile.AttrData(a).size(), [&](std::size_t i) {
+          const std::int64_t q = Quantize(cells[i], step);
           const std::uint64_t delta = WrappingDelta(q, prev);
           prev = q;
-          return static_cast<std::int64_t>(delta);
+          return delta;
         });
       }
       return;
@@ -398,17 +519,85 @@ Status DecodePayload(Reader* reader, TileEncoding encoding, double quant_step,
       }
       for (std::size_t a = 0; a < tile->num_attrs(); ++a) {
         double* cells = tile->MutableAttrData(a).data();
-        std::int64_t prev = 0;
+        std::uint64_t prev = 0;
         FC_RETURN_IF_ERROR(DecodeVarintAttr(
             reader, tile->MutableAttrData(a).size(),
-            [&](std::size_t i, std::int64_t delta) {
-              prev = WrappingAdd(prev, delta);
-              cells[i] = static_cast<double>(prev) * quant_step;
+            [&](std::size_t i, std::uint64_t delta) {
+              prev += delta;
+              cells[i] =
+                  static_cast<double>(static_cast<std::int64_t>(prev)) *
+                  quant_step;
             }));
       }
       return Status::OK();
   }
   return Status::Corruption("unknown tile encoding");
+}
+
+// What one attribute's cells add to the planned chunk sizes.
+struct PlannedBytes {
+  std::size_t full = 0;        ///< kDeltaVarint full blobs only.
+  std::size_t base = 0;        ///< Progressive plans only.
+  std::size_t refinement = 0;  ///< Progressive plans only.
+};
+
+// PlanProgressive's loop over one attribute: the same arithmetic as
+// EncodePayload, DecodePayload and the refinement's bit-domain residuals,
+// minus the bytes. Appends what Decode rebuilds from the full blob to
+// `exact_out` (lossy encodings only) and from the base to `coarse_out`
+// (progressive plans only), so each planned column is written once. One
+// instantiation per final encoding and progressive flag, so no cell tests
+// either.
+template <TileEncoding kEncoding, bool kProgressive>
+PlannedBytes PlanCells(const std::vector<double>& cells, double quant_step,
+                       double base_step, std::vector<double>* exact_out,
+                       std::vector<double>* coarse_out) {
+  std::size_t full = 0;
+  std::size_t base = 0;
+  std::size_t refinement = 0;
+  std::int64_t prev = 0;
+  std::int64_t prev_base = 0;
+  for (const double v : cells) {
+    double final_value = v;
+    if constexpr (kEncoding == TileEncoding::kFloat32) {
+      final_value = static_cast<double>(ToFloatSaturating(v));
+      exact_out->push_back(final_value);
+    } else if constexpr (kEncoding == TileEncoding::kDeltaVarint) {
+      const std::int64_t q = Quantize(v, quant_step);
+      full += VarintSize(ZigZag(WrappingDelta(q, prev)));
+      prev = q;
+      final_value = static_cast<double>(q) * quant_step;
+      exact_out->push_back(final_value);
+    }
+    if constexpr (kProgressive) {
+      const std::int64_t q = Quantize(v, base_step);
+      base += VarintSize(ZigZag(WrappingDelta(q, prev_base)));
+      prev_base = q;
+      const double base_value = static_cast<double>(q) * base_step;
+      coarse_out->push_back(base_value);
+      refinement += VarintSize(ZigZag(BitsOf(final_value) - BitsOf(base_value)));
+    }
+  }
+  return {full, base, refinement};
+}
+
+using PlanKernel = PlannedBytes (*)(const std::vector<double>&, double, double,
+                                    std::vector<double>*, std::vector<double>*);
+
+// The plan loop for `encoding` and `progressive`, or null when no cell needs
+// one: a lossless all-or-nothing plan is priced from the dims alone.
+PlanKernel PlanKernelFor(TileEncoding encoding, bool progressive) {
+  switch (encoding) {
+    case TileEncoding::kRawF64:
+      return progressive ? PlanCells<TileEncoding::kRawF64, true> : nullptr;
+    case TileEncoding::kFloat32:
+      return progressive ? PlanCells<TileEncoding::kFloat32, true>
+                         : PlanCells<TileEncoding::kFloat32, false>;
+    case TileEncoding::kDeltaVarint:
+      return progressive ? PlanCells<TileEncoding::kDeltaVarint, true>
+                         : PlanCells<TileEncoding::kDeltaVarint, false>;
+  }
+  return nullptr;
 }
 
 struct BlobPrefix {
@@ -460,27 +649,21 @@ TileCodec::TileCodec(TileCodecOptions options) : options_(options) {
 }
 
 std::string TileCodec::Encode(const tiles::Tile& tile) const {
-  std::string out;
-  out.reserve(64 + tile.SizeBytes());
-  AppendRaw(&out, kMagic, sizeof(kMagic));
-  AppendValue(&out, kVersion);
-  AppendValue(&out, static_cast<std::uint8_t>(options_.encoding));
-  AppendValue(&out, static_cast<std::int32_t>(tile.key().level));
-  AppendValue(&out, tile.key().x);
-  AppendValue(&out, tile.key().y);
-  AppendValue(&out, tile.width());
-  AppendValue(&out, tile.height());
-  AppendValue(&out, static_cast<std::uint32_t>(tile.num_attrs()));
+  BlobWriter out(BlobOverheadBytes(tile, options_.encoding) +
+                 MaxPayloadBytes(tile, options_.encoding));
+  out.Raw(kMagic, sizeof(kMagic));
+  out.Value(kVersion);
+  out.Value(static_cast<std::uint8_t>(options_.encoding));
+  out.TileHeader(tile);
   for (const auto& name : tile.attr_names()) {
-    AppendValue(&out, static_cast<std::uint32_t>(name.size()));
-    AppendRaw(&out, name.data(), name.size());
+    out.Value(static_cast<std::uint32_t>(name.size()));
+    out.Raw(name.data(), name.size());
   }
   if (options_.encoding == TileEncoding::kDeltaVarint) {
-    AppendValue(&out, options_.quant_step);
+    out.Value(options_.quant_step);
   }
   EncodePayload(tile, options_, &out);
-  AppendValue(&out, Xxh64(out));
-  return out;
+  return out.Finish();
 }
 
 Result<TileEncoding> TileCodec::PeekEncoding(std::string_view bytes) {
@@ -560,7 +743,7 @@ Result<tiles::Tile> TileCodec::Decode(std::string_view bytes) {
 
 ProgressiveEncoding TileCodec::EncodeProgressive(const tiles::Tile& tile) const {
   ProgressiveEncoding out;
-  const std::string full = Encode(tile);
+  std::string full = Encode(tile);
 
   TileCodecOptions base_options;
   base_options.encoding = TileEncoding::kDeltaVarint;
@@ -569,7 +752,7 @@ ProgressiveEncoding TileCodec::EncodeProgressive(const tiles::Tile& tile) const 
   if (out.base.size() >= full.size()) {
     // The coarse base would not undercut the exact payload (tiny or
     // incompressible tile): ship the exact blob as the base, no refinement.
-    out.base = full;
+    out.base = std::move(full);
     return out;
   }
 
@@ -580,28 +763,22 @@ ProgressiveEncoding TileCodec::EncodeProgressive(const tiles::Tile& tile) const 
   FC_CHECK_MSG(final_tile.ok() && base_tile.ok(),
                "progressive encode cannot fail to re-decode its own blobs");
 
-  std::string ref;
-  ref.reserve(64 + tile.SizeBytes());
-  AppendRaw(&ref, kRefinementMagic, sizeof(kRefinementMagic));
-  AppendValue(&ref, kRefinementVersion);
-  AppendValue(&ref, static_cast<std::uint8_t>(options_.encoding));
-  AppendValue(&ref, StoredChecksum(out.base));
-  AppendValue(&ref, static_cast<std::int32_t>(tile.key().level));
-  AppendValue(&ref, tile.key().x);
-  AppendValue(&ref, tile.key().y);
-  AppendValue(&ref, tile.width());
-  AppendValue(&ref, tile.height());
-  AppendValue(&ref, static_cast<std::uint32_t>(tile.num_attrs()));
+  // The residuals are varint-coded attributes, as a kDeltaVarint payload.
+  BlobWriter ref(kRefinementOverheadBytes +
+                 MaxPayloadBytes(tile, TileEncoding::kDeltaVarint));
+  ref.Raw(kRefinementMagic, sizeof(kRefinementMagic));
+  ref.Value(kRefinementVersion);
+  ref.Value(static_cast<std::uint8_t>(options_.encoding));
+  ref.Value(StoredChecksum(out.base));
+  ref.TileHeader(tile);
   for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
     const double* final_data = final_tile->AttrData(a).data();
     const double* base_data = base_tile->AttrData(a).data();
-    AppendVarintAttr(&ref, final_tile->AttrData(a).size(), [&](std::size_t i) {
-      return static_cast<std::int64_t>(BitsOf(final_data[i]) -
-                                       BitsOf(base_data[i]));
+    ref.VarintAttr(final_tile->AttrData(a).size(), [&](std::size_t i) {
+      return BitsOf(final_data[i]) - BitsOf(base_data[i]);
     });
   }
-  AppendValue(&ref, Xxh64(ref));
-  out.refinement = std::move(ref);
+  out.refinement = ref.Finish();
   return out;
 }
 
@@ -610,76 +787,58 @@ ProgressivePlan TileCodec::PlanProgressive(const tiles::TilePtr& tile,
   FC_CHECK(tile != nullptr);
   const tiles::Tile& in = *tile;
   const TileEncoding encoding = options_.encoding;
-  const double quant_step = options_.quant_step;
-  const double base_step = options_.progressive_base_step;
+  const std::size_t nattr = in.num_attrs();
 
-  // Decoded payloads are written over copies of the tile: Decode rebuilds
-  // the same key, dims and names. A lossless decode IS the tile.
-  std::optional<tiles::Tile> exact;
-  std::optional<tiles::Tile> coarse;
-  if (!lossless()) exact.emplace(in);
-  if (progressive) coarse.emplace(in);
-
+  // Decoded payloads are built column by column into fresh tiles: Decode
+  // rebuilds the same key, dims and names. A lossless decode IS the tile.
+  const bool want_exact = !lossless();
+  std::vector<std::vector<double>> exact_columns(want_exact ? nattr : 0);
+  std::vector<std::vector<double>> coarse_columns(progressive ? nattr : 0);
+  // Fixed-width payloads are priced from the dims; varint-coded ones start
+  // at their length prefixes and the loops add each cell's varint.
   std::size_t full_bytes = BlobOverheadBytes(in, encoding);
-  std::size_t base_bytes = BlobOverheadBytes(in, TileEncoding::kDeltaVarint);
-  std::size_t refinement_bytes = kRefinementOverheadBytes;
-  for (std::size_t a = 0; a < in.num_attrs(); ++a) {
-    const std::vector<double>& cells = in.AttrData(a);
-    switch (encoding) {
-      case TileEncoding::kRawF64:
-        full_bytes += cells.size() * sizeof(double);
-        break;
-      case TileEncoding::kFloat32:
-        full_bytes += cells.size() * sizeof(float);
-        break;
-      case TileEncoding::kDeltaVarint:
-        full_bytes += kAttrLengthBytes;
-        break;
-    }
-    base_bytes += kAttrLengthBytes;
-    refinement_bytes += kAttrLengthBytes;
-    double* exact_out = exact ? exact->MutableAttrData(a).data() : nullptr;
-    double* coarse_out = coarse ? coarse->MutableAttrData(a).data() : nullptr;
-    if (exact_out == nullptr && coarse_out == nullptr) continue;
-
-    // The same arithmetic as EncodePayload, DecodePayload and the
-    // refinement's bit-domain residuals, minus the bytes.
-    std::int64_t prev = 0;
-    std::int64_t prev_base = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const double v = cells[i];
-      double final_value = v;
-      if (encoding == TileEncoding::kFloat32) {
-        final_value = static_cast<double>(ToFloatSaturating(v));
-      } else if (encoding == TileEncoding::kDeltaVarint) {
-        const std::int64_t q = Quantize(v, quant_step);
-        full_bytes += VarintSize(
-            ZigZag(static_cast<std::int64_t>(WrappingDelta(q, prev))));
-        prev = q;
-        final_value = static_cast<double>(q) * quant_step;
+  full_bytes += encoding == TileEncoding::kDeltaVarint
+                    ? nattr * kAttrLengthBytes
+                    : MaxPayloadBytes(in, encoding);
+  std::size_t base_bytes = BlobOverheadBytes(in, TileEncoding::kDeltaVarint) +
+                           nattr * kAttrLengthBytes;
+  std::size_t refinement_bytes =
+      kRefinementOverheadBytes + nattr * kAttrLengthBytes;
+  if (const PlanKernel kernel = PlanKernelFor(encoding, progressive)) {
+    for (std::size_t a = 0; a < nattr; ++a) {
+      const std::vector<double>& cells = in.AttrData(a);
+      std::vector<double>* exact_out = nullptr;
+      std::vector<double>* coarse_out = nullptr;
+      if (want_exact) {
+        exact_out = &exact_columns[a];
+        exact_out->reserve(cells.size());
       }
-      if (exact_out != nullptr) exact_out[i] = final_value;
-      if (coarse_out == nullptr) continue;
-
-      const std::int64_t q = Quantize(v, base_step);
-      base_bytes += VarintSize(
-          ZigZag(static_cast<std::int64_t>(WrappingDelta(q, prev_base))));
-      prev_base = q;
-      const double base_value = static_cast<double>(q) * base_step;
-      coarse_out[i] = base_value;
-      refinement_bytes += VarintSize(ZigZag(
-          static_cast<std::int64_t>(BitsOf(final_value) - BitsOf(base_value))));
+      if (progressive) {
+        coarse_out = &coarse_columns[a];
+        coarse_out->reserve(cells.size());
+      }
+      const PlannedBytes bytes =
+          kernel(cells, options_.quant_step, options_.progressive_base_step,
+                 exact_out, coarse_out);
+      full_bytes += bytes.full;
+      base_bytes += bytes.base;
+      refinement_bytes += bytes.refinement;
     }
   }
+  const auto adopt = [&in](std::vector<std::vector<double>> columns) {
+    auto made = tiles::Tile::FromColumns(in.key(), in.width(), in.height(),
+                                         in.attr_names(), std::move(columns));
+    FC_CHECK(made.ok());
+    return std::make_shared<const tiles::Tile>(std::move(made).value());
+  };
 
   ProgressivePlan plan;
   plan.full_bytes = full_bytes;
-  plan.exact = exact ? std::make_shared<const tiles::Tile>(std::move(*exact))
-                     : tile;
+  plan.exact = want_exact ? adopt(std::move(exact_columns)) : tile;
   if (progressive && base_bytes < full_bytes) {
     plan.base_bytes = base_bytes;
     plan.refinement_bytes = refinement_bytes;
-    plan.coarse = std::make_shared<const tiles::Tile>(std::move(*coarse));
+    plan.coarse = adopt(std::move(coarse_columns));
   } else {
     // One chunk: all-or-nothing mode, or EncodeProgressive's degenerate
     // rule (the exact blob ships as the base).
@@ -743,9 +902,8 @@ Result<tiles::Tile> TileCodec::Reassemble(const std::string& base,
     double* cells = tile.MutableAttrData(a).data();
     FC_RETURN_IF_ERROR(DecodeVarintAttr(
         &reader, tile.MutableAttrData(a).size(),
-        [&](std::size_t i, std::int64_t residual) {
-          cells[i] = DoubleFromBits(BitsOf(cells[i]) +
-                                    static_cast<std::uint64_t>(residual));
+        [&](std::size_t i, std::uint64_t residual) {
+          cells[i] = DoubleFromBits(BitsOf(cells[i]) + residual);
         }));
   }
   if (reader.remaining() != 0) {

@@ -59,6 +59,23 @@
 // refinement (the degenerate rule included) plus the decoded coarse and
 // exact payloads, bit-identical to the byte path; no blob, checksum, or
 // decode is involved. The byte path stays the wire and disk format.
+//
+// Kernels: the per-cell loops avoid branches on data that mispredict. The
+// rounding adds its half-away-from-zero step as two comparisons, and the
+// NaN rule and the 2^62 clamp are selects. The varint writer stores a
+// one- or two-byte varint under one length test and spreads longer ones
+// into one 8-byte store plus a 2-byte tail. The reader decodes eight
+// one-byte varints as one word, a one- or two-byte varint without a
+// branch on which, and anything else through a checked byte loop, never
+// reading past the attribute. PlanProgressive runs one loop per final
+// encoding and progressive flag and writes each planned column once.
+// Every byte and bit equals the straightforward byte-loop forms
+// (property_test's CodecReferenceTest pins them).
+//
+// Blobs are exactly sized: Encode and EncodeProgressive write into a
+// worst-case scratch buffer and copy the bytes out once, so a blob's
+// capacity() is its size() and a cache charging size() charges the heap
+// it holds.
 
 #ifndef FORECACHE_STORAGE_TILE_CODEC_H_
 #define FORECACHE_STORAGE_TILE_CODEC_H_

@@ -6,19 +6,42 @@ namespace fc::tiles {
 
 Result<Tile> Tile::Make(TileKey key, std::int64_t width, std::int64_t height,
                         std::vector<std::string> attr_names) {
+  // Each column is value-initialized in place: one zero fill, no copy.
+  const std::size_t cells =
+      width > 0 && height > 0 ? static_cast<std::size_t>(width * height) : 0;
+  std::vector<std::vector<double>> columns;
+  columns.reserve(attr_names.size());
+  for (std::size_t a = 0; a < attr_names.size(); ++a) {
+    columns.emplace_back(cells);
+  }
+  return FromColumns(key, width, height, std::move(attr_names),
+                     std::move(columns));
+}
+
+Result<Tile> Tile::FromColumns(TileKey key, std::int64_t width,
+                               std::int64_t height,
+                               std::vector<std::string> attr_names,
+                               std::vector<std::vector<double>> columns) {
   if (width <= 0 || height <= 0) {
     return Status::InvalidArgument("tile dimensions must be positive");
   }
   if (attr_names.empty()) {
     return Status::InvalidArgument("tile needs at least one attribute");
   }
+  if (columns.size() != attr_names.size()) {
+    return Status::InvalidArgument("tile needs one column per attribute");
+  }
+  for (const auto& column : columns) {
+    if (column.size() != static_cast<std::size_t>(width * height)) {
+      return Status::InvalidArgument("tile column size must be width * height");
+    }
+  }
   Tile t;
   t.key_ = key;
   t.width_ = width;
   t.height_ = height;
   t.attr_names_ = std::move(attr_names);
-  t.data_.assign(t.attr_names_.size(),
-                 std::vector<double>(static_cast<std::size_t>(width * height), 0.0));
+  t.data_ = std::move(columns);
   return t;
 }
 

@@ -23,6 +23,15 @@ class Tile {
   static Result<Tile> Make(TileKey key, std::int64_t width, std::int64_t height,
                            std::vector<std::string> attr_names);
 
+  /// Creates a tile that adopts `columns` as its cells, one column of
+  /// width * height cells per attribute name, so a caller that computes
+  /// every cell writes each column once. InvalidArgument on empty
+  /// dims/attrs or a column count or size that does not match.
+  static Result<Tile> FromColumns(TileKey key, std::int64_t width,
+                                  std::int64_t height,
+                                  std::vector<std::string> attr_names,
+                                  std::vector<std::vector<double>> columns);
+
   const TileKey& key() const { return key_; }
   std::int64_t width() const { return width_; }
   std::int64_t height() const { return height_; }

@@ -895,6 +895,443 @@ TEST(CodecPropertyTest, ProgressivePlanMatchesTheBytePath) {
 }
 
 // ---------------------------------------------------------------------------
+// Codec kernels against references: the rounding, varint writer and varint
+// reader below are the straightforward branchy forms (one byte per loop
+// turn), written out here so the codec's branch-free kernels are pinned to
+// them bit for bit, blob byte for blob byte and planned size for size.
+
+namespace {
+
+constexpr double kRefMaxQuantum = 4.611686018427387904e18;  // 2^62
+
+// Round half away from zero on the clamped lattice, NaN -> 0.
+std::int64_t RefQuantize(double v, double step) {
+  if (std::isnan(v)) return 0;
+  double q = v / step;
+  if (q > kRefMaxQuantum) q = kRefMaxQuantum;
+  if (q < -kRefMaxQuantum) q = -kRefMaxQuantum;
+  const auto t = static_cast<std::int64_t>(q);
+  const double fraction = q - static_cast<double>(t);
+  return fraction >= 0.5 ? t + 1 : fraction <= -0.5 ? t - 1 : t;
+}
+
+std::uint64_t RefZigZag(std::uint64_t d) {
+  return (d << 1) ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(d) >> 63);
+}
+
+std::uint64_t RefUnZigZag(std::uint64_t v) {
+  return (v >> 1) ^ (0 - (v & 1));
+}
+
+std::uint64_t RefBits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+double RefDouble(std::uint64_t b) {
+  double v = 0.0;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+// One varint-coded attribute: u64 byte length, then the zigzag/LEB128
+// varints of `values`, written a byte per loop turn.
+std::string RefVarintAttr(const std::vector<std::uint64_t>& values) {
+  std::string varints;
+  for (std::uint64_t v : values) {
+    v = RefZigZag(v);
+    while (v >= 0x80) {
+      varints.push_back(static_cast<char>((v & 0x7f) | 0x80));
+      v >>= 7;
+    }
+    varints.push_back(static_cast<char>(v));
+  }
+  const std::uint64_t len = varints.size();
+  std::string out(reinterpret_cast<const char*>(&len), sizeof(len));
+  return out + varints;
+}
+
+// Reads RefVarintAttr's output back with the checked byte loop.
+std::vector<std::uint64_t> RefReadVarintAttr(std::string_view bytes,
+                                             std::size_t* pos,
+                                             std::size_t count) {
+  std::uint64_t len = 0;
+  std::memcpy(&len, bytes.data() + *pos, sizeof(len));
+  *pos += sizeof(len);
+  std::vector<std::uint64_t> values;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      const auto byte = static_cast<unsigned char>(bytes[(*pos)++]);
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if (byte < 0x80) break;
+    }
+    values.push_back(RefUnZigZag(v));
+  }
+  return values;
+}
+
+// The quantized deltas of one attribute at `step`.
+std::vector<std::uint64_t> RefDeltas(const std::vector<double>& cells,
+                                     double step) {
+  std::vector<std::uint64_t> deltas;
+  std::int64_t prev = 0;
+  for (double v : cells) {
+    const std::int64_t q = RefQuantize(v, step);
+    deltas.push_back(static_cast<std::uint64_t>(q) -
+                     static_cast<std::uint64_t>(prev));
+    prev = q;
+  }
+  return deltas;
+}
+
+// What Decode rebuilds from `encoding`'s payload of `v`.
+double RefFinal(double v, storage::TileEncoding encoding, double step) {
+  switch (encoding) {
+    case storage::TileEncoding::kRawF64:
+      return v;
+    case storage::TileEncoding::kFloat32: {
+      const double flt_max = std::numeric_limits<float>::max();
+      if (std::isfinite(v)) v = std::clamp(v, -flt_max, flt_max);
+      return static_cast<double>(static_cast<float>(v));
+    }
+    case storage::TileEncoding::kDeltaVarint:
+      return static_cast<double>(RefQuantize(v, step)) * step;
+  }
+  return v;
+}
+
+// Blob framing bytes before the payload: magic, version, encoding, key,
+// dims, nattr, names and (kDeltaVarint) the step.
+std::size_t RefBlobHeaderBytes(const tiles::Tile& tile,
+                               storage::TileEncoding encoding) {
+  std::size_t bytes = 4 + 4 + 1 + 4 + 4 * 8 + 4;
+  for (const auto& name : tile.attr_names()) bytes += 4 + name.size();
+  if (encoding == storage::TileEncoding::kDeltaVarint) bytes += 8;
+  return bytes;
+}
+
+// Refinement framing before the payload: magic, version, encoding, base
+// checksum, key, dims and nattr.
+constexpr std::size_t kRefRefinementHeaderBytes = 4 + 4 + 1 + 8 + 4 + 4 * 8 + 4;
+
+// Cells that drive the kernels' edges: NaN, the infinities, signed zeros,
+// subnormals, exact halves and their neighbours, the 2^62-quanta bound,
+// and quantized deltas at 2^(7k) - 1 and 2^(7k) (zigzag codes that take k
+// and k + 1 varint bytes) for every varint length 1-10.
+std::vector<double> AdversarialCells(double step) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> cells = {
+      std::numeric_limits<double>::quiet_NaN(), inf, -inf, 0.0, -0.0,
+      5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300};
+  for (double half : {0.5, 1.5, 2.5, 1e6 + 0.5, 4503599627370496.0 + 0.5}) {
+    for (double sign : {1.0, -1.0}) {
+      const double q = sign * half;
+      for (double c : {q, std::nextafter(q, 0.0), std::nextafter(q, 2 * q)}) {
+        cells.push_back(c);
+        cells.push_back(c * step);
+      }
+    }
+  }
+  for (double sign : {1.0, -1.0}) {
+    const double bound = sign * kRefMaxQuantum;
+    cells.push_back(bound * step);
+    cells.push_back(std::nextafter(bound, 0.0) * step);
+    cells.push_back(2 * bound * step);
+  }
+  // Zigzag(d) is 2d for d >= 0 and -2d - 1 below: a cell 2^(7k-1) quanta
+  // away from a cell at 0 codes 2^(7k) going up and 2^(7k) - 1 coming back.
+  for (int k = 1; k <= 9; ++k) {
+    const double q = std::ldexp(1.0, 7 * k - 1);
+    cells.push_back(0.0);
+    cells.push_back(q * step);
+    cells.push_back(0.0);
+    cells.push_back(-q * step);
+  }
+  // Opposite saturation bounds: a 2^63 delta, a ten-byte varint.
+  cells.push_back(-2 * kRefMaxQuantum * step);
+  cells.push_back(2 * kRefMaxQuantum * step);
+  return cells;
+}
+
+}  // namespace
+
+TEST(CodecReferenceTest, KernelsMatchTheByteLoopReference) {
+  const storage::TileEncoding encodings[] = {storage::TileEncoding::kRawF64,
+                                            storage::TileEncoding::kFloat32,
+                                            storage::TileEncoding::kDeltaVarint};
+  Rng rng(151);
+  std::size_t lengths_seen[11] = {};
+  for (double step : {1e-4, 1.0, 0.5, 3e-3}) {
+    std::vector<tiles::Tile> inputs;
+    for (int trial = 0; trial < 12; ++trial) {
+      auto w = static_cast<std::int64_t>(rng.UniformInt(1, 33));
+      auto h = static_cast<std::int64_t>(rng.UniformInt(1, 33));
+      std::size_t nattr = static_cast<std::size_t>(rng.UniformInt(1, 4));
+      std::vector<std::string> names;
+      for (std::size_t a = 0; a < nattr; ++a) names.push_back("a" + std::to_string(a));
+      auto tile = tiles::Tile::Make(
+          tiles::TileKey{rng.UniformInt(0, 8), rng.UniformInt(0, 100),
+                         rng.UniformInt(0, 100)},
+          w, h, names);
+      ASSERT_TRUE(tile.ok());
+      const double scale = std::ldexp(1.0, rng.UniformInt(-8, 24));
+      for (std::size_t a = 0; a < nattr; ++a) {
+        for (auto& v : tile->MutableAttrData(a)) v = rng.Gaussian(0, scale);
+      }
+      inputs.push_back(std::move(*tile));
+    }
+    const std::vector<double> edge = AdversarialCells(step);
+    auto adversarial = tiles::Tile::Make(
+        {1, 2, 3}, static_cast<std::int64_t>(edge.size()), 1, {"v"});
+    ASSERT_TRUE(adversarial.ok());
+    adversarial->MutableAttrData(0) = edge;
+    inputs.push_back(std::move(*adversarial));
+
+    for (const auto encoding : encodings) {
+      for (double base_step : {step, 1.0}) {
+        const storage::TileCodec codec({encoding, step, base_step});
+        for (const tiles::Tile& tile : inputs) {
+          SCOPED_TRACE(::testing::Message()
+                       << storage::TileEncodingName(encoding) << " step "
+                       << step << " base step " << base_step << " tile "
+                       << tile.width() << "x" << tile.height() << "x"
+                       << tile.num_attrs());
+          // The full blob's payload, byte for byte.
+          std::string full_payload;
+          std::vector<double> finals;
+          for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
+            const auto& cells = tile.AttrData(a);
+            for (double v : cells) finals.push_back(RefFinal(v, encoding, step));
+            switch (encoding) {
+              case storage::TileEncoding::kRawF64:
+                full_payload.append(reinterpret_cast<const char*>(cells.data()),
+                                    cells.size() * sizeof(double));
+                break;
+              case storage::TileEncoding::kFloat32:
+                for (std::size_t i = finals.size() - cells.size();
+                     i < finals.size(); ++i) {
+                  const auto f = static_cast<float>(finals[i]);
+                  full_payload.append(reinterpret_cast<const char*>(&f), sizeof(f));
+                }
+                break;
+              case storage::TileEncoding::kDeltaVarint:
+                full_payload += RefVarintAttr(RefDeltas(cells, step));
+                break;
+            }
+          }
+          const std::string blob = codec.Encode(tile);
+          const std::size_t header = RefBlobHeaderBytes(tile, encoding);
+          ASSERT_EQ(blob.size(), header + full_payload.size() + 8);
+          EXPECT_TRUE(blob.compare(header, full_payload.size(), full_payload) == 0);
+
+          // Decode's bits: the reference's decode of its own payload.
+          auto decoded = storage::TileCodec::Decode(blob);
+          ASSERT_TRUE(decoded.ok()) << decoded.status();
+          std::vector<std::uint64_t> want_bits;
+          if (encoding == storage::TileEncoding::kDeltaVarint) {
+            std::size_t pos = 0;
+            for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
+              std::uint64_t prev = 0;
+              for (std::uint64_t d : RefReadVarintAttr(
+                       full_payload, &pos, tile.AttrData(a).size())) {
+                prev += d;
+                want_bits.push_back(RefBits(
+                    static_cast<double>(static_cast<std::int64_t>(prev)) * step));
+              }
+            }
+          } else {
+            for (double v : finals) want_bits.push_back(RefBits(v));
+          }
+          EXPECT_EQ(CellBits(*decoded), want_bits);
+
+          // The base and refinement payloads, and the plan's sizes and
+          // decoded payloads.
+          std::string base_payload;
+          std::string refinement_payload;
+          std::vector<std::uint64_t> coarse_bits;
+          std::size_t cell = 0;
+          for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
+            const auto& cells = tile.AttrData(a);
+            base_payload += RefVarintAttr(RefDeltas(cells, base_step));
+            std::vector<std::uint64_t> residuals;
+            for (double v : cells) {
+              const double base_value =
+                  static_cast<double>(RefQuantize(v, base_step)) * base_step;
+              coarse_bits.push_back(RefBits(base_value));
+              residuals.push_back(RefBits(RefDouble(want_bits[cell++])) -
+                                  RefBits(base_value));
+            }
+            const std::string attr = RefVarintAttr(residuals);
+            std::size_t pos = sizeof(std::uint64_t);
+            while (pos < attr.size()) {
+              std::size_t len = 1;
+              while (static_cast<unsigned char>(attr[pos + len - 1]) >= 0x80) ++len;
+              ++lengths_seen[len];
+              pos += len;
+            }
+            refinement_payload += attr;
+          }
+          const std::size_t full_bytes = blob.size();
+          const std::size_t base_bytes =
+              RefBlobHeaderBytes(tile, storage::TileEncoding::kDeltaVarint) +
+              base_payload.size() + 8;
+          const std::size_t refinement_bytes =
+              kRefRefinementHeaderBytes + refinement_payload.size() + 8;
+          const bool split = base_bytes < full_bytes;
+
+          const auto pair = codec.EncodeProgressive(tile);
+          if (split) {
+            ASSERT_EQ(pair.base.size(), base_bytes);
+            EXPECT_TRUE(pair.base.compare(RefBlobHeaderBytes(
+                                              tile, storage::TileEncoding::kDeltaVarint),
+                                          base_payload.size(), base_payload) == 0);
+            ASSERT_EQ(pair.refinement.size(), refinement_bytes);
+            EXPECT_TRUE(pair.refinement.compare(kRefRefinementHeaderBytes,
+                                                refinement_payload.size(),
+                                                refinement_payload) == 0);
+          } else {
+            EXPECT_EQ(pair.base, blob);
+            EXPECT_TRUE(pair.refinement.empty());
+          }
+
+          const auto shared = std::make_shared<const tiles::Tile>(tile);
+          for (bool progressive : {true, false}) {
+            const auto plan = codec.PlanProgressive(shared, progressive);
+            EXPECT_EQ(plan.full_bytes, full_bytes);
+            EXPECT_EQ(CellBits(*plan.exact), want_bits);
+            if (progressive && split) {
+              EXPECT_EQ(plan.base_bytes, base_bytes);
+              EXPECT_EQ(plan.refinement_bytes, refinement_bytes);
+              EXPECT_EQ(CellBits(*plan.coarse), coarse_bits);
+            } else {
+              EXPECT_EQ(plan.base_bytes, full_bytes);
+              EXPECT_EQ(plan.refinement_bytes, 0u);
+              EXPECT_EQ(plan.coarse, plan.exact);
+            }
+          }
+        }
+      }
+    }
+  }
+  // The residuals reached every varint length.
+  for (std::size_t len = 1; len <= 10; ++len) {
+    EXPECT_GT(lengths_seen[len], 0u) << "no " << len << "-byte varint";
+  }
+}
+
+// Every blob Encode and EncodeProgressive return is exactly sized: the
+// shared cache charges L2 entries by size(), so capacity() must not hide a
+// worst-case reservation behind it.
+TEST(CodecReferenceTest, BlobsAreExactlySized) {
+  Rng rng(157);
+  for (auto encoding :
+       {storage::TileEncoding::kRawF64, storage::TileEncoding::kFloat32,
+        storage::TileEncoding::kDeltaVarint}) {
+    const storage::TileCodec codec({encoding, 1e-4, 1.0});
+    for (int trial = 0; trial < 30; ++trial) {
+      auto w = static_cast<std::int64_t>(rng.UniformInt(1, 40));
+      auto h = static_cast<std::int64_t>(rng.UniformInt(1, 40));
+      std::size_t nattr = static_cast<std::size_t>(rng.UniformInt(1, 4));
+      std::vector<std::string> names;
+      for (std::size_t a = 0; a < nattr; ++a) names.push_back("a" + std::to_string(a));
+      auto tile = tiles::Tile::Make({0, trial, 0}, w, h, names);
+      ASSERT_TRUE(tile.ok());
+      const double scale = std::ldexp(1.0, rng.UniformInt(-6, 12));
+      for (std::size_t a = 0; a < nattr; ++a) {
+        for (auto& v : tile->MutableAttrData(a)) v = rng.Gaussian(0, scale);
+      }
+      const std::string blob = codec.Encode(*tile);
+      EXPECT_LT(blob.capacity() - blob.size(), 64u)
+          << storage::TileEncodingName(encoding) << " " << blob.size();
+      const auto pair = codec.EncodeProgressive(*tile);
+      EXPECT_LT(pair.base.capacity() - pair.base.size(), 64u);
+      EXPECT_LT(pair.refinement.capacity() - pair.refinement.size(), 64u);
+    }
+  }
+}
+
+namespace {
+
+// A format-v2 kDeltaVarint blob (FNV-1a trailer, which Decode still reads)
+// of one attribute "v" with `cells` cells at step 1, whose attribute is
+// `attr_len` followed by `attr_bytes`: a way to hand the varint reader
+// bytes Encode never writes, behind a valid checksum.
+std::string CraftedVarintBlob(std::int64_t cells, std::uint64_t attr_len,
+                              const std::string& attr_bytes) {
+  std::string out = "FCTL";
+  const auto put = [&out](const auto& value) {
+    out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(std::uint32_t{2});
+  put(std::uint8_t{2});
+  put(std::int32_t{0});
+  put(std::int64_t{0});
+  put(std::int64_t{0});
+  put(cells);
+  put(std::int64_t{1});
+  put(std::uint32_t{1});
+  put(std::uint32_t{1});
+  out += "v";
+  put(1.0);
+  put(attr_len);
+  out += attr_bytes;
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c : out) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  put(h);
+  return out;
+}
+
+std::string DecodeError(const std::string& blob) {
+  const auto status = storage::TileCodec::Decode(blob).status();
+  EXPECT_TRUE(status.IsCorruption()) << status;
+  return std::string(status.message());
+}
+
+}  // namespace
+
+// The varint reader's fast paths end where the checked loop's errors
+// begin: each malformed attribute still fails with the same Corruption.
+TEST(CodecReferenceTest, VarintCorruptionAtTheFastPathEdges) {
+  // Sanity: the crafted framing decodes when the attribute is well formed
+  // (deltas 0 and 100: codes 0x00 and 0xc8 0x01).
+  const std::string good("\x00\xc8\x01", 3);
+  auto ok = storage::TileCodec::Decode(CraftedVarintBlob(2, 3, good));
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->AttrData(0), (std::vector<double>{0.0, 100.0}));
+
+  // The attribute ends inside a two-byte varint, as its first or a later
+  // value.
+  EXPECT_NE(DecodeError(CraftedVarintBlob(1, 1, "\xc8")).find("varint truncated"),
+            std::string::npos);
+  EXPECT_NE(DecodeError(CraftedVarintBlob(2, 2, good.substr(0, 2)))
+                .find("varint truncated"),
+            std::string::npos);
+  // A length prefix one byte short: the last varint is cut.
+  EXPECT_NE(DecodeError(CraftedVarintBlob(2, 2, good)).find("varint truncated"),
+            std::string::npos);
+  // ... and one byte long: a spare byte is left over, after a run of
+  // one-byte varints long enough for the eight-at-a-time path.
+  EXPECT_NE(DecodeError(CraftedVarintBlob(2, 4, good + std::string(1, '\0')))
+                .find("varint attribute length mismatch"),
+            std::string::npos);
+  EXPECT_NE(DecodeError(CraftedVarintBlob(8, 9, std::string(9, '\0')))
+                .find("varint attribute length mismatch"),
+            std::string::npos);
+  EXPECT_NE(DecodeError(CraftedVarintBlob(1, 9, std::string(9, '\0')))
+                .find("varint attribute length mismatch"),
+            std::string::npos);
+  // An eleven-byte varint.
+  EXPECT_NE(DecodeError(CraftedVarintBlob(1, 11, std::string(10, '\x80') + "\x01"))
+                .find("varint overlong"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
 // LRU cache: never exceeds capacity; most-recent survives
 
 TEST(LruPropertyTest, ByteBudgetInvariantUnderRandomWorkload) {

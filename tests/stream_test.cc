@@ -403,6 +403,71 @@ TEST(StreamSchedulerTest, ClockStampedBaseExpiresWithItsRefinement) {
   EXPECT_EQ(log.size(), 2u);
 }
 
+// Each session's queued count follows every way a chunk leaves the queue
+// — supersession, expiry, cancellation, push and shutdown — and a cancel
+// that finds none of the session's chunks queued drops nothing.
+TEST(StreamSchedulerTest, PerSessionQueuedCountsFollowEveryDrop) {
+  SimClock clock;
+  StreamSchedulerOptions options;
+  options.clock = &clock;
+  options.max_chunk_age_ms = 50.0;
+  StreamScheduler scheduler(nullptr, options);
+  std::vector<Delivery> log;
+  const std::uint64_t a = scheduler.RegisterSession(1, Record(&log, 1));
+  const std::uint64_t b = scheduler.RegisterSession(2, Record(&log, 2));
+  const auto recount = [&](std::uint64_t session) {
+    const auto snapshot = scheduler.SnapshotQueue();
+    return static_cast<std::size_t>(
+        std::count_if(snapshot.begin(), snapshot.end(), [&](const auto& c) {
+          return c.session_id == session;
+        }));
+  };
+  const auto expect_counts = [&](std::size_t want_a, std::size_t want_b) {
+    EXPECT_EQ(scheduler.queued(a), want_a);
+    EXPECT_EQ(scheduler.queued(b), want_b);
+    EXPECT_EQ(recount(a), want_a);
+    EXPECT_EQ(recount(b), want_b);
+  };
+
+  // Gaussian 8x8 tiles split into base + refinement.
+  scheduler.SubmitTile(a, {3, 0, 0}, GaussianTile({3, 0, 0}, 1), 1, 0.5);
+  scheduler.SubmitTile(a, {3, 1, 0}, GaussianTile({3, 1, 0}, 2), 2, 0.5);
+  scheduler.SubmitTile(b, {3, 2, 0}, GaussianTile({3, 2, 0}, 3), 1, 0.5);
+  expect_counts(4, 2);
+
+  // Supersession drops generation 1's pair of session a only.
+  scheduler.CancelStaleGenerations(a, 2);
+  expect_counts(2, 2);
+  // Nothing of session a is stale now; the unknown id is a no-op.
+  scheduler.CancelStaleGenerations(a, 2);
+  scheduler.CancelStaleGenerations(99, 1);
+  expect_counts(2, 2);
+
+  // Cancellation empties session b; a second cancel finds nothing.
+  scheduler.CancelSession(b);
+  expect_counts(2, 0);
+  scheduler.CancelSession(b);
+  expect_counts(2, 0);
+
+  // Expiry drops what sat queued too long.
+  clock.AdvanceMicros(60'000);
+  scheduler.SubmitTile(b, {3, 3, 0}, GaussianTile({3, 3, 0}, 4), 1, 0.5);
+  EXPECT_EQ(scheduler.Pump(), 2u);  // a's pair expires, b's pair pushes
+  expect_counts(0, 0);
+
+  scheduler.SubmitTile(a, {3, 4, 0}, GaussianTile({3, 4, 0}, 5), 2, 0.5);
+  expect_counts(2, 0);
+  scheduler.Shutdown();
+  expect_counts(0, 0);
+  const auto stats = scheduler.Stats();
+  EXPECT_EQ(stats.stale_chunks_dropped, 6u);
+  EXPECT_EQ(stats.expired_chunks_dropped, 2u);
+  EXPECT_EQ(stats.chunks_pushed, 2u);
+  EXPECT_EQ(stats.chunks_enqueued, stats.chunks_pushed +
+                                       stats.stale_chunks_dropped +
+                                       stats.expired_chunks_dropped);
+}
+
 // ---------------------------------------------------------------------------
 // The pick order as a property: with unlimited budgets, Flush delivers a
 // stable sort of the submissions — every usable chunk before every
@@ -599,6 +664,24 @@ TEST(StreamSchedulerPropertyTest, BudgetedPumpsPushTheBestEligibleChunk) {
         }
       };
 
+      // Each session's queued count equals a recount of the queue, and
+      // every enqueued chunk is pushed, dropped or still queued.
+      const auto check_books = [&] {
+        const auto snapshot = scheduler.SnapshotQueue();
+        for (std::uint64_t s = 0; s < kSessions; ++s) {
+          const auto recount = static_cast<std::size_t>(std::count_if(
+              snapshot.begin(), snapshot.end(),
+              [&](const auto& chunk) { return chunk.session_id == ids[s]; }));
+          ASSERT_EQ(scheduler.queued(ids[s]), recount)
+              << "seed " << seed << " session " << ids[s];
+        }
+        const auto stats = scheduler.Stats();
+        ASSERT_EQ(stats.chunks_enqueued,
+                  stats.chunks_pushed + stats.stale_chunks_dropped +
+                      stats.expired_chunks_dropped + scheduler.queued())
+            << "seed " << seed;
+      };
+
       int submitted = 0;
       for (int step = 0; step < kSteps; ++step) {
         const std::uint32_t action = rng.UniformUint32(4);
@@ -634,12 +717,14 @@ TEST(StreamSchedulerPropertyTest, BudgetedPumpsPushTheBestEligibleChunk) {
         } else {
           clock.AdvanceMicros(rng.UniformInt(0, 60'000));
         }
+        check_books();
         if (HasFatalFailure()) return;
       }
       // Drain what is left, one full bucket per round at most.
       while (!queue.empty()) {
         clock.AdvanceMicros(static_cast<std::int64_t>(kBurst / kRate) * 1000);
         pump_both();
+        check_books();
         if (HasFatalFailure()) return;
       }
       EXPECT_EQ(scheduler.queued(), 0u);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include <set>
 
 #include "array/dense_array.h"
@@ -209,6 +211,54 @@ TEST(TileTest, MakeValidates) {
   EXPECT_FALSE(Tile::Make({0, 0, 0}, 0, 4, {"a"}).ok());
   EXPECT_FALSE(Tile::Make({0, 0, 0}, 4, 4, {}).ok());
   EXPECT_TRUE(Tile::Make({0, 0, 0}, 4, 4, {"a"}).ok());
+}
+
+// Make value-initializes every column in place: each is all zeros, has
+// width * height cells, and owns storage of its own.
+TEST(TileTest, MakeZeroFillsDistinctColumns) {
+  auto tile = Tile::Make({2, 1, 3}, 5, 3, {"a", "b", "c", "d"});
+  ASSERT_TRUE(tile.ok());
+  std::set<const double*> storage;
+  for (std::size_t a = 0; a < tile->num_attrs(); ++a) {
+    const auto& column = tile->AttrData(a);
+    ASSERT_EQ(column.size(), 15u);
+    for (double v : column) {
+      EXPECT_EQ(v, 0.0);
+      EXPECT_FALSE(std::signbit(v));
+    }
+    EXPECT_TRUE(storage.insert(column.data()).second) << "column " << a;
+  }
+  // Writing one column leaves the others untouched.
+  tile->Set(1, 4, 2, 7.5);
+  EXPECT_EQ(tile->At(1, 4, 2), 7.5);
+  EXPECT_EQ(tile->At(0, 4, 2), 0.0);
+  EXPECT_EQ(tile->At(2, 4, 2), 0.0);
+}
+
+// FromColumns adopts built columns as they are, and rejects a column count
+// or size that does not match the dims and names.
+TEST(TileTest, FromColumnsAdoptsMatchingColumns) {
+  std::vector<std::vector<double>> columns = {{1, 2, 3, 4, 5, 6},
+                                              {-1, -2, -3, -4, -5, -6}};
+  const double* first = columns[0].data();
+  auto tile = Tile::FromColumns({1, 0, 0}, 3, 2, {"a", "b"}, std::move(columns));
+  ASSERT_TRUE(tile.ok());
+  EXPECT_EQ(tile->AttrData(0).data(), first);  // adopted, not copied
+  EXPECT_EQ(tile->At(0, 2, 1), 6.0);
+  EXPECT_EQ(tile->At(1, 0, 1), -4.0);
+  EXPECT_EQ(tile->SizeBytes(), 12 * sizeof(double));
+
+  EXPECT_TRUE(Tile::FromColumns({1, 0, 0}, 3, 2, {"a", "b"}, {{1, 2, 3, 4, 5, 6}})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Tile::FromColumns({1, 0, 0}, 3, 2, {"a"}, {{1, 2, 3}})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Tile::FromColumns({1, 0, 0}, 0, 2, {"a"}, {{}})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      Tile::FromColumns({1, 0, 0}, 3, 2, {}, {}).status().IsInvalidArgument());
 }
 
 TEST(TileTest, SetGetAndRaster) {
