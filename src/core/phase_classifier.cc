@@ -32,7 +32,7 @@ std::vector<double> ExtractPhaseFeatures(const TileRequest& request) {
 }
 
 std::vector<double> PhaseClassifier::ProjectFeatures(
-    const std::vector<double>& full) const {
+    std::vector<double> full) const {
   if (options_.feature_subset.empty()) return full;
   std::vector<double> out;
   out.reserve(options_.feature_subset.size());
@@ -86,8 +86,8 @@ Result<PhaseClassifier> PhaseClassifier::Train(const std::vector<Trace>& traces,
 }
 
 AnalysisPhase PhaseClassifier::Predict(const TileRequest& request) const {
-  auto features = ProjectFeatures(ExtractPhaseFeatures(request));
-  int label = svm_.Predict(scaler_.Transform(features));
+  int label = svm_.Predict(
+      scaler_.Transform(ProjectFeatures(ExtractPhaseFeatures(request))));
   return static_cast<AnalysisPhase>(label);
 }
 

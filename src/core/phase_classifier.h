@@ -63,7 +63,9 @@ class PhaseClassifier {
   const svm::MulticlassSvm& svm() const { return svm_; }
 
  private:
-  std::vector<double> ProjectFeatures(const std::vector<double>& full) const;
+  /// The configured feature subset of `full`; `full` itself, moved, when
+  /// no subset is set.
+  std::vector<double> ProjectFeatures(std::vector<double> full) const;
 
   PhaseClassifierOptions options_;
   svm::FeatureScaler scaler_;

@@ -7,9 +7,21 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "storage/tile_codec_kernels.h"
+
+// The AVX-512VL kernels carry a function-level target attribute, so the
+// rest of the build keeps its baseline instruction set and the process runs
+// them only on a CPU that reports every feature the attribute names.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define FC_CODEC_AVX512_TARGET                                          \
+  __attribute__((target("avx512f,avx512vl,avx512dq,avx512cd,avx512bw," \
+                        "avx512vbmi2,bmi2")))
+#endif
 
 namespace fc::storage {
 
@@ -316,6 +328,14 @@ class Reader {
     return std::string(at, len);
   }
 
+  /// A varint-coded attribute's bytes: its u64 byte-length prefix, checked
+  /// once against the bytes that remain, then that many bytes.
+  Result<std::string_view> TakeVarintAttr() {
+    FC_ASSIGN_OR_RETURN(auto len, ReadValue<std::uint64_t>());
+    FC_ASSIGN_OR_RETURN(const char* at, Take(len));
+    return std::string_view(at, len);
+  }
+
   std::size_t pos() const { return pos_; }
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
@@ -324,10 +344,10 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// Reads one varint-coded attribute of `count` values: the u64 byte-length
-// prefix, checked once against the bytes that remain, then exactly `count`
-// zigzag/LEB128 varints that must fill it. apply(i, value) receives each
-// decoded value. Three paths, none reading past the attribute:
+// One turn of the varint reader over an attribute [p, end) of `count`
+// zigzag/LEB128 varints, `i` of them read: passes what it decodes to
+// apply(index, value), advances `p` and `i`, and returns null or a
+// Corruption message. Three paths, none reading past `end`:
 //  * eight one-byte varints (no continuation bit in the next eight bytes)
 //    decode as one word, so a run of them carries no dependency from one
 //    byte's value to the next byte's address — coarse bases are almost
@@ -337,47 +357,65 @@ class Reader {
 //    deltas take two bytes, and a branch on the length would mispredict;
 //  * everything else takes the checked byte loop.
 template <typename ApplyFn>
-Status DecodeVarintAttr(Reader* reader, std::size_t count, ApplyFn apply) {
-  FC_ASSIGN_OR_RETURN(auto attr_len, reader->ReadValue<std::uint64_t>());
-  FC_ASSIGN_OR_RETURN(const char* begin, reader->Take(attr_len));
-  const auto* p = reinterpret_cast<const unsigned char*>(begin);
-  const auto* const end = p + attr_len;
-  std::size_t i = 0;
-  while (i < count) {
-    if (count - i >= 8 && end - p >= 8) {
-      const std::uint64_t word = Load64(p);
-      if ((word & 0x8080808080808080ull) == 0) {
-        for (std::size_t k = 0; k < 8; ++k) {
-          apply(i + k, UnZigZag((word >> (8 * k)) & 0xff));
-        }
-        i += 8;
-        p += 8;
-        continue;
+inline const char* VarintStep(const unsigned char*& p,
+                              const unsigned char* end, std::size_t& i,
+                              std::size_t count, ApplyFn& apply) {
+  if (count - i >= 8 && end - p >= 8) {
+    const std::uint64_t word = Load64(p);
+    if ((word & 0x8080808080808080ull) == 0) {
+      for (std::size_t k = 0; k < 8; ++k) {
+        apply(i + k, UnZigZag((word >> (8 * k)) & 0xff));
       }
+      i += 8;
+      p += 8;
+      return nullptr;
     }
-    std::uint64_t v;
-    if (end - p >= 2 && (p[0] & p[1] & 0x80) == 0) {
-      const std::uint64_t two = p[0] >> 7;
-      v = (p[0] & 0x7fu) | ((std::uint64_t{p[1]} << 7) & (0 - two));
-      p += 1 + two;
-    } else {
-      if (p == end) return Status::Corruption("varint truncated");
-      std::uint64_t byte = *p++;
-      v = byte & 0x7f;
-      for (int shift = 7; byte >= 0x80; shift += 7) {
-        if (shift > 63) return Status::Corruption("varint overlong");
-        if (p == end) return Status::Corruption("varint truncated");
-        byte = *p++;
-        v |= (byte & 0x7f) << shift;
-      }
+  }
+  std::uint64_t v;
+  if (end - p >= 2 && (p[0] & p[1] & 0x80) == 0) {
+    const std::uint64_t two = p[0] >> 7;
+    v = (p[0] & 0x7fu) | ((std::uint64_t{p[1]} << 7) & (0 - two));
+    p += 1 + two;
+  } else {
+    if (p == end) return "varint truncated";
+    std::uint64_t byte = *p++;
+    v = byte & 0x7f;
+    for (int shift = 7; byte >= 0x80; shift += 7) {
+      if (shift > 63) return "varint overlong";
+      if (p == end) return "varint truncated";
+      byte = *p++;
+      v |= (byte & 0x7f) << shift;
     }
-    apply(i, UnZigZag(v));
-    ++i;
   }
-  if (p != end) {
-    return Status::Corruption("varint attribute length mismatch");
+  apply(i, UnZigZag(v));
+  ++i;
+  return nullptr;
+}
+
+constexpr char kLengthMismatch[] = "varint attribute length mismatch";
+
+// Reads exactly `count` varints that must fill [p, end).
+template <typename ApplyFn>
+Status UnpackVarints(const unsigned char* p, const unsigned char* end,
+                     std::size_t count, ApplyFn apply) {
+  for (std::size_t i = 0; i < count;) {
+    if (const char* error = VarintStep(p, end, i, count, apply)) {
+      return Status::Corruption(error);
+    }
   }
+  if (p != end) return Status::Corruption(kLengthMismatch);
   return Status::OK();
+}
+
+// Reads one varint-coded attribute of `count` values at the reader. Kept
+// out of line: inlined into Reassemble, its residual loop ran about a
+// third slower (GCC 12, -O3).
+template <typename ApplyFn>
+[[gnu::noinline]] Status DecodeVarintAttr(Reader* reader, std::size_t count,
+                                          ApplyFn apply) {
+  FC_ASSIGN_OR_RETURN(const std::string_view attr, reader->TakeVarintAttr());
+  const auto* p = reinterpret_cast<const unsigned char*>(attr.data());
+  return UnpackVarints(p, p + attr.size(), count, std::move(apply));
 }
 
 // Quantized value domain for kDeltaVarint: clamp before rounding so
@@ -398,6 +436,17 @@ std::int64_t Quantize(double v, double step) {
   const auto t = static_cast<std::int64_t>(q);
   const double fraction = q - static_cast<double>(t);
   return t + (fraction >= 0.5) - (fraction <= -0.5);
+}
+
+// The quantize-and-delta pass over cells[0, n), `prev` being the quantum
+// before cells[0].
+void QuantizeDeltasFrom(const double* cells, std::size_t n, double step,
+                        std::int64_t prev, std::uint64_t* deltas) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t q = Quantize(cells[i], step);
+    deltas[i] = WrappingDelta(q, prev);
+    prev = q;
+  }
 }
 
 // Refinement residuals live in the IEEE-754 bit domain: close doubles have
@@ -460,86 +509,18 @@ std::size_t MaxPayloadBytes(const tiles::Tile& tile, TileEncoding encoding) {
   return 0;
 }
 
-void EncodePayload(const tiles::Tile& tile, const TileCodecOptions& options,
-                   BlobWriter* out) {
-  switch (options.encoding) {
-    case TileEncoding::kRawF64:
-      for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-        const auto& data = tile.AttrData(a);
-        out->Raw(data.data(), data.size() * sizeof(double));
-      }
-      return;
-    case TileEncoding::kFloat32:
-      for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-        for (double v : tile.AttrData(a)) out->Value(ToFloatSaturating(v));
-      }
-      return;
-    case TileEncoding::kDeltaVarint:
-      for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-        const double* cells = tile.AttrData(a).data();
-        const double step = options.quant_step;
-        std::int64_t prev = 0;
-        out->VarintAttr(tile.AttrData(a).size(), [&](std::size_t i) {
-          const std::int64_t q = Quantize(cells[i], step);
-          const std::uint64_t delta = WrappingDelta(q, prev);
-          prev = q;
-          return delta;
-        });
-      }
-      return;
-  }
+// A per-thread array of at least n T's, reused by every later call on the
+// thread (grown, never shrunk), so a pass that stages a column there
+// allocates nothing for it once the thread has seen its largest tile.
+// Callers hold it only within one codec call and never nest.
+template <typename T>
+T* ThreadScratch(std::size_t n) {
+  thread_local std::vector<T> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  return scratch.data();
 }
 
-Status DecodePayload(Reader* reader, TileEncoding encoding, double quant_step,
-                     tiles::Tile* tile) {
-  switch (encoding) {
-    case TileEncoding::kRawF64:
-      for (std::size_t a = 0; a < tile->num_attrs(); ++a) {
-        auto& buf = tile->MutableAttrData(a);
-        FC_RETURN_IF_ERROR(
-            reader->ReadRaw(buf.data(), buf.size() * sizeof(double)));
-      }
-      return Status::OK();
-    case TileEncoding::kFloat32:
-      for (std::size_t a = 0; a < tile->num_attrs(); ++a) {
-        auto& buf = tile->MutableAttrData(a);
-        FC_ASSIGN_OR_RETURN(const char* p,
-                            reader->Take(buf.size() * sizeof(float)));
-        for (auto& v : buf) {
-          float f;
-          std::memcpy(&f, p, sizeof(f));
-          p += sizeof(f);
-          v = static_cast<double>(f);
-        }
-      }
-      return Status::OK();
-    case TileEncoding::kDeltaVarint:
-      if (!(quant_step > 0.0)) {
-        return Status::Corruption("non-positive quantization step");
-      }
-      for (std::size_t a = 0; a < tile->num_attrs(); ++a) {
-        double* cells = tile->MutableAttrData(a).data();
-        std::uint64_t prev = 0;
-        FC_RETURN_IF_ERROR(DecodeVarintAttr(
-            reader, tile->MutableAttrData(a).size(),
-            [&](std::size_t i, std::uint64_t delta) {
-              prev += delta;
-              cells[i] =
-                  static_cast<double>(static_cast<std::int64_t>(prev)) *
-                  quant_step;
-            }));
-      }
-      return Status::OK();
-  }
-  return Status::Corruption("unknown tile encoding");
-}
-
-// What one attribute's cells add to the planned chunk sizes.
-struct PlannedBytes {
-  std::size_t full = 0;        ///< kDeltaVarint full blobs only.
-  std::size_t base = 0;        ///< Progressive plans only.
-  std::size_t refinement = 0;  ///< Progressive plans only.
-};
+using codec_kernels::PlannedBytes;
 
 // PlanProgressive's loop over one attribute: the same arithmetic as
 // EncodePayload, DecodePayload and the refinement's bit-domain residuals,
@@ -581,6 +562,300 @@ PlannedBytes PlanCells(const std::vector<double>& cells, double quant_step,
   return {full, base, refinement};
 }
 
+// The scalar kernel set: every CPU runs it, and it is the reference the
+// AVX-512VL forms are tested against.
+
+void QuantizeDeltasScalar(const double* cells, std::size_t n, double step,
+                          std::uint64_t* deltas) {
+  QuantizeDeltasFrom(cells, n, step, 0, deltas);
+}
+
+Status UnpackDeltasScalar(const unsigned char* begin, const unsigned char* end,
+                          std::size_t n, double step, double* cells) {
+  std::uint64_t prev = 0;
+  return UnpackVarints(begin, end, n, [&](std::size_t i, std::uint64_t delta) {
+    prev += delta;
+    cells[i] = static_cast<double>(static_cast<std::int64_t>(prev)) * step;
+  });
+}
+
+#ifdef FC_CODEC_AVX512_TARGET
+
+// The AVX-512VL kernel set, four 64-bit lanes per ymm register. 512-bit
+// forms were no faster on the serving benchmark and read a higher median
+// latency on its threaded workload. Each lane does the scalar loop's
+// arithmetic in the scalar loop's order, so every result is bit-identical.
+
+// Quantize on four cells: the same division, clamp, NaN rule, truncation
+// and half-away-from-zero step.
+FC_CODEC_AVX512_TARGET inline __m256i QuantizeX4(__m256d v, __m256d step) {
+  __m256d q = _mm256_div_pd(v, step);
+  // max and min return their second operand when either is NaN, so a NaN
+  // quotient survives the clamp, as in std::clamp, for the masked move.
+  q = _mm256_max_pd(_mm256_set1_pd(-kMaxQuantum), q);
+  q = _mm256_min_pd(_mm256_set1_pd(kMaxQuantum), q);
+  q = _mm256_mask_mov_pd(q, _mm256_cmp_pd_mask(q, q, _CMP_UNORD_Q),
+                         _mm256_setzero_pd());
+  const __m256i t = _mm256_cvttpd_epi64(q);
+  const __m256d fraction = _mm256_sub_pd(q, _mm256_cvtepi64_pd(t));
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i up = _mm256_mask_add_epi64(
+      t, _mm256_cmp_pd_mask(fraction, _mm256_set1_pd(0.5), _CMP_GE_OQ), t,
+      one);
+  return _mm256_mask_sub_epi64(
+      up, _mm256_cmp_pd_mask(fraction, _mm256_set1_pd(-0.5), _CMP_LE_OQ), up,
+      one);
+}
+
+// Each lane's previous quantum: lane k - 1's, and for lane 0 the last lane
+// of the previous four.
+FC_CODEC_AVX512_TARGET inline __m256i PreviousX4(__m256i q, __m256i last) {
+  return _mm256_alignr_epi64(q, last, 3);
+}
+
+FC_CODEC_AVX512_TARGET inline __m256i ZigZagX4(__m256i d) {
+  return _mm256_xor_si256(_mm256_slli_epi64(d, 1), _mm256_srai_epi64(d, 63));
+}
+
+// VarintSize on four values: (bit_width(v | 1) + 6) / 7, the division as
+// * 37 >> 8, which is exact for the dividends 7..70.
+FC_CODEC_AVX512_TARGET inline __m256i VarintSizesX4(__m256i v) {
+  const __m256i leading =
+      _mm256_lzcnt_epi64(_mm256_or_si256(v, _mm256_set1_epi64x(1)));
+  const __m256i dividend = _mm256_sub_epi64(_mm256_set1_epi64x(70), leading);
+  return _mm256_srli_epi64(
+      _mm256_mul_epu32(dividend, _mm256_set1_epi64x(37)), 8);
+}
+
+FC_CODEC_AVX512_TARGET inline std::size_t SumX4(__m256i v) {
+  const __m128i pair = _mm_add_epi64(_mm256_castsi256_si128(v),
+                                     _mm256_extracti128_si256(v, 1));
+  return static_cast<std::size_t>(_mm_cvtsi128_si64(pair) +
+                                  _mm_extract_epi64(pair, 1));
+}
+
+// Four cells of the raw-f64 progressive plan, those outside `lanes` masked
+// off: writes their coarse values to `coarse`, adds the varint bytes of
+// their base deltas and refinement residuals to the accumulators, and
+// returns their quanta.
+FC_CODEC_AVX512_TARGET inline __m256i PlanRawX4(const double* cells,
+                                                __mmask8 lanes, __m256d step,
+                                                __m256i last, __m256i* base,
+                                                __m256i* refinement,
+                                                double* coarse) {
+  const __m256d v = _mm256_maskz_loadu_pd(lanes, cells);
+  const __m256i q = QuantizeX4(v, step);
+  const __m256d coarse_values = _mm256_mul_pd(_mm256_cvtepi64_pd(q), step);
+  _mm256_mask_storeu_pd(coarse, lanes, coarse_values);
+  *base = _mm256_mask_add_epi64(
+      *base, lanes, *base,
+      VarintSizesX4(ZigZagX4(_mm256_sub_epi64(q, PreviousX4(q, last)))));
+  *refinement = _mm256_mask_add_epi64(
+      *refinement, lanes, *refinement,
+      VarintSizesX4(ZigZagX4(_mm256_sub_epi64(
+          _mm256_castpd_si256(v), _mm256_castpd_si256(coarse_values)))));
+  return q;
+}
+
+// The coarse column is computed into scratch and appended once, so it is
+// written once, never zero-filled first. The n mod 4 cells left take one
+// more step with the other lanes masked off.
+FC_CODEC_AVX512_TARGET
+PlannedBytes PlanRawProgressiveAvx512(const std::vector<double>& cells,
+                                      double /*quant_step*/, double base_step,
+                                      std::vector<double>* /*exact_out*/,
+                                      std::vector<double>* coarse_out) {
+  const std::size_t n = cells.size();
+  double* const coarse = ThreadScratch<double>(n);
+  const __m256d step = _mm256_set1_pd(base_step);
+  __m256i last = _mm256_setzero_si256();
+  __m256i base = _mm256_setzero_si256();
+  __m256i refinement = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    last = PlanRawX4(cells.data() + i, 0xF, step, last, &base, &refinement,
+                     coarse + i);
+  }
+  if (i < n) {
+    PlanRawX4(cells.data() + i, static_cast<__mmask8>((1u << (n - i)) - 1),
+              step, last, &base, &refinement, coarse + i);
+  }
+  coarse_out->insert(coarse_out->end(), coarse, coarse + n);
+  return {0, SumX4(base), SumX4(refinement)};
+}
+
+FC_CODEC_AVX512_TARGET
+void QuantizeDeltasAvx512(const double* cells, std::size_t n, double step,
+                          std::uint64_t* deltas) {
+  const __m256d steps = _mm256_set1_pd(step);
+  __m256i last = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i q = QuantizeX4(_mm256_loadu_pd(cells + i), steps);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(deltas + i),
+                        _mm256_sub_epi64(q, PreviousX4(q, last)));
+    last = q;
+  }
+  QuantizeDeltasFrom(cells + i, n - i, step, _mm256_extract_epi64(last, 3),
+                     deltas + i);
+}
+
+// The scalar reader plus a 16-varint step: while at least 16 values and 32
+// bytes remain and the next 16 varints take one or two bytes each, they
+// are unpacked into 16-bit lanes at once; anything else takes VarintStep's
+// paths, so errors and their messages are the scalar reader's.
+FC_CODEC_AVX512_TARGET
+Status UnpackDeltasAvx512(const unsigned char* p, const unsigned char* end,
+                          std::size_t n, double step, double* cells) {
+  std::uint64_t prev = 0;
+  auto apply = [&prev, cells, step](std::size_t i, std::uint64_t delta) {
+    prev += delta;
+    cells[i] = static_cast<double>(static_cast<std::int64_t>(prev)) * step;
+  };
+  const __m256d steps = _mm256_set1_pd(step);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i one = _mm256_set1_epi64x(1);
+  std::size_t i = 0;
+  while (i < n) {
+    if (n - i >= 16 && end - p >= 32) {
+      const __m256i bytes =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+      // Bit b: byte b has its continuation bit, so a varint goes on past it.
+      const auto more = static_cast<std::uint32_t>(_mm256_movemask_epi8(bytes));
+      // The byte that ends the 16th varint (0 when fewer than 16 end here),
+      // and the window of bytes up to it.
+      const std::uint32_t last_end = _pdep_u32(1u << 15, ~more);
+      const std::uint32_t window = last_end | (last_end - 1);
+      // Two continued bytes in a row mean a varint of three bytes or more.
+      if (last_end != 0 && (more & (more << 1) & window) == 0) {
+        // Varint k's bytes go to 16-bit lane k: its first byte to the low
+        // half, its second (when its first continues) to the high half.
+        const std::uint32_t starts = ((~more << 1) | 1) & window;
+        const __mmask32 expand =
+            0x55555555u | _pdep_u32(_pext_u32(more, starts), 0xAAAAAAAAu);
+        const __m256i lanes = _mm256_maskz_expand_epi8(expand, bytes);
+        const __m256i codes = _mm256_or_si256(
+            _mm256_and_si256(lanes, _mm256_set1_epi16(0x7f)),
+            _mm256_and_si256(_mm256_srli_epi16(lanes, 1),
+                             _mm256_set1_epi16(0x3f80)));
+        const __m128i low = _mm256_castsi256_si128(codes);
+        const __m128i high = _mm256_extracti128_si256(codes, 1);
+        const __m128i quarters[4] = {low, _mm_unpackhi_epi64(low, low), high,
+                                     _mm_unpackhi_epi64(high, high)};
+        __m256i sum = _mm256_set1_epi64x(static_cast<std::int64_t>(prev));
+        for (int k = 0; k < 4; ++k) {
+          const __m256i z = _mm256_cvtepu16_epi64(quarters[k]);
+          __m256i d = _mm256_xor_si256(
+              _mm256_srli_epi64(z, 1),
+              _mm256_sub_epi64(zero, _mm256_and_si256(z, one)));
+          // Prefix sum over the lanes, then the running total before them.
+          d = _mm256_add_epi64(d, _mm256_alignr_epi64(d, zero, 3));
+          d = _mm256_add_epi64(d, _mm256_alignr_epi64(d, zero, 2));
+          sum = _mm256_add_epi64(_mm256_permute4x64_epi64(sum, 0xFF), d);
+          _mm256_storeu_pd(cells + i + 4 * k,
+                           _mm256_mul_pd(_mm256_cvtepi64_pd(sum), steps));
+        }
+        prev = static_cast<std::uint64_t>(_mm256_extract_epi64(sum, 3));
+        i += 16;
+        p += std::countr_zero(last_end) + 1;
+        continue;
+      }
+    }
+    if (const char* error = VarintStep(p, end, i, n, apply)) {
+      return Status::Corruption(error);
+    }
+  }
+  if (p != end) return Status::Corruption(kLengthMismatch);
+  return Status::OK();
+}
+
+#endif  // FC_CODEC_AVX512_TARGET
+
+// The kernel set this process runs, picked once from the CPU's features.
+const codec_kernels::KernelSet& ActiveKernels() {
+  static const codec_kernels::KernelSet& active =
+      codec_kernels::Avx512Kernels() != nullptr
+          ? *codec_kernels::Avx512Kernels()
+          : codec_kernels::ScalarKernels();
+  return active;
+}
+
+void EncodePayload(const tiles::Tile& tile, const TileCodecOptions& options,
+                   BlobWriter* out) {
+  switch (options.encoding) {
+    case TileEncoding::kRawF64:
+      for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
+        const auto& data = tile.AttrData(a);
+        out->Raw(data.data(), data.size() * sizeof(double));
+      }
+      return;
+    case TileEncoding::kFloat32:
+      for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
+        for (double v : tile.AttrData(a)) out->Value(ToFloatSaturating(v));
+      }
+      return;
+    case TileEncoding::kDeltaVarint: {
+      const auto cells = static_cast<std::size_t>(tile.cell_count());
+      std::uint64_t* const deltas = ThreadScratch<std::uint64_t>(cells);
+      for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
+        ActiveKernels().quantize_deltas(tile.AttrData(a).data(), cells,
+                                        options.quant_step, deltas);
+        out->VarintAttr(cells, [deltas](std::size_t i) { return deltas[i]; });
+      }
+      return;
+    }
+  }
+}
+
+// The `nattr` decoded columns of `cells` cells each.
+Result<std::vector<std::vector<double>>> DecodePayload(Reader* reader,
+                                                       TileEncoding encoding,
+                                                       double quant_step,
+                                                       std::size_t nattr,
+                                                       std::size_t cells) {
+  std::vector<std::vector<double>> columns;
+  columns.reserve(nattr);
+  switch (encoding) {
+    case TileEncoding::kRawF64:
+      for (std::size_t a = 0; a < nattr; ++a) {
+        auto& column = columns.emplace_back(cells);
+        FC_RETURN_IF_ERROR(
+            reader->ReadRaw(column.data(), cells * sizeof(double)));
+      }
+      return columns;
+    case TileEncoding::kFloat32:
+      for (std::size_t a = 0; a < nattr; ++a) {
+        FC_ASSIGN_OR_RETURN(const char* p, reader->Take(cells * sizeof(float)));
+        auto& column = columns.emplace_back(cells);
+        for (auto& v : column) {
+          float f;
+          std::memcpy(&f, p, sizeof(f));
+          p += sizeof(f);
+          v = static_cast<double>(f);
+        }
+      }
+      return columns;
+    case TileEncoding::kDeltaVarint: {
+      if (!(quant_step > 0.0)) {
+        return Status::Corruption("non-positive quantization step");
+      }
+      // Each column is unpacked into scratch and copied out once, never
+      // zero-filled first.
+      double* const unpacked = ThreadScratch<double>(cells);
+      for (std::size_t a = 0; a < nattr; ++a) {
+        FC_ASSIGN_OR_RETURN(const std::string_view attr,
+                            reader->TakeVarintAttr());
+        const auto* begin = reinterpret_cast<const unsigned char*>(attr.data());
+        FC_RETURN_IF_ERROR(ActiveKernels().unpack_deltas(
+            begin, begin + attr.size(), cells, quant_step, unpacked));
+        columns.emplace_back(unpacked, unpacked + cells);
+      }
+      return columns;
+    }
+  }
+  return Status::Corruption("unknown tile encoding");
+}
+
 using PlanKernel = PlannedBytes (*)(const std::vector<double>&, double, double,
                                     std::vector<double>*, std::vector<double>*);
 
@@ -589,7 +864,7 @@ using PlanKernel = PlannedBytes (*)(const std::vector<double>&, double, double,
 PlanKernel PlanKernelFor(TileEncoding encoding, bool progressive) {
   switch (encoding) {
     case TileEncoding::kRawF64:
-      return progressive ? PlanCells<TileEncoding::kRawF64, true> : nullptr;
+      return progressive ? ActiveKernels().plan_raw_progressive : nullptr;
     case TileEncoding::kFloat32:
       return progressive ? PlanCells<TileEncoding::kFloat32, true>
                          : PlanCells<TileEncoding::kFloat32, false>;
@@ -628,6 +903,54 @@ Result<BlobPrefix> ReadHeaderPrefix(Reader* reader) {
 }
 
 }  // namespace
+
+namespace codec_kernels {
+
+const KernelSet& ScalarKernels() {
+  static constexpr KernelSet kScalar = {"scalar",
+                                        PlanCells<TileEncoding::kRawF64, true>,
+                                        QuantizeDeltasScalar,
+                                        UnpackDeltasScalar};
+  return kScalar;
+}
+
+std::string MissingAvx512Features() {
+#ifdef FC_CODEC_AVX512_TARGET
+  __builtin_cpu_init();
+  const std::pair<const char*, bool> features[] = {
+      {"avx512f", __builtin_cpu_supports("avx512f")},
+      {"avx512vl", __builtin_cpu_supports("avx512vl")},
+      {"avx512dq", __builtin_cpu_supports("avx512dq")},
+      {"avx512cd", __builtin_cpu_supports("avx512cd")},
+      {"avx512bw", __builtin_cpu_supports("avx512bw")},
+      {"avx512vbmi2", __builtin_cpu_supports("avx512vbmi2")},
+      {"bmi2", __builtin_cpu_supports("bmi2")},
+  };
+  std::string missing;
+  for (const auto& [name, present] : features) {
+    if (present) continue;
+    if (!missing.empty()) missing += ' ';
+    missing += name;
+  }
+  return missing;
+#else
+  return "x86-64 GCC or Clang build";
+#endif
+}
+
+const KernelSet* Avx512Kernels() {
+#ifdef FC_CODEC_AVX512_TARGET
+  static constexpr KernelSet kAvx512 = {"avx512vl", PlanRawProgressiveAvx512,
+                                        QuantizeDeltasAvx512,
+                                        UnpackDeltasAvx512};
+  static const bool runs = MissingAvx512Features().empty();
+  return runs ? &kAvx512 : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace codec_kernels
 
 const char* TileEncodingName(TileEncoding encoding) {
   switch (encoding) {
@@ -728,16 +1051,17 @@ Result<tiles::Tile> TileCodec::Decode(std::string_view bytes) {
           max_cells / static_cast<std::uint64_t>(width)) {
     return Status::Corruption("tile dimensions exceed the blob");
   }
-  auto tile_result = tiles::Tile::Make(tiles::TileKey{level, x, y}, width,
-                                       height, std::move(names));
-  if (!tile_result.ok()) {
-    return tile_result.status().WithContext("decoding tile");
-  }
-  tiles::Tile tile = std::move(tile_result).value();
-  FC_RETURN_IF_ERROR(DecodePayload(&reader, encoding, quant_step, &tile));
+  FC_ASSIGN_OR_RETURN(
+      auto columns,
+      DecodePayload(&reader, encoding, quant_step, nattr,
+                    static_cast<std::size_t>(width * height)));
   if (reader.remaining() != 0) {
     return Status::Corruption("trailing bytes after tile payload");
   }
+  auto tile = tiles::Tile::FromColumns(tiles::TileKey{level, x, y}, width,
+                                       height, std::move(names),
+                                       std::move(columns));
+  if (!tile.ok()) return tile.status().WithContext("decoding tile");
   return tile;
 }
 
@@ -758,10 +1082,13 @@ ProgressiveEncoding TileCodec::EncodeProgressive(const tiles::Tile& tile) const 
 
   // The refinement reproduces what a client decodes from the all-or-nothing
   // blob — including this codec's own lossiness — not the pre-encode cells.
-  auto final_tile = Decode(full);
+  // A lossless decode IS the tile, so only a lossy blob is decoded again.
+  Result<tiles::Tile> decoded_final = tiles::Tile();
+  if (!lossless()) decoded_final = Decode(full);
   auto base_tile = Decode(out.base);
-  FC_CHECK_MSG(final_tile.ok() && base_tile.ok(),
+  FC_CHECK_MSG(decoded_final.ok() && base_tile.ok(),
                "progressive encode cannot fail to re-decode its own blobs");
+  const tiles::Tile& final_tile = lossless() ? tile : *decoded_final;
 
   // The residuals are varint-coded attributes, as a kDeltaVarint payload.
   BlobWriter ref(kRefinementOverheadBytes +
@@ -772,9 +1099,9 @@ ProgressiveEncoding TileCodec::EncodeProgressive(const tiles::Tile& tile) const 
   ref.Value(StoredChecksum(out.base));
   ref.TileHeader(tile);
   for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-    const double* final_data = final_tile->AttrData(a).data();
+    const double* final_data = final_tile.AttrData(a).data();
     const double* base_data = base_tile->AttrData(a).data();
-    ref.VarintAttr(final_tile->AttrData(a).size(), [&](std::size_t i) {
+    ref.VarintAttr(final_tile.AttrData(a).size(), [&](std::size_t i) {
       return BitsOf(final_data[i]) - BitsOf(base_data[i]);
     });
   }

@@ -68,14 +68,33 @@
 // one-byte varints as one word, a one- or two-byte varint without a
 // branch on which, and anything else through a checked byte loop, never
 // reading past the attribute. PlanProgressive runs one loop per final
-// encoding and progressive flag and writes each planned column once.
-// Every byte and bit equals the straightforward byte-loop forms
-// (property_test's CodecReferenceTest pins them).
+// encoding and progressive flag.
 //
-// Blobs are exactly sized: Encode and EncodeProgressive write into a
-// worst-case scratch buffer and copy the bytes out once, so a blob's
-// capacity() is its size() and a cache charging size() charges the heap
-// it holds.
+// The three loops the serving path runs most also have AVX-512VL forms on
+// 256-bit vectors: the raw-f64 progressive plan loop (the stream's), the
+// kDeltaVarint quantize-and-delta pass of Encode and the kDeltaVarint
+// unpack of Decode (the L2 tier's), which unpacks sixteen one- or
+// two-byte varints at a time. Scalar code has reached its floor on these
+// loops: what is left needs vector double<->int64 conversions and 64-bit
+// leading-zero counts, which baseline x86-64 lacks. The process picks
+// once, from the CPU: the vector forms when it reports AVX-512 F, VL, DQ,
+// CD, BW and VBMI2 and BMI2, the scalar loops on any other CPU, compiler
+// or architecture (the vector forms compile only for x86-64 under GCC or
+// Clang, through function-level target attributes, so the build needs no
+// flag). No option selects them. The scalar loops are the reference: both
+// sets give the same bytes, bits and sizes for every input, including the
+// Corruption message of a malformed attribute (property_test's
+// CodecKernelTest compares them through storage/tile_codec_kernels.h,
+// CodecReferenceTest pins the running set to straightforward byte-loop
+// forms), so no output depends on the CPU.
+//
+// Every decoded or planned column is written once, never zero-filled
+// first: the scalar plan loops append to it, and the kDeltaVarint decode
+// and the vector plan loop stage it in a per-thread scratch array and copy
+// it out once. Blobs are exactly sized: Encode and EncodeProgressive write
+// into a worst-case scratch buffer and copy the bytes out once, so a
+// blob's capacity() is its size() and a cache charging size() charges the
+// heap it holds.
 
 #ifndef FORECACHE_STORAGE_TILE_CODEC_H_
 #define FORECACHE_STORAGE_TILE_CODEC_H_

@@ -31,14 +31,13 @@ Status FeatureScaler::Fit(const std::vector<std::vector<double>>& rows) {
   return Status::OK();
 }
 
-std::vector<double> FeatureScaler::Transform(const std::vector<double>& row) const {
+std::vector<double> FeatureScaler::Transform(std::vector<double> row) const {
   FC_CHECK_MSG(fitted(), "scaler used before Fit");
   FC_CHECK(row.size() == means_.size());
-  std::vector<double> out(row.size());
   for (std::size_t d = 0; d < row.size(); ++d) {
-    out[d] = stddevs_[d] > 1e-12 ? (row[d] - means_[d]) / stddevs_[d] : 0.0;
+    row[d] = stddevs_[d] > 1e-12 ? (row[d] - means_[d]) / stddevs_[d] : 0.0;
   }
-  return out;
+  return row;
 }
 
 std::vector<std::vector<double>> FeatureScaler::TransformAll(

@@ -21,8 +21,9 @@ class FeatureScaler {
   bool fitted() const { return !means_.empty(); }
   std::size_t dims() const { return means_.size(); }
 
-  /// (x - mean) / stddev per feature. Precondition: fitted(), matching dims.
-  std::vector<double> Transform(const std::vector<double>& row) const;
+  /// (x - mean) / stddev per feature, scaled in place in `row` and
+  /// returned. Precondition: fitted(), matching dims.
+  std::vector<double> Transform(std::vector<double> row) const;
 
   /// Transforms every row.
   std::vector<std::vector<double>> TransformAll(

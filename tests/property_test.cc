@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <set>
 
@@ -17,6 +18,7 @@
 #include "core/tile_cache.h"
 #include "markov/ngram_model.h"
 #include "storage/tile_codec.h"
+#include "storage/tile_codec_kernels.h"
 #include "tiles/tile_key.h"
 #include "vision/histogram.h"
 #include "vision/raster.h"
@@ -1329,6 +1331,257 @@ TEST(CodecReferenceTest, VarintCorruptionAtTheFastPathEdges) {
   EXPECT_NE(DecodeError(CraftedVarintBlob(1, 11, std::string(10, '\x80') + "\x01"))
                 .find("varint overlong"),
             std::string::npos);
+
+  // Sixteen two-byte varints fill 32 bytes, a window of the sixteen-value
+  // reader that ends exactly at the attribute's end; then the same bytes
+  // under a length prefix one byte short and one byte long.
+  std::string twos;
+  std::vector<double> sums;
+  for (int k = 1; k <= 16; ++k) {
+    twos += "\xc8\x01";
+    sums.push_back(100.0 * k);
+  }
+  auto window = storage::TileCodec::Decode(CraftedVarintBlob(16, 32, twos));
+  ASSERT_TRUE(window.ok()) << window.status();
+  EXPECT_EQ(window->AttrData(0), sums);
+  EXPECT_NE(DecodeError(CraftedVarintBlob(16, 31, twos)).find("varint truncated"),
+            std::string::npos);
+  EXPECT_NE(DecodeError(CraftedVarintBlob(16, 33, twos + std::string(1, '\0')))
+                .find("varint attribute length mismatch"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Codec kernel sets: the AVX-512VL forms against the scalar loops, bit for
+// bit and message for message, through the kernel seam. On a CPU without
+// the features the comparisons skip and name what is missing.
+
+namespace {
+
+namespace kernels = storage::codec_kernels;
+
+constexpr double kKernelSteps[] = {1e-4, 1.0, 0.5, 3e-3};
+
+// Column lengths that run every tail length of the four- and
+// sixteen-value steps.
+std::vector<std::size_t> KernelLengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  for (std::size_t n : {1023, 1024, 1025}) lengths.push_back(n);
+  return lengths;
+}
+
+std::vector<std::uint64_t> ColumnBits(const std::vector<double>& column) {
+  std::vector<std::uint64_t> bits;
+  for (double v : column) bits.push_back(RefBits(v));
+  return bits;
+}
+
+// A quantized delta whose zigzag code takes `bytes` (1-3) varint bytes.
+std::int64_t DeltaOfVarintBytes(int bytes, Rng& rng) {
+  // Codes of `bytes` bytes are [2^(7(bytes-1)), 2^(7 bytes) - 1]: deltas
+  // m >= 0 code as 2m, deltas -m as 2m - 1.
+  const int lo = bytes == 1 ? 0 : 1 << (7 * (bytes - 1) - 1);
+  const int m = rng.UniformInt(lo, (1 << (7 * bytes - 1)) - 1);
+  return rng.UniformInt(0, 1) == 0 ? m : -(m + 1);
+}
+
+// Columns of every kernel length at `step`: Gaussian cells at scales from a
+// quarter step to 2^20 steps, the adversarial cells rotated through every
+// lane, and cells a fraction off quanta whose deltas take 1-, 2- and 3-byte
+// varints in random order.
+std::vector<std::vector<double>> KernelColumns(double step, Rng& rng) {
+  const std::vector<double> edge = AdversarialCells(step);
+  std::vector<std::vector<double>> columns;
+  for (std::size_t n : KernelLengths()) {
+    const double scale = std::ldexp(step, rng.UniformInt(-2, 20));
+    std::vector<double>& gaussian = columns.emplace_back(n);
+    for (double& v : gaussian) v = rng.Gaussian(0, scale);
+    for (std::size_t shift = 0; shift < 4; ++shift) {
+      std::vector<double>& rotated = columns.emplace_back(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        rotated[i] = edge[(i + shift) % edge.size()];
+      }
+    }
+    std::vector<double>& sized = columns.emplace_back(n);
+    std::int64_t q = 0;
+    for (double& v : sized) {
+      q += DeltaOfVarintBytes(rng.UniformInt(1, 3), rng);
+      v = (static_cast<double>(q) + rng.UniformDouble(-0.45, 0.45)) * step;
+    }
+  }
+  return columns;
+}
+
+// The bytes of `deltas` as varints, without the length prefix.
+std::string VarintBytes(const std::vector<std::uint64_t>& deltas) {
+  return RefVarintAttr(deltas).substr(sizeof(std::uint64_t));
+}
+
+// Deltas of `n` values whose codes take size(i) bytes.
+template <typename SizeFn>
+std::vector<std::uint64_t> DeltasOfSizes(std::size_t n, Rng& rng, SizeFn size) {
+  std::vector<std::uint64_t> deltas;
+  for (std::size_t i = 0; i < n; ++i) {
+    deltas.push_back(static_cast<std::uint64_t>(DeltaOfVarintBytes(size(i), rng)));
+  }
+  return deltas;
+}
+
+// Runs both readers over an exactly sized copy of `bytes`, so a read past
+// its end is an out-of-bounds read under AddressSanitizer, and checks that
+// they agree: the same status and, on success, the same cell bits. Returns
+// the status.
+Status UnpackWithBoth(const kernels::KernelSet& vector, const std::string& bytes,
+                      std::size_t n, double step) {
+  const std::vector<unsigned char> buffer(bytes.begin(), bytes.end());
+  const unsigned char* begin = buffer.data();
+  const unsigned char* end = begin + buffer.size();
+  std::vector<double> want(n);
+  std::vector<double> got(n);
+  const Status want_status =
+      kernels::ScalarKernels().unpack_deltas(begin, end, n, step, want.data());
+  const Status got_status = vector.unpack_deltas(begin, end, n, step, got.data());
+  EXPECT_EQ(got_status, want_status);
+  if (want_status.ok() && got_status.ok()) {
+    EXPECT_EQ(ColumnBits(got), ColumnBits(want));
+  }
+  return want_status;
+}
+
+}  // namespace
+
+// Prints the kernel set this CPU runs, so a test log shows whether the run
+// covered the AVX-512VL forms or the scalar loops alone.
+TEST(CodecKernelTest, ReportsTheKernelSetThisCpuRuns) {
+  const kernels::KernelSet* vector = kernels::Avx512Kernels();
+  const std::string missing = kernels::MissingAvx512Features();
+  EXPECT_EQ(vector == nullptr, !missing.empty());
+  EXPECT_STREQ(kernels::ScalarKernels().name, "scalar");
+  std::cout << "codec kernels: " << (vector != nullptr ? vector->name : "scalar");
+  if (!missing.empty()) std::cout << " (missing " << missing << ")";
+  std::cout << std::endl;
+}
+
+TEST(CodecKernelTest, PlanMatchesTheScalarLoop) {
+  const kernels::KernelSet* vector = kernels::Avx512Kernels();
+  if (vector == nullptr) {
+    GTEST_SKIP() << "missing CPU features: " << kernels::MissingAvx512Features();
+  }
+  Rng rng(163);
+  for (double step : kKernelSteps) {
+    for (const std::vector<double>& cells : KernelColumns(step, rng)) {
+      SCOPED_TRACE(::testing::Message() << "step " << step << " cells "
+                                        << cells.size());
+      std::vector<double> want;
+      std::vector<double> got;
+      const auto want_bytes = kernels::ScalarKernels().plan_raw_progressive(
+          cells, 0.0, step, nullptr, &want);
+      const auto got_bytes =
+          vector->plan_raw_progressive(cells, 0.0, step, nullptr, &got);
+      EXPECT_EQ(got_bytes.full, want_bytes.full);
+      EXPECT_EQ(got_bytes.base, want_bytes.base);
+      EXPECT_EQ(got_bytes.refinement, want_bytes.refinement);
+      EXPECT_EQ(ColumnBits(got), ColumnBits(want));
+    }
+  }
+}
+
+TEST(CodecKernelTest, QuantizeMatchesTheScalarPass) {
+  const kernels::KernelSet* vector = kernels::Avx512Kernels();
+  if (vector == nullptr) {
+    GTEST_SKIP() << "missing CPU features: " << kernels::MissingAvx512Features();
+  }
+  Rng rng(167);
+  for (double step : kKernelSteps) {
+    for (const std::vector<double>& cells : KernelColumns(step, rng)) {
+      SCOPED_TRACE(::testing::Message() << "step " << step << " cells "
+                                        << cells.size());
+      std::vector<std::uint64_t> want(cells.size());
+      std::vector<std::uint64_t> got(cells.size());
+      kernels::ScalarKernels().quantize_deltas(cells.data(), cells.size(), step,
+                                               want.data());
+      vector->quantize_deltas(cells.data(), cells.size(), step, got.data());
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(got, RefDeltas(cells, step));
+    }
+  }
+}
+
+// Every kernel length with 1-, 2- and 3-byte codes mixed at random, and
+// sixteen-value windows of 1- and 2-byte codes with one 3-byte code at each
+// window position; each also with its last byte cut, with a byte appended
+// and with its last byte continued.
+TEST(CodecKernelTest, UnpackMatchesTheScalarReader) {
+  const kernels::KernelSet* vector = kernels::Avx512Kernels();
+  if (vector == nullptr) {
+    GTEST_SKIP() << "missing CPU features: " << kernels::MissingAvx512Features();
+  }
+  Rng rng(173);
+  std::vector<std::vector<std::uint64_t>> inputs;
+  for (std::size_t n : KernelLengths()) {
+    inputs.push_back(DeltasOfSizes(n, rng, [&](std::size_t) {
+      return rng.UniformInt(0, 9) == 0 ? 3 : rng.UniformInt(1, 2);
+    }));
+    inputs.push_back(DeltasOfSizes(n, rng, [&](std::size_t) {
+      return rng.UniformInt(1, 2);
+    }));
+  }
+  for (std::size_t position = 0; position < 16; ++position) {
+    for (std::size_t lead = 0; lead < 3; ++lead) {
+      inputs.push_back(DeltasOfSizes(lead + 40, rng, [&](std::size_t i) {
+        return i == lead + position ? 3 : rng.UniformInt(1, 2);
+      }));
+    }
+  }
+  for (double step : kKernelSteps) {
+    for (const auto& deltas : inputs) {
+      SCOPED_TRACE(::testing::Message() << "step " << step << " values "
+                                        << deltas.size());
+      const std::string bytes = VarintBytes(deltas);
+      EXPECT_TRUE(UnpackWithBoth(*vector, bytes, deltas.size(), step).ok());
+      if (bytes.empty()) continue;
+      UnpackWithBoth(*vector, bytes.substr(0, bytes.size() - 1), deltas.size(), step);
+      UnpackWithBoth(*vector, bytes + std::string(1, '\0'), deltas.size(), step);
+      std::string continued = bytes;
+      continued.back() = static_cast<char>(continued.back() | 0x80);
+      UnpackWithBoth(*vector, continued, deltas.size(), step);
+    }
+  }
+}
+
+// The sixteen-value reader's edges, each with the scalar reader's result
+// and message.
+TEST(CodecKernelTest, UnpackEdgesGiveTheScalarReadersErrors) {
+  const kernels::KernelSet* vector = kernels::Avx512Kernels();
+  if (vector == nullptr) {
+    GTEST_SKIP() << "missing CPU features: " << kernels::MissingAvx512Features();
+  }
+  Rng rng(179);
+  // A window of sixteen two-byte codes ending exactly at the attribute's
+  // end, alone and after a one-byte code.
+  const auto twos = DeltasOfSizes(16, rng, [](std::size_t) { return 2; });
+  EXPECT_TRUE(UnpackWithBoth(*vector, VarintBytes(twos), 16, 1.0).ok());
+  std::vector<std::uint64_t> led = {5};
+  led.insert(led.end(), twos.begin(), twos.end());
+  EXPECT_TRUE(UnpackWithBoth(*vector, VarintBytes(led), 17, 1.0).ok());
+  // A 3-byte code at each window position, among one-byte codes.
+  for (std::size_t position = 0; position < 16; ++position) {
+    const auto deltas = DeltasOfSizes(40, rng, [&](std::size_t i) {
+      return i == position ? 3 : 1;
+    });
+    EXPECT_TRUE(UnpackWithBoth(*vector, VarintBytes(deltas), 40, 0.5).ok());
+  }
+  // The last varint truncated: its last byte is continued.
+  std::string cut = VarintBytes(twos);
+  cut.back() = static_cast<char>(cut.back() | 0x80);
+  EXPECT_EQ(UnpackWithBoth(*vector, cut, 16, 1.0).message(), "varint truncated");
+  // A length one byte short, and one byte long.
+  const std::string full = VarintBytes(twos);
+  EXPECT_EQ(UnpackWithBoth(*vector, full.substr(0, 31), 16, 1.0).message(),
+            "varint truncated");
+  EXPECT_EQ(UnpackWithBoth(*vector, full + std::string(1, '\x01'), 16, 1.0).message(),
+            "varint attribute length mismatch");
 }
 
 // ---------------------------------------------------------------------------
