@@ -581,10 +581,11 @@ Status UnpackDeltasScalar(const unsigned char* begin, const unsigned char* end,
 
 #ifdef FC_CODEC_AVX512_TARGET
 
-// The AVX-512VL kernel set, four 64-bit lanes per ymm register. 512-bit
-// forms were no faster on the serving benchmark and read a higher median
-// latency on its threaded workload. Each lane does the scalar loop's
-// arithmetic in the scalar loop's order, so every result is bit-identical.
+// The AVX-512VL kernel set, four 64-bit lanes per ymm register. A 512-bit
+// prototype measured no faster on the serving benchmark's push workload
+// and read a higher median latency on its threaded one. Each lane does the
+// scalar loop's arithmetic in the scalar loop's order, so every result is
+// bit-identical.
 
 // Quantize on four cells: the same division, clamp, NaN rule, truncation
 // and half-away-from-zero step.
