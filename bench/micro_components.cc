@@ -56,18 +56,40 @@ void BM_MarkovDistribution(benchmark::State& state) {
 }
 BENCHMARK(BM_MarkovDistribution);
 
-void BM_PhaseClassifierPredict(benchmark::State& state) {
-  core::PhaseClassifierOptions options;
-  options.max_training_rows = 400;
-  auto classifier = core::PhaseClassifier::Train(Study().traces, options);
+core::TileRequest PhaseRequest() {
   core::TileRequest request;
   request.tile = tiles::TileKey{3, 2, 1};
   request.move = core::Move::kZoomInNW;
+  return request;
+}
+
+core::PhaseClassifier TrainPhaseClassifier() {
+  core::PhaseClassifierOptions options;
+  options.max_training_rows = 400;
+  return std::move(core::PhaseClassifier::Train(Study().traces, options)).value();
+}
+
+// A repeated request: after the first call, a lookup in the phase memo.
+void BM_PhaseClassifierPredict(benchmark::State& state) {
+  auto classifier = TrainPhaseClassifier();
+  auto request = PhaseRequest();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(classifier->Predict(request));
+    benchmark::DoNotOptimize(classifier.Predict(request));
   }
 }
 BENCHMARK(BM_PhaseClassifierPredict);
+
+// The SVM itself, which the phase memo runs on a miss: one kernel per
+// distinct support vector and each pairwise machine's vote.
+void BM_SvmPredict(benchmark::State& state) {
+  auto classifier = TrainPhaseClassifier();
+  auto features =
+      classifier.scaler().Transform(core::ExtractPhaseFeatures(PhaseRequest()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(classifier.svm().Predict(features));
+  }
+}
+BENCHMARK(BM_SvmPredict);
 
 void BM_LruCachePutGet(benchmark::State& state) {
   const auto& pyramid = *Study().dataset.pyramid;

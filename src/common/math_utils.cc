@@ -113,13 +113,16 @@ double L2Distance(const std::vector<double>& a, const std::vector<double>& b) {
 
 double ChiSquaredDistance(const std::vector<double>& a, const std::vector<double>& b) {
   assert(a.size() == b.size());
+  // Each bin's term is taken with a select, so sparse histograms' empty
+  // bins cost no mispredicted branch; a skipped bin adds +0.0, which leaves
+  // the sum's bits alone (the sum starts at +0.0 and every kept term is
+  // +0.0 or more, or NaN). The sum still runs in bin order.
   double sum = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     double denom = a[i] + b[i];
-    if (denom > 0.0) {
-      double d = a[i] - b[i];
-      sum += d * d / denom;
-    }
+    double d = a[i] - b[i];
+    double term = d * d / denom;
+    sum += denom > 0.0 ? term : 0.0;
   }
   return 0.5 * sum;
 }

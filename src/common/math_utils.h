@@ -46,8 +46,9 @@ double L1Distance(const std::vector<double>& a, const std::vector<double>& b);
 /// L2 distance between equal-length vectors.
 double L2Distance(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Chi-squared histogram distance: 0.5 * sum (a-b)^2 / (a+b), terms with
-/// a+b == 0 skipped. Standard metric for comparing (unnormalized) histograms.
+/// Chi-squared histogram distance: 0.5 * sum (a-b)^2 / (a+b), terms whose
+/// a+b is not positive skipped, summed in bin order. Standard metric for
+/// comparing (unnormalized) histograms.
 double ChiSquaredDistance(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Clamps x into [lo, hi].

@@ -32,8 +32,17 @@ Result<RankedTiles> AbRecommender::Recommend(const PredictionContext& ctx) const
   if (ctx.history == nullptr || ctx.spec == nullptr) {
     return Status::InvalidArgument("ab: prediction context missing history/spec");
   }
-  auto recent = ctx.history->MoveSymbols();
-  auto dist = chain_->NextMoveDistribution(recent);
+  // The chain conditions on the last history_length() moves only: read
+  // those, oldest first, from the end of the history.
+  int recent[markov::NGramModel::kMaxOrder];
+  const std::size_t want = chain_->history_length();  // < kMaxOrder
+  std::size_t have = 0;
+  const auto& entries = ctx.history->entries();
+  for (auto it = entries.rbegin(); it != entries.rend() && have < want; ++it) {
+    if (it->move.has_value()) recent[want - 1 - have++] = static_cast<int>(*it->move);
+  }
+  const double* dist =
+      chain_->NextMoveRow(std::span<const int>(recent + (want - have), have));
 
   // Score each candidate by the probability of the move reaching it. At
   // d > 1 the first hop dominates; unreachable-in-one candidates get the
@@ -44,8 +53,8 @@ Result<RankedTiles> AbRecommender::Recommend(const PredictionContext& ctx) const
     double score;
     int tiebreak;
   };
-  std::vector<Scored> scored;
-  scored.reserve(ctx.candidates.size());
+  thread_local std::vector<Scored> scored;
+  scored.clear();
   for (std::size_t i = 0; i < ctx.candidates.size(); ++i) {
     const auto& cand = ctx.candidates[i];
     double score = 0.0;
@@ -55,10 +64,11 @@ Result<RankedTiles> AbRecommender::Recommend(const PredictionContext& ctx) const
     }
     scored.push_back({cand, score, static_cast<int>(i)});
   }
-  std::stable_sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.tiebreak < b.tiebreak;
-  });
+  StableInsertionSort(scored.begin(), scored.end(),
+                      [](const Scored& a, const Scored& b) {
+                        if (a.score != b.score) return a.score > b.score;
+                        return a.tiebreak < b.tiebreak;
+                      });
   RankedTiles out;
   out.reserve(scored.size());
   for (const auto& s : scored) out.push_back(s.key);

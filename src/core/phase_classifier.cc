@@ -82,12 +82,64 @@ Result<PhaseClassifier> PhaseClassifier::Train(const std::vector<Trace>& traces,
   auto scaled = clf.scaler_.TransformAll(rows);
   FC_ASSIGN_OR_RETURN(clf.svm_,
                       svm::MulticlassSvm::Train(scaled, labels, clf.options_.svm));
+  clf.memo_ = std::make_unique<std::atomic<std::uint64_t>[]>(kMemoSlots);
   return clf;
 }
 
-AnalysisPhase PhaseClassifier::Predict(const TileRequest& request) const {
-  int label = svm_.Predict(
+namespace {
+
+// A memo word, low bits first: the label (2 bits), the move class (2: none,
+// pan, zoom-in, zoom-out), the level (6), x (26), y (26), then a set bit 63,
+// so that no key's word is the empty slot's 0. A key is its word without
+// the label bits.
+constexpr std::uint64_t kLabelMask = 0x3;
+constexpr int kCoordBits = 26;
+constexpr int kLevelBits = 6;
+
+// The key of `request`, or 0 when its level or coordinates do not fit.
+std::uint64_t MemoKey(const TileRequest& request) {
+  const tiles::TileKey& tile = request.tile;
+  if (tile.level < 0 || tile.level >= (1 << kLevelBits) || tile.x < 0 ||
+      tile.x >= (std::int64_t{1} << kCoordBits) || tile.y < 0 ||
+      tile.y >= (std::int64_t{1} << kCoordBits)) {
+    return 0;
+  }
+  std::uint64_t move_class = 0;
+  if (request.move.has_value()) {
+    // ExtractPhaseFeatures' flags: exactly one is set for any move.
+    move_class = IsPan(*request.move) ? 1 : IsZoomIn(*request.move) ? 2 : 3;
+  }
+  return (std::uint64_t{1} << 63) |
+         (static_cast<std::uint64_t>(tile.y) << (10 + kCoordBits)) |
+         (static_cast<std::uint64_t>(tile.x) << 10) |
+         (static_cast<std::uint64_t>(tile.level) << 4) | (move_class << 2);
+}
+
+std::size_t MemoSlot(std::uint64_t key) {
+  // Fibonacci hashing: the top 12 bits of the key times 2^64/phi.
+  static_assert(PhaseClassifier::kMemoSlots == 4096);
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 52);
+}
+
+}  // namespace
+
+int PhaseClassifier::PredictLabel(const TileRequest& request) const {
+  return svm_.Predict(
       scaler_.Transform(ProjectFeatures(ExtractPhaseFeatures(request))));
+}
+
+AnalysisPhase PhaseClassifier::Predict(const TileRequest& request) const {
+  const std::uint64_t key = memo_ != nullptr ? MemoKey(request) : 0;
+  if (key == 0) return static_cast<AnalysisPhase>(PredictLabel(request));
+  std::atomic<std::uint64_t>& slot = memo_[MemoSlot(key)];
+  const std::uint64_t word = slot.load();
+  if ((word & ~kLabelMask) == key) {
+    return static_cast<AnalysisPhase>(word & kLabelMask);
+  }
+  const int label = PredictLabel(request);
+  if (label >= 0 && static_cast<std::uint64_t>(label) <= kLabelMask) {
+    slot.store(key | static_cast<std::uint64_t>(label));
+  }
   return static_cast<AnalysisPhase>(label);
 }
 

@@ -5,6 +5,9 @@
 #ifndef FORECACHE_CORE_PHASE_CLASSIFIER_H_
 #define FORECACHE_CORE_PHASE_CLASSIFIER_H_
 
+#include <atomic>
+#include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -55,21 +58,43 @@ class PhaseClassifier {
                                        PhaseClassifierOptions options = {});
 
   /// Predicts the phase for one request.
+  ///
+  /// The six features are functions of (level, x, y, move class), the move
+  /// class being none, pan, zoom-in or zoom-out, so a trained classifier
+  /// answers from an exact memo keyed by those four values: a fixed table
+  /// of kMemoSlots 64-bit words, each packing a whole key and its label,
+  /// direct-mapped by a hash of the key. Only a miss, a slot holding
+  /// another key, or a key outside the packed range (level in [0, 64), x
+  /// and y in [0, 2^26)) runs the scaler and the SVM, and a miss then
+  /// overwrites the slot. Threads sharing the classifier fill the memo
+  /// concurrently through its atomic words: a lookup checks the whole
+  /// key, so a word from another thread is either this key's label or
+  /// ignored.
   AnalysisPhase Predict(const TileRequest& request) const;
 
   /// Fraction of records in `traces` whose label matches the prediction.
   double EvaluateAccuracy(const std::vector<Trace>& traces) const;
 
+  const svm::FeatureScaler& scaler() const { return scaler_; }
   const svm::MulticlassSvm& svm() const { return svm_; }
+
+  static constexpr std::size_t kMemoSlots = 4096;  // 32 KiB
 
  private:
   /// The configured feature subset of `full`; `full` itself, moved, when
   /// no subset is set.
   std::vector<double> ProjectFeatures(std::vector<double> full) const;
 
+  /// The scaler and the SVM on the request's features (the memo's miss
+  /// path).
+  int PredictLabel(const TileRequest& request) const;
+
   PhaseClassifierOptions options_;
   svm::FeatureScaler scaler_;
   svm::MulticlassSvm svm_;
+  // The memo; null until Train. Behind a pointer so the classifier stays
+  // movable (atomics are not).
+  std::unique_ptr<std::atomic<std::uint64_t>[]> memo_;
 };
 
 }  // namespace fc::core

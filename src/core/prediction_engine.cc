@@ -66,20 +66,20 @@ Result<EnginePrediction> PredictionEngine::OnRequest(const TileRequest& request)
   prediction.phase =
       classifier_ != nullptr ? classifier_->Predict(request) : fallback_phase;
 
-  PredictionContext ctx;
+  PredictionContext& ctx = ctx_;
   ctx.request = request;
   ctx.history = &history_;
   ctx.spec = spec_;
   // Reference tiles for the SB model: the last committed ROI plus whatever
   // the user has visited since the current zoom-in (paper Figure 6b — the
   // "tiles in the user's history" of the region being explored right now).
-  ctx.roi = roi_tracker_.roi();
+  ctx.roi.assign(roi_tracker_.roi().begin(), roi_tracker_.roi().end());
   for (const auto& key : roi_tracker_.temp_roi()) {
     if (std::find(ctx.roi.begin(), ctx.roi.end(), key) == ctx.roi.end()) {
       ctx.roi.push_back(key);
     }
   }
-  ctx.candidates = CandidateTiles(request.tile, *spec_, options_.candidate_distance);
+  CandidateTiles(request.tile, *spec_, options_.candidate_distance, &ctx.candidates);
 
   prediction.allocation = strategy_->Allocate(prediction.phase, options_.prefetch_k);
 

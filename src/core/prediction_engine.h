@@ -75,6 +75,10 @@ class PredictionEngine {
 
   SessionHistory history_;
   RoiTracker roi_tracker_;
+  // The context OnRequest hands the recommenders, refilled in place on
+  // every request so its candidate and reference vectors keep their
+  // capacity.
+  PredictionContext ctx_;
 };
 
 /// Merges two ranked lists under an allocation: the priority model fills its

@@ -8,6 +8,7 @@
 #define FORECACHE_CORE_RECOMMENDER_H_
 
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -49,6 +50,23 @@ class Recommender {
 /// order (move-enum order at d=1, BFS order for d>1).
 std::vector<tiles::TileKey> CandidateTiles(const tiles::TileKey& from,
                                            const tiles::PyramidSpec& spec, int d = 1);
+
+/// CandidateTiles into `out`, replacing its contents (reuses its capacity).
+void CandidateTiles(const tiles::TileKey& from, const tiles::PyramidSpec& spec,
+                    int d, std::vector<tiles::TileKey>* out);
+
+/// Sorts [first, last) by the strict weak order `less`, keeping equal
+/// elements in order: std::stable_sort's result without its temporary
+/// buffer. Quadratic; meant for the short candidate lists recommenders rank.
+template <typename It, typename Less>
+void StableInsertionSort(It first, It last, Less less) {
+  for (It i = first; i != last; ++i) {
+    auto value = std::move(*i);
+    It j = i;
+    for (; j != first && less(value, *(j - 1)); --j) *j = std::move(*(j - 1));
+    *j = std::move(value);
+  }
+}
 
 }  // namespace fc::core
 

@@ -6,32 +6,59 @@
 
 namespace fc::core {
 
+namespace {
+
+struct Scored {
+  tiles::TileKey key;
+  double distance;
+  bool recently_requested;
+  int tiebreak;
+};
+
+// Recommend's per-thread buffers, reused by every later call on the thread
+// (grown, never shrunk). Recommend never nests, so one set per thread.
+struct Scratch {
+  std::vector<tiles::TileKey> references;
+  std::vector<const std::vector<double>*> signatures;
+  std::vector<std::optional<double>> penalized;
+  std::vector<double> kind_max;
+  std::vector<Scored> scored;
+};
+
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 SbRecommender::SbRecommender(const tiles::TileMetadataStore* metadata,
                              const vision::SignatureToolbox* toolbox,
                              SbRecommenderOptions options)
-    : metadata_(metadata), toolbox_(toolbox), options_(std::move(options)) {
+    : metadata_(metadata), options_(std::move(options)) {
   if (options_.signature_weights.empty()) {
     options_.signature_weights[vision::SignatureKind::kSift] = 1.0;
   }
   for (const auto& [kind, weight] : options_.signature_weights) {
     kinds_.push_back(kind);
     weights_.push_back(weight);
+    auto extractor = toolbox->Get(kind);
+    extractors_.push_back(extractor.ok() ? *extractor : nullptr);
   }
 }
 
-SbRecommender::Signatures SbRecommender::SignaturesOf(
-    const tiles::TileKey& key) const {
-  Signatures signatures(kinds_.size(), nullptr);
-  auto metadata = metadata_->Get(key);
-  if (!metadata.ok()) return signatures;
+void SbRecommender::SignaturesOf(const tiles::TileKey& key,
+                                 SignatureRef* out) const {
+  const tiles::TileMetadata* metadata = metadata_->Find(key);
   for (std::size_t i = 0; i < kinds_.size(); ++i) {
-    auto it = (*metadata)->signatures.find(kinds_[i]);
-    if (it != (*metadata)->signatures.end()) signatures[i] = &it->second;
+    out[i] = nullptr;
+    if (metadata == nullptr) continue;
+    auto it = metadata->signatures.find(kinds_[i]);
+    if (it != metadata->signatures.end()) out[i] = &it->second;
   }
-  return signatures;
 }
 
-void SbRecommender::PenalizedDistances(const Signatures& a, const Signatures& b,
+void SbRecommender::PenalizedDistances(const SignatureRef* a, const SignatureRef* b,
                                        std::int64_t manhattan,
                                        std::optional<double>* out) const {
   // Algorithm 3 line 8: d_i,A,B <- 2^(dmanh(A,B)-1) * dist_Si(...). For an
@@ -40,10 +67,9 @@ void SbRecommender::PenalizedDistances(const Signatures& a, const Signatures& b,
   double penalty = std::ldexp(
       1.0, static_cast<int>(std::clamp<std::int64_t>(manhattan - 1, -2000, 2000)));
   for (std::size_t i = 0; i < kinds_.size(); ++i) {
-    auto extractor = toolbox_->Get(kinds_[i]);
     out[i] = std::nullopt;
-    if (extractor.ok() && a[i] != nullptr && b[i] != nullptr) {
-      out[i] = penalty * (*extractor)->Distance(*a[i], *b[i]);
+    if (extractors_[i] != nullptr && a[i] != nullptr && b[i] != nullptr) {
+      out[i] = penalty * extractors_[i]->Distance(*a[i], *b[i]);
     }
   }
 }
@@ -67,8 +93,11 @@ Result<double> SbRecommender::PairDistance(
     const tiles::TileKey& candidate, const tiles::TileKey& reference,
     const std::map<vision::SignatureKind, double>& per_signature_max) const {
   std::int64_t manhattan = tiles::TileKey::ManhattanDistance(candidate, reference);
+  std::vector<SignatureRef> signatures(2 * kinds_.size());
+  SignaturesOf(candidate, signatures.data());
+  SignaturesOf(reference, signatures.data() + kinds_.size());
   std::vector<std::optional<double>> penalized(kinds_.size());
-  PenalizedDistances(SignaturesOf(candidate), SignaturesOf(reference), manhattan,
+  PenalizedDistances(signatures.data(), signatures.data() + kinds_.size(), manhattan,
                      penalized.data());
   std::vector<double> kind_max(kinds_.size(), 1.0);
   for (std::size_t i = 0; i < kinds_.size(); ++i) {
@@ -87,10 +116,12 @@ Result<RankedTiles> SbRecommender::Recommend(const PredictionContext& ctx) const
   if (ctx.history == nullptr || ctx.spec == nullptr) {
     return Status::InvalidArgument("sb: prediction context missing history/spec");
   }
+  Scratch& scratch = ThreadScratch();
 
   // Reference set: the last ROI, else recent history tiles, else the
   // current tile (a degenerate but well-defined reference).
-  std::vector<tiles::TileKey> references = ctx.roi;
+  std::vector<tiles::TileKey>& references = scratch.references;
+  references.assign(ctx.roi.begin(), ctx.roi.end());
   if (references.empty()) {
     for (const auto& r : ctx.history->entries()) {
       if (std::find(references.begin(), references.end(), r.tile) ==
@@ -118,22 +149,26 @@ Result<RankedTiles> SbRecommender::Recommend(const PredictionContext& ctx) const
   // Lines 1-9: compute penalized distances and per-signature maxima. Each
   // pair's distances are kept for lines 10-15.
   const std::size_t num_kinds = kinds_.size();
-  std::vector<Signatures> reference_signatures;
-  reference_signatures.reserve(references.size());
-  for (const auto& ref : references) reference_signatures.push_back(SignaturesOf(ref));
-  std::vector<std::optional<double>> penalized(ctx.candidates.size() *
-                                               references.size() * num_kinds);
+  const std::size_t num_refs = references.size();
+  scratch.signatures.resize((num_refs + 1) * num_kinds);
+  SignatureRef* reference_signatures = scratch.signatures.data();
+  SignatureRef* candidate_signatures = reference_signatures + num_refs * num_kinds;
+  for (std::size_t r = 0; r < num_refs; ++r) {
+    SignaturesOf(references[r], reference_signatures + r * num_kinds);
+  }
+  scratch.penalized.assign(ctx.candidates.size() * num_refs * num_kinds, std::nullopt);
   auto pair_distances = [&](std::size_t c, std::size_t r) {
-    return penalized.data() + (c * references.size() + r) * num_kinds;
+    return scratch.penalized.data() + (c * num_refs + r) * num_kinds;
   };
-  std::vector<double> kind_max(num_kinds, 1.0);  // d_i,MAX <- 1 (line 2)
+  scratch.kind_max.assign(num_kinds, 1.0);  // d_i,MAX <- 1 (line 2)
+  double* kind_max = scratch.kind_max.data();
   for (std::size_t c = 0; c < ctx.candidates.size(); ++c) {
     const auto& cand = ctx.candidates[c];
-    const Signatures signatures = SignaturesOf(cand);
-    for (std::size_t r = 0; r < references.size(); ++r) {
+    SignaturesOf(cand, candidate_signatures);
+    for (std::size_t r = 0; r < num_refs; ++r) {
       if (skip_self(cand, references[r])) continue;
       std::optional<double>* d = pair_distances(c, r);
-      PenalizedDistances(signatures, reference_signatures[r],
+      PenalizedDistances(candidate_signatures, reference_signatures + r * num_kinds,
                          tiles::TileKey::ManhattanDistance(cand, references[r]), d);
       for (std::size_t k = 0; k < num_kinds; ++k) {
         // Candidates lacking metadata simply do not raise the max.
@@ -150,27 +185,21 @@ Result<RankedTiles> SbRecommender::Recommend(const PredictionContext& ctx) const
   // tiles, so SB's job is to surface NEW tiles that look like the user's
   // recent interest ("find more mountains", section 4.3.3) — re-predicting
   // a resident tile wastes a prefetch slot.
-  struct Scored {
-    tiles::TileKey key;
-    double distance;
-    bool recently_requested;
-    int tiebreak;
-  };
   auto in_history = [&ctx](const tiles::TileKey& key) {
     for (const auto& r : ctx.history->entries()) {
       if (r.tile == key) return true;
     }
     return false;
   };
-  std::vector<Scored> scored;
-  scored.reserve(ctx.candidates.size());
+  std::vector<Scored>& scored = scratch.scored;
+  scored.clear();
   for (std::size_t i = 0; i < ctx.candidates.size(); ++i) {
     const auto& cand = ctx.candidates[i];
     double total = 0.0;
     bool any = false;
-    for (std::size_t r = 0; r < references.size(); ++r) {
+    for (std::size_t r = 0; r < num_refs; ++r) {
       if (skip_self(cand, references[r])) continue;
-      auto d = CombinedDistance(pair_distances(i, r), kind_max.data(),
+      auto d = CombinedDistance(pair_distances(i, r), kind_max,
                                 tiles::TileKey::ManhattanDistance(cand, references[r]));
       if (d.has_value()) {
         total += *d;
@@ -181,7 +210,7 @@ Result<RankedTiles> SbRecommender::Recommend(const PredictionContext& ctx) const
     double dist = any ? total : std::numeric_limits<double>::infinity();
     scored.push_back({cand, dist, in_history(cand), static_cast<int>(i)});
   }
-  std::stable_sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
+  StableInsertionSort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
     if (a.recently_requested != b.recently_requested) {
       return !a.recently_requested;  // fresh tiles first
     }

@@ -25,7 +25,10 @@ struct SbRecommenderOptions {
 class SbRecommender : public Recommender {
  public:
   /// `metadata` and `toolbox` must outlive the recommender. The toolbox
-  /// provides each signature's distance function.
+  /// provides each signature's distance function and must hold every
+  /// extractor it will ever hold: each configured kind's extractor is
+  /// resolved here, once. The metadata store is read on every call and must
+  /// not change while the recommender serves.
   SbRecommender(const tiles::TileMetadataStore* metadata,
                 const vision::SignatureToolbox* toolbox,
                 SbRecommenderOptions options = {});
@@ -34,7 +37,10 @@ class SbRecommender : public Recommender {
 
   /// Algorithm 3 over ctx.candidates and ctx.roi. When the ROI is empty the
   /// recommender falls back to the most recent requested tiles (the user's
-  /// history is the reference set, cf. paper Figure 6b).
+  /// history is the reference set, cf. paper Figure 6b): the last 4
+  /// distinct history tiles, deduplicated by first occurrence. Works in
+  /// per-thread buffers; the returned list is its only allocation once a
+  /// thread has ranked its largest candidate set.
   Result<RankedTiles> Recommend(const PredictionContext& ctx) const override;
 
   /// The combined distance of one candidate to one reference tile
@@ -48,15 +54,18 @@ class SbRecommender : public Recommender {
   const SbRecommenderOptions& options() const { return options_; }
 
  private:
-  // A tile's signature per kind, in kinds_ order; nullptr where missing.
-  using Signatures = std::vector<const std::vector<double>*>;
-  Signatures SignaturesOf(const tiles::TileKey& key) const;
+  // One tile's signature of one kind, nullptr where missing.
+  using SignatureRef = const std::vector<double>*;
+
+  // A tile's signature per kind, in kinds_ order: kinds_.size() entries
+  // written to `out`.
+  void SignaturesOf(const tiles::TileKey& key, SignatureRef* out) const;
 
   // Algorithm 3 line 8 for every kind: the signature distance of a pair
   // `manhattan` tiles apart, times the physical penalty 2^(manhattan-1);
   // nullopt where the extractor or either signature is missing. Writes
   // kinds_.size() entries to `out`.
-  void PenalizedDistances(const Signatures& a, const Signatures& b,
+  void PenalizedDistances(const SignatureRef* a, const SignatureRef* b,
                           std::int64_t manhattan, std::optional<double>* out) const;
 
   // Algorithm 3 lines 10-13: the weighted l2-norm of the per-kind distances
@@ -67,10 +76,11 @@ class SbRecommender : public Recommender {
                                          std::int64_t manhattan) const;
 
   const tiles::TileMetadataStore* metadata_;
-  const vision::SignatureToolbox* toolbox_;
   SbRecommenderOptions options_;
   std::vector<vision::SignatureKind> kinds_;  // resolved from options
   std::vector<double> weights_;
+  // Each kind's extractor, nullptr where the toolbox lacks it.
+  std::vector<const vision::SignatureExtractor*> extractors_;
 };
 
 }  // namespace fc::core

@@ -7,6 +7,7 @@
 #ifndef FORECACHE_MARKOV_MARKOV_CHAIN_H_
 #define FORECACHE_MARKOV_MARKOV_CHAIN_H_
 
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -39,6 +40,13 @@ class MarkovChain {
 
   /// Full next-move distribution (sums to 1).
   std::vector<double> NextMoveDistribution(const std::vector<int>& recent_moves) const;
+
+  /// The same distribution read in place from the model's context table
+  /// (vocab_size() values; see NGramModel::DistributionRow). Requires a
+  /// trained or finalized chain.
+  const double* NextMoveRow(std::span<const int> recent_moves) const {
+    return model_.DistributionRow(recent_moves);
+  }
 
   /// Number of distinct states (length-n sequences) observed in training.
   std::size_t ObservedStates() const { return model_.DistinctGrams(history_length_); }

@@ -195,22 +195,36 @@ Result<MulticlassSvm> MulticlassSvm::Train(const std::vector<std::vector<double>
   return model;
 }
 
+namespace {
+
+struct CountScratch {
+  std::vector<double> kernel;
+  std::vector<int> votes;
+  std::vector<double> margins;
+};
+
+}  // namespace
+
 MulticlassSvm::Tally MulticlassSvm::Count(const std::vector<double>& x) const {
   assert(machines_.empty() || x.size() == dims_);
-  std::vector<double> kernel(num_rows_);
+  thread_local CountScratch scratch;
+  std::vector<double>& kernel = scratch.kernel;
+  if (kernel.size() < num_rows_) kernel.resize(num_rows_);
   for (std::size_t r = 0; r < num_rows_; ++r) {
     kernel[r] = EvaluateKernel(kernel_, rows_.data() + r * dims_, x.data(), dims_);
   }
-  Tally tally{std::vector<int>(classes_.size(), 0),
-              std::vector<double>(classes_.size(), 0.0)};
+  std::vector<int>& votes = scratch.votes;
+  std::vector<double>& margins = scratch.margins;
+  votes.assign(classes_.size(), 0);
+  margins.assign(classes_.size(), 0.0);
   for (const auto& m : machines_) {
     double f = m.bias;
     for (const auto& [row, coefficient] : m.terms) f += coefficient * kernel[row];
-    ++tally.votes[f >= 0.0 ? m.positive : m.negative];
-    tally.margins[m.positive] += f;
-    tally.margins[m.negative] -= f;
+    ++votes[f >= 0.0 ? m.positive : m.negative];
+    margins[m.positive] += f;
+    margins[m.negative] -= f;
   }
-  return tally;
+  return {votes.data(), margins.data()};
 }
 
 std::map<int, int> MulticlassSvm::Votes(const std::vector<double>& x) const {

@@ -93,10 +93,11 @@ class MulticlassSvm {
   };
 
   // Votes and summed signed decision margins per class, indexed like
-  // classes_.
+  // classes_. Count works in per-thread buffers (grown, never shrunk), and
+  // the tally points into them until the thread's next Count.
   struct Tally {
-    std::vector<int> votes;
-    std::vector<double> margins;
+    const int* votes;
+    const double* margins;
   };
   Tally Count(const std::vector<double>& x) const;
 

@@ -7,11 +7,16 @@ void TileMetadataStore::Put(const TileKey& key, TileMetadata metadata) {
 }
 
 Result<const TileMetadata*> TileMetadataStore::Get(const TileKey& key) const {
-  auto it = metadata_.find(key);
-  if (it == metadata_.end()) {
+  const TileMetadata* md = Find(key);
+  if (md == nullptr) {
     return Status::NotFound("no metadata for tile " + key.ToString());
   }
-  return &it->second;
+  return md;
+}
+
+const TileMetadata* TileMetadataStore::Find(const TileKey& key) const {
+  auto it = metadata_.find(key);
+  return it == metadata_.end() ? nullptr : &it->second;
 }
 
 Result<const std::vector<double>*> TileMetadataStore::GetSignature(

@@ -34,6 +34,10 @@ class TileMetadataStore {
   /// Metadata for `key`, or NotFound.
   Result<const TileMetadata*> Get(const TileKey& key) const;
 
+  /// Metadata for `key`, or nullptr: Get without building a NotFound
+  /// message, for callers that probe tiles which may lack metadata.
+  const TileMetadata* Find(const TileKey& key) const;
+
   bool Contains(const TileKey& key) const { return metadata_.count(key) > 0; }
   std::size_t size() const { return metadata_.size(); }
 

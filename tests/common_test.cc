@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 
@@ -253,6 +257,67 @@ TEST(MathTest, ChiSquaredDistanceBasics) {
   EXPECT_DOUBLE_EQ(ChiSquaredDistance(c, d), 1.0);
   // Symmetric.
   EXPECT_DOUBLE_EQ(ChiSquaredDistance(c, d), ChiSquaredDistance(d, c));
+}
+
+// The branchy form ChiSquaredDistance had before it took each bin's term
+// with a select.
+double BranchyChiSquared(const std::vector<double>& a, const std::vector<double>& b) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    double denom = a[i] + b[i];
+    if (denom > 0.0) {
+      double d = a[i] - b[i];
+      sum += d * d / denom;
+    }
+  }
+  return 0.5 * sum;
+}
+
+// Bit for bit equal to the branchy form (any NaN for a NaN: payloads are not
+// part of the result) over vectors mixing zero bins, negatives, NaN, +-inf,
+// subnormals, signed zeros and ordinary values, at lengths 0 to 40.
+TEST(MathTest, ChiSquaredDistanceMatchesBranchyForm) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.0,
+                           -0.0,
+                           0.0,
+                           1.0,
+                           0.25,
+                           3.5,
+                           -1.0,
+                           -0.125,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           inf,
+                           -inf,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           1e-310,
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::max(),
+                           1e300};
+  const auto count = static_cast<std::uint32_t>(std::size(values));
+  Rng rng(2025);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t n = rng.UniformUint32(41);
+    std::vector<double> a(n);
+    std::vector<double> b(n);
+    // Some trials draw only from the first six values: zero bins and
+    // ordinary ones, the sparse histograms SB compares.
+    const std::uint32_t pool = trial % 3 == 0 ? 6 : count;
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = rng.UniformUint32(4) == 0 ? rng.UniformDouble(-2.0, 2.0)
+                                       : values[rng.UniformUint32(pool)];
+      b[i] = values[rng.UniformUint32(pool)];
+    }
+    const double got = ChiSquaredDistance(a, b);
+    const double want = BranchyChiSquared(a, b);
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << "trial " << trial;
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+          << "trial " << trial << ": " << got << " vs " << want;
+    }
+  }
 }
 
 TEST(MathTest, Norms) {

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "common/rng.h"
 #include "core/ab_recommender.h"
 #include "core/allocation.h"
 #include "core/cache_manager.h"
 #include "core/prediction_engine.h"
 #include "core/prefetch_scheduler.h"
+#include "core/sb_recommender.h"
 #include "core/tile_cache.h"
 #include "storage/tile_store.h"
 #include "tiles/pyramid.h"
@@ -219,6 +223,103 @@ TEST(PredictionEngineTest, PredictionsAreNeighbors) {
   for (const auto& tile : prediction->tiles) {
     EXPECT_TRUE(MoveBetween({1, 1, 1}, tile).has_value())
         << tile.ToString() << " is not one move from L1/1/1";
+  }
+}
+
+// Random walks over `spec`, labeled by a rule the classifier can learn:
+// foraging above level 2, navigation on a zoom, sensemaking otherwise.
+std::vector<Trace> RandomWalkTraces(const tiles::PyramidSpec& spec, std::uint64_t seed,
+                                    int traces, int steps) {
+  Rng rng(seed);
+  const auto keys = spec.AllKeys();
+  std::vector<Trace> out;
+  for (int t = 0; t < traces; ++t) {
+    Trace trace;
+    trace.user_id = "u" + std::to_string(t);
+    tiles::TileKey tile = keys[rng.UniformUint32(static_cast<std::uint32_t>(keys.size()))];
+    std::optional<Move> move;
+    for (int i = 0; i < steps; ++i) {
+      TraceRecord rec;
+      rec.request = Req(tile, move);
+      rec.phase = tile.level < 2 ? AnalysisPhase::kForaging
+                  : move.has_value() && !IsPan(*move) ? AnalysisPhase::kNavigation
+                                                      : AnalysisPhase::kSensemaking;
+      trace.records.push_back(rec);
+      auto valid = ValidMoves(tile, spec);
+      move = valid[rng.UniformUint32(static_cast<std::uint32_t>(valid.size()))];
+      tile = *ApplyMove(tile, *move, spec);
+    }
+    out.push_back(std::move(trace));
+  }
+  return out;
+}
+
+// One trained classifier, AB and SB, shared by engines on 4 threads that
+// fill the classifier's phase memo concurrently (a 6-level pyramid has more
+// keys than memo slots, so threads also overwrite each other's slots):
+// every prediction equals a sequential replay through a second, identically
+// trained classifier.
+TEST(PredictionEngineTest, ThreadsSharingTrainedModelsMatchSequentialReplay) {
+  const auto spec = Spec(6);
+  const auto training = RandomWalkTraces(spec, 11, 12, 40);
+  PhaseClassifierOptions clf_options;
+  clf_options.max_training_rows = 240;
+  auto shared_classifier = PhaseClassifier::Train(training, clf_options);
+  auto replay_classifier = PhaseClassifier::Train(training, clf_options);
+  ASSERT_TRUE(shared_classifier.ok() && replay_classifier.ok());
+  auto ab = AbRecommender::Make();
+  ASSERT_TRUE(ab.ok());
+  ASSERT_TRUE(ab->Train(training).ok());
+  tiles::TileMetadataStore metadata;
+  for (const auto& key : spec.AllKeys()) {
+    tiles::TileMetadata md;
+    std::vector<double> histogram(8, 0.0);
+    histogram[static_cast<std::size_t>((key.x * 3 + key.y) % 8)] = 1.0;
+    histogram[static_cast<std::size_t>(key.level)] += 0.5;
+    md.signatures[vision::SignatureKind::kHistogram] = histogram;
+    metadata.Put(key, md);
+  }
+  const auto toolbox = vision::SignatureToolbox::MakeDefault({});
+  SbRecommenderOptions sb_options;
+  sb_options.signature_weights = {{vision::SignatureKind::kHistogram, 1.0}};
+  SbRecommender sb(&metadata, &toolbox, sb_options);
+  PhaseAllocationStrategy strategy;
+
+  constexpr int kThreads = 4;
+  constexpr int kSessionsPerThread = 4;
+  const auto sessions =
+      RandomWalkTraces(spec, 29, kThreads * kSessionsPerThread, 120);
+  using Predictions = std::vector<EnginePrediction>;
+  auto replay = [&](const PhaseClassifier* classifier, const Trace& session) {
+    PredictionEngine engine(&spec, classifier, &*ab, &sb, &strategy);
+    Predictions out;
+    for (const auto& rec : session.records) {
+      auto prediction = engine.OnRequest(rec.request);
+      EXPECT_TRUE(prediction.ok());
+      if (prediction.ok()) out.push_back(std::move(*prediction));
+    }
+    return out;
+  };
+
+  std::vector<Predictions> concurrent(sessions.size());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int s = t; s < static_cast<int>(sessions.size()); s += kThreads) {
+        concurrent[static_cast<std::size_t>(s)] = replay(&*shared_classifier, sessions[s]);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (std::size_t s = 0; s < sessions.size(); ++s) {
+    const Predictions sequential = replay(&*replay_classifier, sessions[s]);
+    ASSERT_EQ(concurrent[s].size(), sequential.size());
+    for (std::size_t i = 0; i < sequential.size(); ++i) {
+      EXPECT_EQ(concurrent[s][i].phase, sequential[i].phase) << "session " << s;
+      EXPECT_EQ(concurrent[s][i].tiles, sequential[i].tiles) << "session " << s;
+      EXPECT_EQ(concurrent[s][i].confidences, sequential[i].confidences);
+    }
   }
 }
 

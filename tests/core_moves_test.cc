@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/move.h"
 #include "core/recommender.h"
 #include "core/request.h"
@@ -137,6 +139,46 @@ TEST(CandidateTilesTest, DepthTwoGrows) {
   // d1 is a prefix of d2 (BFS order).
   for (std::size_t i = 0; i < d1.size(); ++i) EXPECT_EQ(d1[i], d2[i]);
   EXPECT_TRUE(CandidateTiles({2, 1, 1}, spec, 0).empty());
+}
+
+// The breadth-first search CandidateTiles ran with a std::set of seen
+// tiles.
+std::vector<tiles::TileKey> ReferenceCandidates(const tiles::TileKey& from,
+                                                const tiles::PyramidSpec& spec, int d) {
+  std::vector<tiles::TileKey> result;
+  if (d <= 0) return result;
+  std::set<tiles::TileKey> seen = {from};
+  std::vector<tiles::TileKey> frontier{from};
+  for (int depth = 0; depth < d; ++depth) {
+    std::vector<tiles::TileKey> next;
+    for (const auto& key : frontier) {
+      for (Move m : AllMoves()) {
+        auto to = ApplyMove(key, m, spec);
+        if (to.has_value() && seen.insert(*to).second) {
+          next.push_back(*to);
+          result.push_back(*to);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return result;
+}
+
+// Same tiles in the same order as the set-based search for every tile of a
+// 5-level pyramid at d = 0 to 3, through both overloads (the second
+// reusing one vector).
+TEST(CandidateTilesTest, MatchesSetBasedSearch) {
+  auto spec = Spec(5);
+  std::vector<tiles::TileKey> reused = {{9, 9, 9}};
+  for (const auto& key : spec.AllKeys()) {
+    for (int d = 0; d <= 3; ++d) {
+      const auto want = ReferenceCandidates(key, spec, d);
+      ASSERT_EQ(CandidateTiles(key, spec, d), want) << key.ToString() << " d " << d;
+      CandidateTiles(key, spec, d, &reused);
+      ASSERT_EQ(reused, want) << key.ToString() << " d " << d;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <optional>
+
+#include "common/rng.h"
 #include "core/ab_recommender.h"
 #include "core/baseline_recommenders.h"
 #include "core/phase_classifier.h"
@@ -404,6 +412,247 @@ TEST(SbRecommenderTest, TwoKindRankingGolden) {
   EXPECT_EQ(*full, 0x1.f6d0bdec03989p-2);
 }
 
+// With more than 4 distinct tiles in the history and an empty ROI, the
+// fallback references are the last 4 distinct tiles deduplicated by first
+// occurrence, so a current tile the user had visited before is dropped
+// from them. Here the user leaves (2, 1, 1) and circles back to it through
+// five other tiles; the references are (2, 3, 1), (2, 3, 2), (2, 2, 2) and
+// (2, 1, 2), without the current (2, 1, 1). Pinned as today's ranking.
+TEST(SbRecommenderTest, FallbackReferencesDropARevisitedCurrentTile) {
+  TwoKindSbFixture f;
+  SbRecommender sb = f.Make();
+  SessionHistory history(8);
+  history.Add(Req({2, 1, 1}, std::nullopt));
+  history.Add(Req({2, 2, 1}, Move::kPanRight));
+  history.Add(Req({2, 3, 1}, Move::kPanRight));
+  history.Add(Req({2, 3, 2}, Move::kPanDown));
+  history.Add(Req({2, 2, 2}, Move::kPanLeft));
+  history.Add(Req({2, 1, 2}, Move::kPanLeft));
+  auto request = Req({2, 1, 1}, Move::kPanUp);
+  history.Add(request);
+  auto ctx = MakeContext(f.spec, history, request);
+  ASSERT_TRUE(ctx.roi.empty());
+  auto ranked = sb.Recommend(ctx);
+  ASSERT_TRUE(ranked.ok());
+  const RankedTiles expected = {{3, 3, 2}, {2, 0, 1}, {3, 3, 3},
+                                {2, 1, 0}, {3, 2, 3}, {3, 2, 2},
+                                {1, 0, 0}, {2, 1, 2}, {2, 2, 1}};
+  EXPECT_EQ(*ranked, expected);
+}
+
+// Algorithm 3 as SbRecommender::Recommend computed it before it kept its
+// buffers per thread: the toolbox and the metadata store asked on every
+// call, std::stable_sort for the ranking.
+RankedTiles ReferenceSbRecommend(const tiles::TileMetadataStore& metadata,
+                                 const vision::SignatureToolbox& toolbox,
+                                 const std::map<vision::SignatureKind, double>& weights,
+                                 const PredictionContext& ctx) {
+  std::vector<vision::SignatureKind> kinds;
+  std::vector<double> kind_weights;
+  for (const auto& [kind, weight] : weights) {
+    kinds.push_back(kind);
+    kind_weights.push_back(weight);
+  }
+  using Signatures = std::vector<const std::vector<double>*>;
+  auto signatures_of = [&](const tiles::TileKey& key) {
+    Signatures out(kinds.size(), nullptr);
+    auto md = metadata.Get(key);
+    if (!md.ok()) return out;
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      auto it = (*md)->signatures.find(kinds[i]);
+      if (it != (*md)->signatures.end()) out[i] = &it->second;
+    }
+    return out;
+  };
+  auto penalized_distances = [&](const Signatures& a, const Signatures& b,
+                                 std::int64_t manhattan, std::optional<double>* out) {
+    double penalty = std::ldexp(
+        1.0, static_cast<int>(std::clamp<std::int64_t>(manhattan - 1, -2000, 2000)));
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      auto extractor = toolbox.Get(kinds[i]);
+      out[i] = std::nullopt;
+      if (extractor.ok() && a[i] != nullptr && b[i] != nullptr) {
+        out[i] = penalty * (*extractor)->Distance(*a[i], *b[i]);
+      }
+    }
+  };
+  auto combined_distance = [&](const std::optional<double>* penalized,
+                               const double* kind_max,
+                               std::int64_t manhattan) -> std::optional<double> {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      if (!penalized[i].has_value()) return std::nullopt;
+      double normalized = *penalized[i] / kind_max[i];
+      sum += kind_weights[i] * normalized * normalized;
+    }
+    double physical = static_cast<double>(std::max<std::int64_t>(1, manhattan));
+    return std::sqrt(sum) / physical;
+  };
+
+  std::vector<tiles::TileKey> references = ctx.roi;
+  if (references.empty()) {
+    for (const auto& r : ctx.history->entries()) {
+      if (std::find(references.begin(), references.end(), r.tile) == references.end()) {
+        references.push_back(r.tile);
+      }
+    }
+    if (references.size() > 4) {
+      references.erase(references.begin(), references.end() - 4);
+    }
+  }
+  if (references.empty()) references.push_back(ctx.request.tile);
+  auto skip_self = [&](const tiles::TileKey& cand, const tiles::TileKey& ref) {
+    return references.size() > 1 && cand == ref;
+  };
+  const std::size_t num_kinds = kinds.size();
+  std::vector<Signatures> reference_signatures;
+  for (const auto& ref : references) reference_signatures.push_back(signatures_of(ref));
+  std::vector<std::optional<double>> penalized(ctx.candidates.size() *
+                                               references.size() * num_kinds);
+  auto pair_distances = [&](std::size_t c, std::size_t r) {
+    return penalized.data() + (c * references.size() + r) * num_kinds;
+  };
+  std::vector<double> kind_max(num_kinds, 1.0);
+  for (std::size_t c = 0; c < ctx.candidates.size(); ++c) {
+    const auto& cand = ctx.candidates[c];
+    const Signatures signatures = signatures_of(cand);
+    for (std::size_t r = 0; r < references.size(); ++r) {
+      if (skip_self(cand, references[r])) continue;
+      std::optional<double>* d = pair_distances(c, r);
+      penalized_distances(signatures, reference_signatures[r],
+                          tiles::TileKey::ManhattanDistance(cand, references[r]), d);
+      for (std::size_t k = 0; k < num_kinds; ++k) {
+        if (d[k].has_value()) kind_max[k] = std::max(kind_max[k], *d[k]);
+      }
+    }
+  }
+  struct Scored {
+    tiles::TileKey key;
+    double distance;
+    bool recently_requested;
+    int tiebreak;
+  };
+  auto in_history = [&ctx](const tiles::TileKey& key) {
+    for (const auto& r : ctx.history->entries()) {
+      if (r.tile == key) return true;
+    }
+    return false;
+  };
+  std::vector<Scored> scored;
+  for (std::size_t i = 0; i < ctx.candidates.size(); ++i) {
+    const auto& cand = ctx.candidates[i];
+    double total = 0.0;
+    bool any = false;
+    for (std::size_t r = 0; r < references.size(); ++r) {
+      if (skip_self(cand, references[r])) continue;
+      auto d = combined_distance(pair_distances(i, r), kind_max.data(),
+                                 tiles::TileKey::ManhattanDistance(cand, references[r]));
+      if (d.has_value()) {
+        total += *d;
+        any = true;
+      }
+    }
+    double dist = any ? total : std::numeric_limits<double>::infinity();
+    scored.push_back({cand, dist, in_history(cand), static_cast<int>(i)});
+  }
+  std::stable_sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
+    if (a.recently_requested != b.recently_requested) return !a.recently_requested;
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.tiebreak < b.tiebreak;
+  });
+  RankedTiles out;
+  for (const auto& sc : scored) out.push_back(sc.key);
+  return out;
+}
+
+// Random sparse histograms (about a third of the bins zero) for every tile
+// of a 5-level pyramid, with some tiles lacking metadata or one kind.
+struct RandomSbFixture {
+  tiles::PyramidSpec spec = Spec(5);
+  tiles::TileMetadataStore metadata;
+  vision::SignatureToolbox toolbox = vision::SignatureToolbox::MakeDefault({});
+
+  explicit RandomSbFixture(std::uint64_t seed) {
+    Rng rng(seed);
+    auto histogram = [&rng](std::size_t bins) {
+      std::vector<double> h(bins);
+      for (double& v : h) v = rng.UniformUint32(3) == 0 ? 0.0 : rng.UniformDouble(0.0, 2.0);
+      return h;
+    };
+    for (const auto& key : spec.AllKeys()) {
+      if (rng.UniformUint32(12) == 0) continue;  // no metadata at all
+      tiles::TileMetadata md;
+      if (rng.UniformUint32(8) != 0) {
+        md.signatures[vision::SignatureKind::kHistogram] = histogram(6);
+      }
+      if (rng.UniformUint32(8) != 0) {
+        md.signatures[vision::SignatureKind::kNormalDist] = histogram(2);
+      }
+      md.signatures[vision::SignatureKind::kOutlier] = histogram(4);
+      metadata.Put(key, md);
+    }
+  }
+};
+
+// Recommend equals the reference over random requests, candidate sets
+// (moves up to 3 away, shuffled and cut), ROIs and histories, with one and
+// two signature kinds, a kind the toolbox lacks (kOutlier: MakeDefault
+// registers no extensions), and tiles missing signatures.
+TEST(SbRecommenderTest, MatchesReferenceOnRandomContexts) {
+  const std::vector<std::map<vision::SignatureKind, double>> weight_sets = {
+      {{vision::SignatureKind::kHistogram, 1.0}},
+      {{vision::SignatureKind::kNormalDist, 3.0}, {vision::SignatureKind::kHistogram, 1.0}},
+      {{vision::SignatureKind::kNormalDist, 0.5}, {vision::SignatureKind::kHistogram, 2.0}},
+      {{vision::SignatureKind::kHistogram, 1.0}, {vision::SignatureKind::kOutlier, 1.0}},
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    RandomSbFixture f(seed);
+    const auto keys = f.spec.AllKeys();
+    Rng rng(seed * 977);
+    auto random_key = [&] {
+      return keys[rng.UniformUint32(static_cast<std::uint32_t>(keys.size()))];
+    };
+    for (const auto& weights : weight_sets) {
+      SbRecommenderOptions options;
+      options.signature_weights = weights;
+      SbRecommender sb(&f.metadata, &f.toolbox, options);
+      for (int trial = 0; trial < 150; ++trial) {
+        SessionHistory history(8);
+        tiles::TileKey tile = random_key();
+        std::optional<Move> move;
+        const int steps = static_cast<int>(rng.UniformUint32(10));
+        for (int i = 0; i <= steps; ++i) {
+          history.Add(Req(tile, move));
+          auto valid = ValidMoves(tile, f.spec);
+          move = valid[rng.UniformUint32(static_cast<std::uint32_t>(valid.size()))];
+          tile = *ApplyMove(tile, *move, f.spec);
+        }
+        const auto request = Req(tile, move);
+        history.Add(request);
+        PredictionContext ctx;
+        ctx.request = request;
+        ctx.history = &history;
+        ctx.spec = &f.spec;
+        ctx.candidates =
+            CandidateTiles(tile, f.spec, 1 + static_cast<int>(rng.UniformUint32(3)));
+        rng.Shuffle(&ctx.candidates);
+        ctx.candidates.resize(rng.UniformUint32(
+            static_cast<std::uint32_t>(ctx.candidates.size()) + 1));
+        const int roi_size = static_cast<int>(rng.UniformUint32(5));
+        for (int i = 0; i < roi_size; ++i) {
+          ctx.roi.push_back(rng.UniformUint32(3) == 0 && !ctx.candidates.empty()
+                                ? ctx.candidates.front()
+                                : random_key());
+        }
+        auto ranked = sb.Recommend(ctx);
+        ASSERT_TRUE(ranked.ok());
+        ASSERT_EQ(*ranked, ReferenceSbRecommend(f.metadata, f.toolbox, weights, ctx))
+            << "seed " << seed << " trial " << trial;
+      }
+    }
+  }
+}
+
 TEST(SbRecommenderTest, DefaultsToSiftWeights) {
   SbFixture f;
   SbRecommender sb(&f.metadata, &f.toolbox);
@@ -482,6 +731,71 @@ TEST(PhaseClassifierTest, SubsamplingBoundsRows) {
 
 TEST(PhaseClassifierTest, RejectsEmptyTraining) {
   EXPECT_FALSE(PhaseClassifier::Train({}).ok());
+}
+
+// The direct path Predict memoizes: scaler and SVM on the features,
+// projected onto `subset` when one is set.
+AnalysisPhase DirectPhase(const PhaseClassifier& classifier,
+                          const std::vector<PhaseFeature>& subset,
+                          const TileRequest& request) {
+  std::vector<double> features = ExtractPhaseFeatures(request);
+  if (!subset.empty()) {
+    std::vector<double> projected;
+    for (PhaseFeature pf : subset) {
+      projected.push_back(features[static_cast<std::size_t>(pf)]);
+    }
+    features = projected;
+  }
+  return static_cast<AnalysisPhase>(
+      classifier.svm().Predict(classifier.scaler().Transform(features)));
+}
+
+// The memoized Predict equals the direct SVM path for every tile of a
+// 6-level pyramid under every move class (1365 tiles x 4 classes, more keys
+// than memo slots, so slots collide and are overwritten), twice over so the
+// second pass reads the memo, and for keys outside its packed range.
+TEST(PhaseClassifierTest, MemoMatchesDirectPath) {
+  const auto spec = Spec(6);
+  const std::vector<std::optional<Move>> moves = {
+      std::nullopt, Move::kPanDown, Move::kZoomInSE, Move::kZoomOut, Move::kPanLeft};
+  for (const std::vector<PhaseFeature>& subset :
+       {std::vector<PhaseFeature>{},
+        std::vector<PhaseFeature>{PhaseFeature::kY, PhaseFeature::kZoomInFlag}}) {
+    PhaseClassifierOptions options;
+    options.feature_subset = subset;
+    auto trained = PhaseClassifier::Train(PhaseTraces(), options);
+    ASSERT_TRUE(trained.ok());
+    // Moved, as callers keep it: the memo moves with it.
+    PhaseClassifier classifier = std::move(trained).value();
+    const auto keys = spec.AllKeys();
+    ASSERT_GT(keys.size() * 4, PhaseClassifier::kMemoSlots);
+    std::size_t predictions = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& key : keys) {
+        for (const auto& move : moves) {
+          const auto request = Req(key, move);
+          ASSERT_EQ(classifier.Predict(request), DirectPhase(classifier, subset, request))
+              << key.ToString() << " pass " << pass;
+          ++predictions;
+        }
+      }
+    }
+    EXPECT_EQ(predictions, 2 * keys.size() * moves.size());
+    const tiles::TileKey outside[] = {
+        {64, 0, 0},         {-1, 3, 3},         {2, 1 << 26, 0},
+        {2, 0, 1 << 26},    {2, -1, 5},         {3, 5, -7},
+        {63, (1 << 26) - 1, (1 << 26) - 1},     {0, 0, 0},
+        {5, std::int64_t{1} << 40, 9}};
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& key : outside) {
+        for (const auto& move : moves) {
+          const auto request = Req(key, move);
+          ASSERT_EQ(classifier.Predict(request), DirectPhase(classifier, subset, request))
+              << key.ToString();
+        }
+      }
+    }
+  }
 }
 
 TEST(PhaseFeatureTest, Names) {

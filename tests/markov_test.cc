@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -264,6 +267,243 @@ TEST(NGramModelTest, OutOfVocabularySymbolEndsTheContext) {
   }
   EXPECT_GT(model.RawCount({1, 1}), 0u);
   EXPECT_EQ(model.RawCount({1, 33}), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The context table against a per-call Kneser-Ney pass written here
+
+// Interpolated Kneser-Ney computed on every call, from counts tallied here:
+// the per-call pass the model ran before Finalize tabulated it, in the same
+// arithmetic order (unigram level, then orders 2..usable+1 over the usable
+// context's suffixes, skipping an order no counted gram extends).
+class ReferenceKneserNey {
+ public:
+  ReferenceKneserNey(std::size_t vocab, std::size_t order, double discount)
+      : vocab_(vocab), order_(order), discount_(discount) {}
+
+  void Observe(const std::vector<int>& sequence) {
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+      for (std::size_t m = 1; m <= std::min(order_, i + 1); ++m) {
+        ++counts_[std::vector<int>(sequence.begin() + static_cast<std::ptrdiff_t>(i + 1 - m),
+                                   sequence.begin() + static_cast<std::ptrdiff_t>(i + 1))];
+      }
+    }
+    // Continuation count of g: distinct v with v.g counted.
+    cont_.clear();
+    for (const auto& [gram, count] : counts_) {
+      if (gram.size() >= 2) ++cont_[std::vector<int>(gram.begin() + 1, gram.end())];
+    }
+  }
+
+  std::vector<double> Interpolate(const std::vector<int>& context) const {
+    auto lookup = [&](const std::vector<int>& gram) -> double {
+      const auto& table = gram.size() == order_ ? counts_ : cont_;
+      auto it = table.find(gram);
+      return it == table.end() ? 0.0 : static_cast<double>(it->second);
+    };
+    const double uniform = 1.0 / static_cast<double>(vocab_);
+    std::vector<double> p(vocab_, uniform);
+    double total = 0.0;
+    std::size_t distinct = 0;
+    for (const auto& [gram, count] : counts_) {
+      if (gram.size() != 1) continue;
+      double c = order_ > 1 ? lookup(gram) : static_cast<double>(count);
+      if (c > 0.0) ++distinct;
+      total += c;
+    }
+    if (total > 0.0) {
+      double lambda = discount_ * static_cast<double>(distinct) / total;
+      for (std::size_t w = 0; w < vocab_; ++w) {
+        std::vector<int> unigram = {static_cast<int>(w)};
+        double c = lookup(unigram);
+        p[w] = std::max(c - discount_, 0.0) / total + lambda * uniform;
+      }
+    }
+    std::size_t usable = 0;
+    while (usable < order_ - 1 && usable < context.size()) {
+      int s = context[context.size() - 1 - usable];
+      if (s < 0 || static_cast<std::size_t>(s) >= vocab_) break;
+      ++usable;
+    }
+    for (std::size_t m = 2; m <= usable + 1; ++m) {
+      std::vector<int> gram(context.end() - static_cast<std::ptrdiff_t>(m - 1),
+                            context.end());
+      gram.push_back(0);
+      std::vector<double> counts(vocab_);
+      double denom = 0.0;
+      std::size_t followers = 0;
+      for (std::size_t w = 0; w < vocab_; ++w) {
+        gram.back() = static_cast<int>(w);
+        counts[w] = lookup(gram);
+        if (counts[w] > 0.0) {
+          denom += counts[w];
+          ++followers;
+        }
+      }
+      if (denom <= 0.0) continue;
+      double lambda = discount_ * static_cast<double>(followers) / denom;
+      for (std::size_t w = 0; w < vocab_; ++w) {
+        p[w] = std::max(counts[w] - discount_, 0.0) / denom + lambda * p[w];
+      }
+    }
+    return p;
+  }
+
+  std::vector<double> Distribution(const std::vector<int>& context) const {
+    std::vector<double> p = Interpolate(context);
+    double total = 0.0;
+    for (double x : p) total += x;
+    if (total > 0.0) {
+      for (double& x : p) x /= total;
+    }
+    return p;
+  }
+
+ private:
+  std::size_t vocab_;
+  std::size_t order_;
+  double discount_;
+  std::map<std::vector<int>, std::uint64_t> counts_;  // grams of length 1..order
+  std::map<std::vector<int>, std::uint64_t> cont_;    // grams of length 1..order-1
+};
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Distribution, DistributionRow and Probability of `model` for `context`
+// equal the reference's bit for bit.
+void ExpectMatchesReference(const NGramModel& model, const ReferenceKneserNey& ref,
+                            const std::vector<int>& context) {
+  const std::vector<double> want_p = ref.Interpolate(context);
+  const std::vector<double> want_dist = ref.Distribution(context);
+  const std::vector<double> dist = model.Distribution(context);
+  ASSERT_EQ(dist.size(), want_dist.size());
+  const double* row = model.DistributionRow(context);
+  for (std::size_t w = 0; w < want_dist.size(); ++w) {
+    ASSERT_EQ(Bits(dist[w]), Bits(want_dist[w])) << "symbol " << w;
+    ASSERT_EQ(Bits(row[w]), Bits(want_dist[w])) << "symbol " << w;
+    ASSERT_EQ(Bits(model.Probability(context, static_cast<int>(w))), Bits(want_p[w]))
+        << "symbol " << w;
+  }
+  EXPECT_EQ(model.Probability(context, -1), 0.0);
+  EXPECT_EQ(model.Probability(context, static_cast<int>(want_dist.size())), 0.0);
+}
+
+struct KnParams {
+  std::size_t vocab;
+  std::size_t order;
+  double discount;
+};
+
+class KneserNeyReferenceTest : public ::testing::TestWithParam<KnParams> {};
+
+// Every context of length 0 to order-1 (random ones where there are too
+// many), contexts cut by a symbol outside the vocabulary, and contexts
+// longer than the order, on seeded sequences that repeat the previous
+// symbol about half the time.
+TEST_P(KneserNeyReferenceTest, TableMatchesPerCallPass) {
+  const KnParams params = GetParam();
+  const auto vocab = static_cast<std::uint32_t>(params.vocab);
+  auto model = NGramModel::Make(params.vocab, params.order, params.discount);
+  ASSERT_TRUE(model.ok());
+  ReferenceKneserNey ref(params.vocab, params.order, params.discount);
+  Rng rng(CombineSeeds(params.vocab * 131 + params.order, 7));
+  for (int s = 0; s < 12; ++s) {
+    std::vector<int> sequence;
+    int symbol = static_cast<int>(rng.UniformUint32(vocab));
+    const int length = 5 + static_cast<int>(rng.UniformUint32(40));
+    for (int i = 0; i < length; ++i) {
+      sequence.push_back(symbol);
+      if (rng.UniformUint32(2) != 0) symbol = static_cast<int>(rng.UniformUint32(vocab));
+    }
+    ASSERT_TRUE(model->ObserveSequence(sequence).ok());
+    ref.Observe(sequence);
+  }
+  model->Finalize();
+
+  std::vector<std::vector<int>> contexts;
+  for (std::size_t len = 0; len < params.order; ++len) {
+    double all = std::pow(static_cast<double>(params.vocab), static_cast<double>(len));
+    if (all <= 1000.0) {
+      for (std::size_t n = 0; n < static_cast<std::size_t>(all); ++n) {
+        std::vector<int> context(len);
+        std::size_t rest = n;
+        for (std::size_t i = 0; i < len; ++i) {
+          context[i] = static_cast<int>(rest % params.vocab);
+          rest /= params.vocab;
+        }
+        contexts.push_back(context);
+      }
+    } else {
+      for (int n = 0; n < 300; ++n) {
+        std::vector<int> context(len);
+        for (int& symbol : context) symbol = static_cast<int>(rng.UniformUint32(vocab));
+        contexts.push_back(context);
+      }
+    }
+  }
+  for (int n = 0; n < 200; ++n) {
+    // Longer than the order, some cut by -1, vocab or 40 at a random place.
+    std::vector<int> context(params.order + rng.UniformUint32(4));
+    for (int& symbol : context) symbol = static_cast<int>(rng.UniformUint32(vocab));
+    if (n % 2 == 0) {
+      const int outside[] = {-1, static_cast<int>(params.vocab), 40};
+      context[rng.UniformUint32(static_cast<std::uint32_t>(context.size()))] =
+          outside[rng.UniformUint32(3)];
+    }
+    contexts.push_back(context);
+  }
+  for (const auto& context : contexts) {
+    ExpectMatchesReference(*model, ref, context);
+    if (HasFatalFailure()) {
+      ADD_FAILURE() << "context of size " << context.size();
+      return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, KneserNeyReferenceTest,
+    ::testing::Values(KnParams{9, 4, 0.75}, KnParams{9, 2, 0.75},
+                      KnParams{2, 2, 0.5}, KnParams{3, 6, 0.9},
+                      KnParams{5, 3, 0.25}, KnParams{4, 5, 0.6},
+                      KnParams{9, 11, 0.75}, KnParams{32, 3, 0.75},
+                      KnParams{9, 1, 0.75}));
+
+// An order-1 model needs no Finalize: its table, the unigram row, is
+// current after construction and after every ObserveSequence.
+TEST(KneserNeyReferenceTest, UnfinalizedOrderOneModel) {
+  auto model = NGramModel::Make(5, 1, 0.4);
+  ASSERT_TRUE(model.ok());
+  ReferenceKneserNey ref(5, 1, 0.4);
+  ExpectMatchesReference(*model, ref, {});
+  ASSERT_TRUE(model->ObserveSequence({0, 1, 1, 4, 1, 0}).ok());
+  ref.Observe({0, 1, 1, 4, 1, 0});
+  for (const std::vector<int>& context : {std::vector<int>{}, {3}, {2, -1}}) {
+    ExpectMatchesReference(*model, ref, context);
+  }
+  model->Finalize();
+  ExpectMatchesReference(*model, ref, {1, 2});
+  ASSERT_TRUE(model->ObserveSequence({3, 3, 3}).ok());
+  ref.Observe({3, 3, 3});
+  ExpectMatchesReference(*model, ref, {0});
+}
+
+// Finalize rebuilds the table from every sequence observed so far.
+TEST(KneserNeyReferenceTest, FinalizeRebuildsTheTable) {
+  auto model = NGramModel::Make(4, 3);
+  ASSERT_TRUE(model.ok());
+  ReferenceKneserNey ref(4, 3, 0.75);
+  ASSERT_TRUE(model->ObserveSequence({0, 1, 2, 0, 1}).ok());
+  ref.Observe({0, 1, 2, 0, 1});
+  model->Finalize();
+  ExpectMatchesReference(*model, ref, {0, 1});
+  ASSERT_TRUE(model->ObserveSequence({3, 3, 2, 3, 3, 1}).ok());
+  ref.Observe({3, 3, 2, 3, 3, 1});
+  model->Finalize();
+  for (const std::vector<int>& context :
+       {std::vector<int>{}, {3}, {3, 3}, {2, 3}, {0, 1}, {1, 3, 3}}) {
+    ExpectMatchesReference(*model, ref, context);
+  }
 }
 
 // ---------------------------------------------------------------------------
