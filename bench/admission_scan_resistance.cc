@@ -216,10 +216,7 @@ int main() {
             << eval::TablePrinter::Num(ratio, 1) << "x). "
             << (pass ? "PASS\n" : "FAIL: admission added no protection.\n");
 
-  auto report = JsonValue::Object();
-  report.Set("bench", "admission_scan_resistance");
-  report.Set("fast_mode", bench::FastBench());
-  report.Set("pass", pass);
+  auto report = bench::Report("admission_scan_resistance", pass);
   report.Set("budget_bytes", base.l1_bytes);
   report.Set("victims", kVictims);
   report.Set("hot_tiles_per_victim", kHotTilesPerVictim);
@@ -231,11 +228,6 @@ int main() {
   results.Push(ToJson(tinylfu));
   results.Push(ToJson(fairness));
   report.Set("results", std::move(results));
-  const std::string json_path = "BENCH_admission.json";
-  if (auto status = WriteJsonFile(json_path, report); !status.ok()) {
-    std::cerr << "ERROR writing " << json_path << ": " << status << "\n";
-    return 1;
-  }
-  std::cout << "Wrote " << json_path << "\n";
+  if (!bench::WriteReport("BENCH_admission.json", report)) return 1;
   return pass ? 0 : 1;
 }

@@ -22,18 +22,12 @@
 // hit rate) and on the PR 4 invariant fills_issued + dedup_saved_fetches
 // == predictions_published holding everywhere.
 
-#include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/json_writer.h"
-#include "core/ab_recommender.h"
-#include "core/allocation.h"
-#include "core/phase_classifier.h"
-#include "core/sb_recommender.h"
 #include "server/session.h"
 #include "storage/tile_store.h"
 
@@ -44,10 +38,7 @@ using namespace fc;
 namespace {
 
 struct RunResult {
-  bool run_ok = false;  ///< False: the replay itself failed (fails the bench).
-  std::uint64_t total_requests = 0;
-  double hit_rate = 0.0;
-  double p99_latency_ms = 0.0;
+  bench::ReplayResult replay;
   std::uint64_t round_trips = 0;   ///< Backend FetchBatch/Fetch round trips.
   std::uint64_t tiles_fetched = 0;
   // DBMS counters (zero for disk runs).
@@ -59,14 +50,6 @@ struct RunResult {
   std::uint64_t bytes_read = 0;
   std::uint64_t vectored_runs = 0;
   core::PrefetchSchedulerStats scheduler;
-  bool books_balance = true;
-};
-
-struct TrainedComponents {
-  std::unique_ptr<core::PhaseClassifier> classifier;
-  std::unique_ptr<core::AbRecommender> ab;
-  std::unique_ptr<core::SbRecommender> sb;
-  core::HybridAllocationStrategy strategy;
 };
 
 /// The coalescing profile both backends run under: DBMS chunks span 4x4
@@ -82,107 +65,46 @@ storage::RangeCoalesceOptions CoalesceProfile() {
   return coalesce;
 }
 
-RunResult RunSessions(const sim::Study& study, const TrainedComponents& trained,
-                      std::size_t num_sessions, storage::TileStore* store,
-                      SimClock* clock) {
-  server::SharedPredictionComponents shared;
-  shared.classifier = trained.classifier.get();
-  shared.ab = trained.ab.get();
-  shared.sb = trained.sb.get();
-  shared.strategy = &trained.strategy;
+RunResult RunSessions(const sim::Study& study, std::size_t num_sessions,
+                      storage::TileStore* store, SimClock* clock) {
+  // The same small cache as bench_batch_fetch: the comparison is backend
+  // work per round trip, not cache capacity.
+  server::SessionManagerOptions options =
+      bench::ServingOptions(study, bench::SharedCache::kPressured);
+  options.prefetch_scheduler.batch.max_batch_tiles = 32;
   // Deeper per-move neighborhoods than the accuracy benches use: the 8
   // predicted tiles of one viewport are a spatial cluster, exactly what
   // run planning coalesces.
-  shared.engine_options.prefetch_k = 8;
-
-  constexpr std::size_t kThreads = 8;
-  server::SessionManagerOptions options;
-  options.executor_threads = kThreads;
-  options.use_shared_cache = true;
-  // Same deliberately small, admission-filtered cache as bench_batch_fetch —
-  // the comparison is backend work per round trip, not cache capacity.
-  options.shared_cache.l1_bytes =
-      32 * study.dataset.pyramid->NominalTileBytes();
-  options.shared_cache.num_shards = 4;
-  options.shared_cache.admission.policy = core::AdmissionPolicyKind::kTinyLfu;
-  options.shared_cache.admission.sketch_counters = 1024;
-  options.single_flight = true;
-  options.use_prefetch_scheduler = true;
-  options.prefetch_scheduler.batch.max_batch_tiles = 32;
-  options.prefetch_scheduler.nominal_tile_bytes =
-      study.dataset.pyramid->NominalTileBytes();
-  server::SessionManager manager(store, clock, shared, options);
+  server::SessionManager manager(store, clock, bench::TrainedComponents(8),
+                                 options);
 
   // Sessions spread across the whole study (user-major, task-minor), so the
   // scheduler's queue holds predictions around MANY live viewports at once —
   // the adjacency-heavy mix run planning is for. Identical-trace sessions
   // would dedup into a queue too shallow to fill a batch.
-  std::vector<server::SessionManager::SessionWorkload> workloads;
+  std::vector<const core::Trace*> traces;
   for (std::size_t s = 0; s < num_sessions; ++s) {
-    const core::Trace& trace = study.traces[(s / 8) % study.traces.size()];
-    workloads.push_back(
-        {"s" + std::to_string(s), [&trace](server::BrowserSession* session) {
-           FC_RETURN_IF_ERROR(session->Open().status());
-           session->WaitForPrefetch();
-           for (std::size_t i = 1; i < trace.records.size(); ++i) {
-             if (!trace.records[i].request.move.has_value()) continue;
-             auto served = session->ApplyMove(*trace.records[i].request.move);
-             (void)served;  // border rejections are fine during replay
-             session->WaitForPrefetch();
-           }
-           return Status::OK();
-         }});
-  }
-
-  auto status =
-      manager.RunSessions(workloads, std::min(kThreads, num_sessions));
-  if (!status.ok()) {
-    std::cerr << "ERROR: " << status << "\n";
-    return {};  // run_ok stays false: the bench must fail, not zero-pass
+    traces.push_back(&study.traces[(s / 8) % study.traces.size()]);
   }
 
   RunResult result;
-  result.run_ok = true;
-  std::uint64_t hits = 0;
-  std::vector<double> latencies;
-  for (const auto& workload : workloads) {
-    auto server = manager.ServerFor(workload.session_id);
-    if (!server.ok()) continue;
-    result.total_requests += (*server)->cache_manager().requests();
-    hits += (*server)->cache_manager().cache_hits();
-    const auto& log = (*server)->latency_log();
-    latencies.insert(latencies.end(), log.begin(), log.end());
-  }
-  result.hit_rate = result.total_requests == 0
-                        ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(result.total_requests);
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    result.p99_latency_ms =
-        latencies[static_cast<std::size_t>(0.99 * (latencies.size() - 1))];
-  }
+  result.replay = bench::ReplaySessions(&manager, traces);
   result.round_trips = store->query_count();
   result.tiles_fetched = store->fetch_count();
-  if (const auto* scheduler = manager.prefetch_scheduler()) {
-    result.scheduler = scheduler->Stats();
-    result.books_balance =
-        result.scheduler.fills_issued + result.scheduler.dedup_saved_fetches ==
-        result.scheduler.predictions_published;
-  }
+  result.scheduler = manager.prefetch_scheduler()->Stats();
   return result;
 }
 
 /// One DBMS replay: a fresh store per run so counters and the jitter RNG
 /// start identically in both modes.
-RunResult RunDbms(const sim::Study& study, const TrainedComponents& trained,
-                  std::size_t num_sessions, bool coalesced) {
+RunResult RunDbms(const sim::Study& study, std::size_t num_sessions,
+                  bool coalesced) {
   SimClock clock;
   array::QueryCostModel costs(array::CalibratedPaperCosts(), 5);
   storage::SimulatedDbmsStore store(
       study.dataset.pyramid, costs, &clock,
       coalesced ? CoalesceProfile() : storage::RangeCoalesceOptions{});
-  auto result = RunSessions(study, trained, num_sessions, &store, &clock);
+  auto result = RunSessions(study, num_sessions, &store, &clock);
   result.chunk_scans = store.chunk_scan_count();
   result.coalesced_runs = store.run_count();
   result.waste_cells = store.waste_cell_count();
@@ -191,23 +113,24 @@ RunResult RunDbms(const sim::Study& study, const TrainedComponents& trained,
 
 /// One disk replay over the shared packed-extent directory. Each run opens
 /// its own DiskTileStore so syscall counters start at zero.
-RunResult RunDisk(const sim::Study& study, const TrainedComponents& trained,
-                  std::size_t num_sessions, const std::string& directory,
-                  bool coalesced) {
+RunResult RunDisk(const sim::Study& study, std::size_t num_sessions,
+                  const std::string& directory, bool coalesced) {
   SimClock clock;
   auto opened = storage::DiskTileStore::Open(
       directory, study.dataset.pyramid->spec(), {},
       coalesced ? CoalesceProfile() : storage::RangeCoalesceOptions{});
+  if (opened.ok() && !(*opened)->packed_loaded()) {
+    opened = Status::FailedPrecondition("packed extent missing from " +
+                                        directory);
+  }
   if (!opened.ok()) {
     std::cerr << "ERROR: " << opened.status() << "\n";
-    return {};
+    RunResult failed;
+    failed.replay.status = opened.status();
+    return failed;
   }
   auto store = std::move(opened).value();
-  if (!store->packed_loaded()) {
-    std::cerr << "ERROR: packed extent missing from " << directory << "\n";
-    return {};
-  }
-  auto result = RunSessions(study, trained, num_sessions, store.get(), &clock);
+  auto result = RunSessions(study, num_sessions, store.get(), &clock);
   result.syscalls = store->syscall_count();
   result.bytes_read = store->bytes_read();
   result.vectored_runs = store->vectored_run_count();
@@ -221,21 +144,6 @@ int main() {
       "Range-coalesced batched I/O — merged-extent scans & vectored reads",
       "SciDB chunk-scan amortization; packed-extent preadv on disk");
   const auto& study = bench::GetStudy();
-
-  TrainedComponents trained;
-  {
-    auto classifier = core::PhaseClassifier::Train(study.traces);
-    auto ab = core::AbRecommender::Make();
-    if (!classifier.ok() || !ab.ok() || !ab->Train(study.traces).ok()) {
-      std::cerr << "ERROR: training failed\n";
-      return 1;
-    }
-    trained.classifier =
-        std::make_unique<core::PhaseClassifier>(std::move(*classifier));
-    trained.ab = std::make_unique<core::AbRecommender>(std::move(*ab));
-    trained.sb = std::make_unique<core::SbRecommender>(
-        &study.dataset.pyramid->metadata(), study.dataset.toolbox.get());
-  }
 
   // Pack the study pyramid once; every disk run re-opens the same extent.
   const std::string disk_dir =
@@ -261,12 +169,12 @@ int main() {
   double syscall_reduction_64 = 0.0;
 
   for (std::size_t sessions : {4u, 16u, 64u}) {
-    auto dbms_per_key = RunDbms(study, trained, sessions, /*coalesced=*/false);
-    auto dbms_coalesced = RunDbms(study, trained, sessions, /*coalesced=*/true);
+    auto dbms_per_key = RunDbms(study, sessions, /*coalesced=*/false);
+    auto dbms_coalesced = RunDbms(study, sessions, /*coalesced=*/true);
     auto disk_per_key =
-        RunDisk(study, trained, sessions, disk_dir, /*coalesced=*/false);
+        RunDisk(study, sessions, disk_dir, /*coalesced=*/false);
     auto disk_coalesced =
-        RunDisk(study, trained, sessions, disk_dir, /*coalesced=*/true);
+        RunDisk(study, sessions, disk_dir, /*coalesced=*/true);
 
     struct Labeled {
       const char* backend;
@@ -278,22 +186,23 @@ int main() {
           Labeled{"dbms", "coalesced", &dbms_coalesced},
           Labeled{"disk", "per-key", &disk_per_key},
           Labeled{"disk", "coalesced", &disk_coalesced}}) {
+      const bool books_balance = bench::BooksBalance(run->scheduler);
       table.AddRow({backend, std::to_string(sessions), mode,
-                    bench::Pct(run->hit_rate),
+                    bench::Pct(run->replay.HitRate()),
                     std::to_string(run->round_trips),
                     std::to_string(run->tiles_fetched),
                     std::to_string(run->chunk_scans),
                     std::to_string(run->syscalls),
                     std::to_string(run->coalesced_runs + run->vectored_runs),
-                    eval::TablePrinter::Num(run->p99_latency_ms, 1)});
+                    eval::TablePrinter::Num(run->replay.p99_latency_ms, 1)});
 
       auto row = JsonValue::Object();
       row.Set("backend", std::string(backend));
       row.Set("sessions", sessions);
       row.Set("mode", std::string(mode));
-      row.Set("total_requests", run->total_requests);
-      row.Set("hit_rate", run->hit_rate);
-      row.Set("p99_latency_ms", run->p99_latency_ms);
+      row.Set("total_requests", run->replay.requests);
+      row.Set("hit_rate", run->replay.HitRate());
+      row.Set("p99_latency_ms", run->replay.p99_latency_ms);
       row.Set("round_trips", run->round_trips);
       row.Set("tiles_fetched", run->tiles_fetched);
       row.Set("chunk_scans", run->chunk_scans);
@@ -304,10 +213,10 @@ int main() {
       row.Set("vectored_runs", run->vectored_runs);
       row.Set("fetch_batches", run->scheduler.fetch_batches);
       row.Set("batched_fills", run->scheduler.batched_fills);
-      row.Set("books_balance", run->books_balance);
+      row.Set("books_balance", books_balance);
       results.Push(std::move(row));
 
-      if (!run->run_ok || !run->books_balance) pass = false;
+      if (!run->replay.status.ok() || !books_balance) pass = false;
     }
 
     // The coalesced paths must actually coalesce (runs planned, vectored
@@ -332,27 +241,21 @@ int main() {
               : static_cast<double>(disk_per_key.syscalls) /
                     static_cast<double>(disk_coalesced.syscalls);
       if (chunk_scan_reduction_64 < 2.0 || syscall_reduction_64 < 2.0 ||
-          dbms_coalesced.hit_rate + 0.01 < dbms_per_key.hit_rate ||
-          disk_coalesced.hit_rate + 0.01 < disk_per_key.hit_rate) {
+          dbms_coalesced.replay.HitRate() + 0.01 <
+              dbms_per_key.replay.HitRate() ||
+          disk_coalesced.replay.HitRate() + 0.01 <
+              disk_per_key.replay.HitRate()) {
         pass = false;
       }
     }
   }
   table.Print();
 
-  auto report = JsonValue::Object();
-  report.Set("bench", "range_coalesce");
-  report.Set("fast_mode", bench::FastBench());
-  report.Set("pass", pass);
+  auto report = bench::Report("range_coalesce", pass);
   report.Set("chunk_scan_reduction_64", chunk_scan_reduction_64);
   report.Set("syscall_reduction_64", syscall_reduction_64);
   report.Set("results", std::move(results));
-  const std::string json_path = "BENCH_range_coalesce.json";
-  if (auto status = WriteJsonFile(json_path, report); !status.ok()) {
-    std::cerr << "ERROR writing " << json_path << ": " << status << "\n";
-    return 1;
-  }
-  std::cout << "\nWrote " << json_path << "\n";
+  if (!bench::WriteReport("BENCH_range_coalesce.json", report)) return 1;
   std::filesystem::remove_all(disk_dir);
 
   std::cout << "\nWith batch formation preferring run completion and both\n"

@@ -56,7 +56,6 @@
 #include "core/stream_scheduler.h"
 #include "eval/table_printer.h"
 #include "storage/tile_store.h"
-#include "tiles/pyramid.h"
 
 #include "bench_common.h"
 
@@ -91,39 +90,6 @@ constexpr ModeSpec kModes[] = {
     {"progressive", true, true, false},
 };
 
-/// 6 levels: level 5 is a 32x32 grid — 1024 distinct keys, a private
-/// 16-key rotation for each of up to 64 sessions.
-std::shared_ptr<tiles::TilePyramid> BenchPyramid() {
-  constexpr int kLevels = 6;
-  auto schema = array::ArraySchema::Make(
-      "base",
-      {array::Dimension{"y", 0, 8 << (kLevels - 1), 8},
-       array::Dimension{"x", 0, 8 << (kLevels - 1), 8}},
-      {array::Attribute{"v"}});
-  array::DenseArray base(std::move(*schema));
-  for (std::int64_t y = 0; y < base.schema().dims()[0].length; ++y) {
-    for (std::int64_t x = 0; x < base.schema().dims()[1].length; ++x) {
-      base.SetLinear(base.LinearIndex({y, x}), 0, static_cast<double>(x + y));
-    }
-  }
-  tiles::PyramidBuildOptions options;
-  options.num_levels = kLevels;
-  options.tile_width = 8;
-  options.tile_height = 8;
-  tiles::TilePyramidBuilder builder(options);
-  auto pyramid = builder.Build(base);
-  if (!pyramid.ok()) {
-    std::cerr << "pyramid build failed: " << pyramid.status() << "\n";
-    std::abort();
-  }
-  return *pyramid;
-}
-
-tiles::TileKey Level5(std::size_t index) {
-  return tiles::TileKey{5, static_cast<std::int64_t>(index % 32),
-                        static_cast<std::int64_t>(index / 32)};
-}
-
 /// One published tile waiting to become usable client-side.
 struct Outstanding {
   double publish_ms = 0.0;
@@ -144,18 +110,9 @@ struct RunResult {
   bool books_balance = false;
 };
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const auto index = static_cast<std::size_t>(
-      p * static_cast<double>(values.size() - 1) + 0.5);
-  return values[std::min(index, values.size() - 1)];
-}
-
 RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
                      double end_ms) {
-  auto pyramid = BenchPyramid();
-  storage::MemoryTileStore store(pyramid);
+  storage::MemoryTileStore store(bench::SyntheticPyramid());
   SimClock clock;
 
   core::PrefetchSchedulerOptions fetch_options;
@@ -214,13 +171,9 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
     }
   };
 
-  // Identical delivery sequences must hash identically across modes within
-  // this binary; the fingerprint folds (session, key, fidelity) in order.
-  std::uint64_t fingerprint = 14695981039346656037ull;  // FNV-1a offset
-  auto mix = [&fingerprint](std::uint64_t value) {
-    fingerprint ^= value;
-    fingerprint *= 1099511628211ull;  // FNV-1a prime
-  };
+  // Identical delivery sequences must hash identically across modes; the
+  // fingerprint folds (session, key, fidelity) in order.
+  bench::Fingerprint fingerprint;
 
   std::vector<std::unique_ptr<Session>> sessions;
   for (std::size_t i = 0; i < num_sessions; ++i) {
@@ -249,12 +202,13 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
     if (route_through_stream) {
       session->stream_id = stream->RegisterSession(
           i + 1,
-          [session, &clock, &mix, &mark_usable, &mark_exact, i](
+          [session, &clock, &fingerprint, &mark_usable, &mark_exact, i](
               const tiles::TileKey& key, const tiles::TilePtr&, bool exact,
               std::uint64_t) {
-            mix(i);
-            mix(static_cast<std::uint64_t>(tiles::TileKeyHash{}(key)));
-            mix(exact ? 1 : 0);
+            fingerprint.Mix(i);
+            fingerprint.Mix(
+                static_cast<std::uint64_t>(tiles::TileKeyHash{}(key)));
+            fingerprint.Mix(exact ? 1 : 0);
             mark_usable(*session, key, clock.NowMillis());
             if (exact) mark_exact(*session, key);
           });
@@ -269,7 +223,7 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
     Session* session = sessions[i].get();
     session->fetch_id = scheduler.RegisterSession(
         i + 1,
-        [session, &clock, &mix, &mark_usable, &mark_exact,
+        [session, &clock, &fingerprint, &mark_usable, &mark_exact,
          route_through_stream, &stream, i](
             const tiles::TileKey& key, const tiles::TilePtr& tile,
             std::uint64_t generation, double confidence, std::uint64_t) {
@@ -279,9 +233,10 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
             return;
           }
           // PR 8 path: the fill lands whole the moment it drains.
-          mix(i);
-          mix(static_cast<std::uint64_t>(tiles::TileKeyHash{}(key)));
-          mix(1);
+          fingerprint.Mix(i);
+          fingerprint.Mix(
+              static_cast<std::uint64_t>(tiles::TileKeyHash{}(key)));
+          fingerprint.Mix(1);
           mark_usable(*session, key, clock.NowMillis());
           mark_exact(*session, key);
         });
@@ -295,8 +250,8 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
 
     std::vector<core::PrefetchCandidate> wave;
     for (std::size_t j = 0; j < kWaveKeys; ++j) {
-      const auto key = Level5(session.base_index +
-                              (session.cursor + j) % kKeysPerSession);
+      const auto key = bench::Level5Key(
+          session.base_index + (session.cursor + j) % kKeysPerSession);
       const double confidence = 0.9 - 0.08 * static_cast<double>(j);
       session.open.emplace(key, Outstanding{now});
       wave.push_back({key, confidence});
@@ -351,13 +306,11 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
   result.exact_rate =
       closed == 0 ? 0.0
                   : static_cast<double>(exact) / static_cast<double>(closed);
-  result.p99_ttfu_ms = Percentile(std::move(all_ttfu), 0.99);
-  result.drain_fingerprint = fingerprint;
+  result.p99_ttfu_ms = bench::Percentile(std::move(all_ttfu), 0.99);
+  result.drain_fingerprint = fingerprint.value;
   result.prefetch = scheduler.Stats();
   if (stream != nullptr) result.stream = stream->Stats();
-  const bool fetch_books =
-      result.prefetch.fills_issued + result.prefetch.dedup_saved_fetches ==
-      result.prefetch.predictions_published;
+  const bool fetch_books = bench::BooksBalance(result.prefetch);
   // Every enqueued chunk is pushed, shed stale (supersession or the final
   // shutdown), or expired; pushes split exactly into the two classes.
   const bool stream_books =
@@ -464,20 +417,12 @@ int main() {
   std::cout << "\np99 time-to-first-usable reduction at 64 sessions "
             << "(progressive vs all-or-nothing): " << reduction_64 << "x\n";
 
-  auto report = JsonValue::Object();
-  report.Set("bench", "stream_staleness");
-  report.Set("fast_mode", bench::FastBench());
-  report.Set("pass", pass);
+  auto report = bench::Report("stream_staleness", pass);
   report.Set("channel_bytes_per_ms", kChannelBytesPerMs);
   report.Set("progressive_base_step", kBaseStep);
   report.Set("ttfu_p99_reduction_64", reduction_64);
   report.Set("results", std::move(results));
-  const std::string json_path = "BENCH_stream.json";
-  if (auto status = WriteJsonFile(json_path, report); !status.ok()) {
-    std::cerr << "ERROR writing " << json_path << ": " << status << "\n";
-    return 1;
-  }
-  std::cout << "Wrote " << json_path << "\n";
+  if (!bench::WriteReport("BENCH_stream.json", report)) return 1;
 
   std::cout << "\nThe same channel, the same utility order: shipping the\n"
             << "coarse base first turns most of the backlog usable within\n"

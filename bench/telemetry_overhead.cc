@@ -17,7 +17,6 @@
 // histogram must have counted exactly the requests the servers served.
 
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -25,10 +24,6 @@
 #include "common/json_writer.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "core/ab_recommender.h"
-#include "core/allocation.h"
-#include "core/phase_classifier.h"
-#include "core/sb_recommender.h"
 #include "server/session.h"
 #include "storage/tile_store.h"
 
@@ -39,39 +34,22 @@ using namespace fc;
 namespace {
 
 constexpr std::size_t kSessions = 64;
-constexpr std::size_t kThreads = 8;
 constexpr int kReps = 3;
 /// Timer-noise floor: deltas under this never fail the gate (relevant only
 /// to FORECACHE_FAST_BENCH smoke runs whose whole workload is a few ms).
 constexpr double kNoiseFloorSec = 0.05;
 constexpr double kMaxOverheadPct = 3.0;
 
-struct TrainedComponents {
-  std::unique_ptr<core::PhaseClassifier> classifier;
-  std::unique_ptr<core::AbRecommender> ab;
-  std::unique_ptr<core::SbRecommender> sb;
-  core::HybridAllocationStrategy strategy;
-};
-
 struct RunResult {
-  double elapsed_sec = 0.0;
-  std::uint64_t total_requests = 0;
+  bench::ReplayResult replay;
   telemetry::MetricsSnapshot snapshot;  ///< Empty for the baseline.
   std::uint64_t trace_events = 0;
 };
 
-RunResult RunOnce(const sim::Study& study, const TrainedComponents& trained,
-                  bool with_telemetry) {
+RunResult RunOnce(const sim::Study& study, bool with_telemetry) {
   SimClock clock;
   array::QueryCostModel costs(array::CalibratedPaperCosts(), 5);
   storage::SimulatedDbmsStore store(study.dataset.pyramid, costs, &clock);
-
-  server::SharedPredictionComponents shared;
-  shared.classifier = trained.classifier.get();
-  shared.ab = trained.ab.get();
-  shared.sb = trained.sb.get();
-  shared.strategy = &trained.strategy;
-  shared.engine_options.prefetch_k = 5;
 
   telemetry::MetricsRegistry registry;
   telemetry::TraceSinkOptions trace_options;
@@ -80,60 +58,24 @@ RunResult RunOnce(const sim::Study& study, const TrainedComponents& trained,
   trace_options.clock = &clock;
   telemetry::TraceSink trace(trace_options);
 
-  server::SessionManagerOptions options;
-  options.executor_threads = kThreads;
-  options.use_shared_cache = true;
-  options.shared_cache.l1_bytes =
-      256 * study.dataset.pyramid->NominalTileBytes();
-  options.shared_cache.l2_bytes =
-      64 * study.dataset.pyramid->NominalTileBytes();
-  options.shared_cache.num_shards = 16;
-  options.single_flight = true;
-  options.use_prefetch_scheduler = true;
+  server::SessionManagerOptions options =
+      bench::ServingOptions(study, bench::SharedCache::kRoomy);
   options.use_push_streaming = true;
   if (with_telemetry) {
     options.metrics = &registry;
     options.trace = &trace;
   }
 
+  std::vector<const core::Trace*> traces;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    traces.push_back(&study.traces[s % study.traces.size()]);
+  }
+
   RunResult result;
   {
-    server::SessionManager manager(&store, &clock, shared, options);
-
-    std::vector<server::SessionManager::SessionWorkload> workloads;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      const core::Trace& trace_replay = study.traces[s % study.traces.size()];
-      workloads.push_back(
-          {"s" + std::to_string(s),
-           [&trace_replay](server::BrowserSession* session) {
-             FC_RETURN_IF_ERROR(session->Open().status());
-             session->WaitForPrefetch();
-             for (std::size_t i = 1; i < trace_replay.records.size(); ++i) {
-               if (!trace_replay.records[i].request.move.has_value()) continue;
-               auto served =
-                   session->ApplyMove(*trace_replay.records[i].request.move);
-               (void)served;  // border rejections are fine during replay
-               session->WaitForPrefetch();
-             }
-             return Status::OK();
-           }});
-    }
-
-    auto start = std::chrono::steady_clock::now();
-    auto status = manager.RunSessions(workloads, kThreads);
-    result.elapsed_sec = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-    if (!status.ok()) {
-      std::cerr << "ERROR: " << status << "\n";
-      return {};
-    }
-    for (const auto& workload : workloads) {
-      auto server = manager.ServerFor(workload.session_id);
-      if (server.ok()) {
-        result.total_requests += (*server)->cache_manager().requests();
-      }
-    }
+    server::SessionManager manager(&store, &clock,
+                                   bench::TrainedComponents(5), options);
+    result.replay = bench::ReplaySessions(&manager, traces);
     // Snapshot while the manager (and its pull sources) is alive: this is
     // the "one scrape covers the whole process" artifact the books are
     // audited against below.
@@ -160,20 +102,20 @@ bool AuditBooks(const RunResult& run, std::vector<std::string>* failures) {
                         std::to_string(published));
   }
   const std::uint64_t requests = counter("fc.requests.total");
-  if (requests != run.total_requests) {
+  if (requests != run.replay.requests) {
     failures->push_back("fc.requests.total = " + std::to_string(requests) +
                         " != served requests = " +
-                        std::to_string(run.total_requests));
+                        std::to_string(run.replay.requests));
   }
   const telemetry::HistogramSnapshot* latency =
       run.snapshot.FindHistogram("fc.request.latency_us");
   if (latency == nullptr) {
     failures->push_back("fc.request.latency_us histogram missing");
-  } else if (latency->count != run.total_requests) {
+  } else if (latency->count != run.replay.requests) {
     failures->push_back("fc.request.latency_us count = " +
                         std::to_string(latency->count) +
                         " != served requests = " +
-                        std::to_string(run.total_requests));
+                        std::to_string(run.replay.requests));
   }
   const std::uint64_t hits = counter("fc.requests.cache_hits");
   if (hits > requests) {
@@ -191,41 +133,27 @@ int main() {
       "registry + adapters + sampled tracing at 64 sessions");
   const auto& study = bench::GetStudy();
 
-  TrainedComponents trained;
-  {
-    auto classifier = core::PhaseClassifier::Train(study.traces);
-    auto ab = core::AbRecommender::Make();
-    if (!classifier.ok() || !ab.ok() || !ab->Train(study.traces).ok()) {
-      std::cerr << "ERROR: training failed\n";
-      return 1;
-    }
-    trained.classifier =
-        std::make_unique<core::PhaseClassifier>(std::move(*classifier));
-    trained.ab = std::make_unique<core::AbRecommender>(std::move(*ab));
-    trained.sb = std::make_unique<core::SbRecommender>(
-        &study.dataset.pyramid->metadata(), study.dataset.toolbox.get());
-  }
-
   // Alternate modes within each repetition so drift (thermal, page cache,
   // scheduler) lands on both sides equally; keep the min per mode.
   double baseline_sec = 0.0, telemetry_sec = 0.0;
+  bool replays_ok = true;
   RunResult telemetry_run;
   for (int rep = 0; rep < kReps; ++rep) {
-    RunResult base = RunOnce(study, trained, /*with_telemetry=*/false);
-    RunResult tel = RunOnce(study, trained, /*with_telemetry=*/true);
-    if (base.total_requests == 0 || tel.total_requests == 0) {
-      std::cerr << "ERROR: a repetition served no requests\n";
-      return 1;
+    RunResult base = RunOnce(study, /*with_telemetry=*/false);
+    RunResult tel = RunOnce(study, /*with_telemetry=*/true);
+    for (const RunResult* run : {&base, &tel}) {
+      if (!run->replay.status.ok() || run->replay.requests == 0) {
+        std::cerr << "ERROR: a repetition failed or served no requests\n";
+        replays_ok = false;
+      }
     }
-    baseline_sec =
-        rep == 0 ? base.elapsed_sec : std::min(baseline_sec, base.elapsed_sec);
-    if (rep == 0 || tel.elapsed_sec < telemetry_sec) {
-      telemetry_sec = tel.elapsed_sec;
-    }
+    const double base_sec = base.replay.elapsed_sec;
+    const double tel_sec = tel.replay.elapsed_sec;
+    baseline_sec = rep == 0 ? base_sec : std::min(baseline_sec, base_sec);
+    telemetry_sec = rep == 0 ? tel_sec : std::min(telemetry_sec, tel_sec);
     telemetry_run = std::move(tel);
     std::cout << "rep " << rep + 1 << "/" << kReps << ": baseline "
-              << base.elapsed_sec << "s, telemetry " << tel.elapsed_sec
-              << "s\n";
+              << base_sec << "s, telemetry " << tel_sec << "s\n";
   }
 
   const double delta_sec = telemetry_sec - baseline_sec;
@@ -243,15 +171,15 @@ int main() {
   eval::TablePrinter table({"Mode", "Best of " + std::to_string(kReps),
                             "Requests", "Trace events"});
   table.AddRow({"baseline", eval::TablePrinter::Num(baseline_sec, 3) + "s",
-                std::to_string(telemetry_run.total_requests), "-"});
+                std::to_string(telemetry_run.replay.requests), "-"});
   table.AddRow({"telemetry", eval::TablePrinter::Num(telemetry_sec, 3) + "s",
-                std::to_string(telemetry_run.total_requests),
+                std::to_string(telemetry_run.replay.requests),
                 std::to_string(telemetry_run.trace_events)});
   table.Print();
   std::cout << "overhead: " << overhead_pct << "% (gate < " << kMaxOverheadPct
             << "%, noise floor " << kNoiseFloorSec << "s)\n";
 
-  const bool pass = overhead_ok && books_ok;
+  const bool pass = replays_ok && overhead_ok && books_ok;
   auto report = JsonValue::Object();
   report.Set("bench", "telemetry_overhead");
   report.Set("fast_mode", bench::FastBench());
@@ -264,7 +192,7 @@ int main() {
   report.Set("noise_floor_sec", kNoiseFloorSec);
   report.Set("overhead_ok", overhead_ok);
   report.Set("books_ok", books_ok);
-  report.Set("total_requests", telemetry_run.total_requests);
+  report.Set("total_requests", telemetry_run.replay.requests);
   report.Set("trace_events", telemetry_run.trace_events);
   {
     auto books = JsonValue::Object();
@@ -292,15 +220,11 @@ int main() {
     report.Set("request_latency", std::move(hist));
   }
   report.Set("pass", pass);
-  const std::string json_path = "BENCH_telemetry.json";
-  if (auto status = WriteJsonFile(json_path, report); !status.ok()) {
-    std::cerr << "ERROR writing " << json_path << ": " << status << "\n";
-    return 1;
-  }
-  std::cout << "Wrote " << json_path << "\n";
+  if (!bench::WriteReport("BENCH_telemetry.json", report)) return 1;
 
   std::cout << (pass ? "Telemetry stays under the overhead gate and the "
                        "books balance.\n"
-                     : "FAIL: telemetry overhead or books check failed.\n");
+                     : "FAIL: a replay, the overhead or the books check "
+                       "failed.\n");
   return pass ? 0 : 1;
 }

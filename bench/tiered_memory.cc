@@ -208,10 +208,7 @@ int main() {
             << two_tier.dbms_fetches << " vs " << base.dbms_fetches << "). "
             << (pass ? "PASS\n" : "FAIL: tier added no headroom.\n");
 
-  auto report = JsonValue::Object();
-  report.Set("bench", "tiered_memory");
-  report.Set("fast_mode", bench::FastBench());
-  report.Set("pass", pass);
+  auto report = bench::Report("tiered_memory", pass);
   report.Set("budget_bytes", budget);
   report.Set("requests", requests);
   report.Set("resident_ratio", resident_ratio);
@@ -220,11 +217,6 @@ int main() {
   results.Push(ToJson(base, budget));
   results.Push(ToJson(two_tier, budget));
   report.Set("results", std::move(results));
-  const std::string json_path = "BENCH_tiered_memory.json";
-  if (auto status = WriteJsonFile(json_path, report); !status.ok()) {
-    std::cerr << "ERROR writing " << json_path << ": " << status << "\n";
-    return 1;
-  }
-  std::cout << "Wrote " << json_path << "\n";
+  if (!bench::WriteReport("BENCH_tiered_memory.json", report)) return 1;
   return pass ? 0 : 1;
 }

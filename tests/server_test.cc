@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/ab_recommender.h"
 #include "core/allocation.h"
 #include "server/forecache_server.h"
@@ -264,6 +271,89 @@ TEST(SessionManagerTest, IndependentSessions) {
   EXPECT_TRUE(manager.Close("alice").IsNotFound());
   EXPECT_EQ(manager.active_sessions(), 1u);
   EXPECT_FALSE(manager.ServerFor("alice").ok());
+}
+
+// RunSessions is what every threaded serving bench replays through.
+
+TEST(SessionManagerTest, RunSessionsRejectsDuplicateIdsBeforeCreatingSessions) {
+  auto pyramid = SmallPyramid();
+  SimClock clock;
+  storage::SimulatedDbmsStore store(pyramid, NoJitterCosts(), &clock);
+  auto parts = EngineParts::Make();
+  SharedPredictionComponents shared;
+  shared.ab = &parts.ab;
+  shared.strategy = &parts.strategy;
+  SessionManager manager(&store, &clock, shared);
+
+  std::mutex mu;
+  int runs = 0;
+  auto count = [&](BrowserSession*) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++runs;
+    return Status::OK();
+  };
+  const Status status =
+      manager.RunSessions({{"a", count}, {"b", count}, {"a", count}}, 2);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("duplicate session id in workloads: a"),
+            std::string_view::npos)
+      << status;
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(manager.active_sessions(), 0u);
+}
+
+TEST(SessionManagerTest, RunSessionsReturnsTheFirstFailureNamingItsSession) {
+  auto pyramid = SmallPyramid();
+  SimClock clock;
+  storage::SimulatedDbmsStore store(pyramid, NoJitterCosts(), &clock);
+  auto parts = EngineParts::Make();
+  SharedPredictionComponents shared;
+  shared.ab = &parts.ab;
+  shared.strategy = &parts.strategy;
+  SessionManager manager(&store, &clock, shared);
+
+  auto open = [](BrowserSession* session) { return session->Open().status(); };
+  auto fail = [](const std::string& why) {
+    return [why](BrowserSession*) { return Status::IoError(why); };
+  };
+  // One thread takes the workloads in order, so "first" is b's failure.
+  const Status status = manager.RunSessions(
+      {{"a", open}, {"b", fail("backend down")}, {"c", fail("later")},
+       {"d", open}},
+      1);
+  EXPECT_TRUE(status.IsIoError()) << status;
+  EXPECT_EQ(status.message(), "session b: backend down");
+}
+
+TEST(SessionManagerTest, RunSessionsWithZeroThreadsRunsOnOneThread) {
+  auto pyramid = SmallPyramid();
+  SimClock clock;
+  storage::SimulatedDbmsStore store(pyramid, NoJitterCosts(), &clock);
+  auto parts = EngineParts::Make();
+  SharedPredictionComponents shared;
+  shared.ab = &parts.ab;
+  shared.strategy = &parts.strategy;
+  SessionManager manager(&store, &clock, shared);
+
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  std::vector<SessionManager::SessionWorkload> workloads;
+  for (int i = 0; i < 6; ++i) {
+    workloads.push_back({"s" + std::to_string(i), [&](BrowserSession* s) {
+                           {
+                             std::lock_guard<std::mutex> lock(mu);
+                             threads.insert(std::this_thread::get_id());
+                           }
+                           // Long enough for a second thread, if there
+                           // were one, to take the next workload.
+                           std::this_thread::sleep_for(
+                               std::chrono::milliseconds(2));
+                           return s->Open().status();
+                         }});
+  }
+  ASSERT_TRUE(manager.RunSessions(std::move(workloads), 0).ok());
+  EXPECT_EQ(threads.size(), 1u);
+  EXPECT_EQ(manager.active_sessions(), 6u);
 }
 
 }  // namespace
